@@ -4,8 +4,8 @@ package core
 // for the most recent Predict/Update pair while attribution recording is
 // enabled: the raw material of the event-tracing layer (internal/ptrace) and
 // its miss classifier (internal/analysis). Recording is off by default — it
-// costs a handful of stores per branch — and is switched on by the simulator
-// when a run attaches an event sink.
+// costs a handful of stores per branch — and is switched on by sim.Kernel
+// when an event recorder or a miss observer is attached.
 type AttribState struct {
 	// Pattern is the key the prediction probed the target table with (the
 	// folded history pattern + branch address; a hash of the exact key in

@@ -42,6 +42,7 @@ import (
 	"io"
 
 	"github.com/oocsb/ibp/internal/cli"
+	"github.com/oocsb/ibp/internal/ptrace"
 	"github.com/oocsb/ibp/internal/trace"
 )
 
@@ -211,17 +212,16 @@ const (
 	CodeOverload  = "overload"   // server shed the session under load
 )
 
-// EventRec is one per-branch outcome in a FrameEvents payload: the
-// sim-visible slice of a ptrace.Event (the server does not ship predictor
-// attribution over the wire).
-type EventRec struct {
-	PC        uint32
-	Predicted uint32
-	Actual    uint32
-	HasPred   bool
-	Miss      bool
-	Warmup    bool
-}
+// EventRec is one per-branch outcome in a FrameEvents payload. The wire
+// carries only the sim-visible slice of the event — PC, Predicted, Actual,
+// HasPred, Miss and Warmup — never the predictor's attribution detail.
+type EventRec = ptrace.Event
+
+// eventLog collects the session kernel's events for one records frame.
+type eventLog []EventRec
+
+// Record appends ev (sim.EventRecorder).
+func (l *eventLog) Record(ev EventRec) { *l = append(*l, ev) }
 
 const (
 	evFlagHasPred = 1 << 0
@@ -256,7 +256,8 @@ func appendEvents(buf []byte, seq uint64, evs []EventRec) []byte {
 	return buf
 }
 
-// decodeEvents decodes a FrameEvents payload. max bounds the declared count.
+// decodeEvents decodes a FrameEvents payload into events holding the wire
+// fields only. max bounds the declared count.
 func decodeEvents(payload []byte, max int) (seq uint64, evs []EventRec, err error) {
 	br := newByteReader(payload)
 	seq, err = binary.ReadUvarint(br)
@@ -293,6 +294,7 @@ func decodeEvents(payload []byte, max int) (seq uint64, evs []EventRec, err erro
 			PC:        prevPC + uint32(pcd*4),
 			Predicted: prevPred + uint32(prd*4),
 			Actual:    prevAct + uint32(acd*4),
+			Component: -1, // no attribution on the wire
 			HasPred:   flags&evFlagHasPred != 0,
 			Miss:      flags&evFlagMiss != 0,
 			Warmup:    flags&evFlagWarmup != 0,

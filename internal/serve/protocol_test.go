@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/hex"
 	"io"
 	"net"
 	"reflect"
@@ -46,13 +47,27 @@ func TestAckMissRate(t *testing.T) {
 }
 
 func TestEventsCodecRoundTrip(t *testing.T) {
+	// Decoded events hold the wire fields only, with Component -1 like a sim
+	// event from a predictor that records no attribution.
 	evs := []EventRec{
-		{PC: 0x1000, Predicted: 0x2000, Actual: 0x2000, HasPred: true},
-		{PC: 0x1004, Predicted: 0, Actual: 0x3000, Miss: true},
-		{PC: 0x0ffc, Predicted: 0x2004, Actual: 0x2008, HasPred: true, Miss: true, Warmup: true},
-		{PC: 0xfffffffc, Predicted: 0x4, Actual: 0x8, HasPred: true},
+		{PC: 0x1000, Predicted: 0x2000, Actual: 0x2000, HasPred: true, Component: -1},
+		{PC: 0x1004, Predicted: 0, Actual: 0x3000, Miss: true, Component: -1},
+		{PC: 0x0ffc, Predicted: 0x2004, Actual: 0x2008, HasPred: true, Miss: true, Warmup: true, Component: -1},
+		{PC: 0xfffffffc, Predicted: 0x4, Actual: 0x8, HasPred: true, Component: -1},
 	}
 	payload := appendEvents(nil, 42, evs)
+	// The wire bytes are pinned: fields off the wire must not leak into it.
+	if got, want := hex.EncodeToString(payload), "2a048010802080200102ff1f801002038220fb0f07ff0fff1fff1f01"; got != want {
+		t.Fatalf("events payload %s, want %s", got, want)
+	}
+	withDetail := append([]EventRec(nil), evs...)
+	for i := range withDetail {
+		withDetail[i].Seq, withDetail[i].Pattern, withDetail[i].Component = uint64(i+1), 0xabc, 2
+		withDetail[i].TableHit, withDetail[i].Evicted = true, true
+	}
+	if !bytes.Equal(appendEvents(nil, 42, withDetail), payload) {
+		t.Fatal("attribution fields changed the events wire bytes")
+	}
 	seq, got, err := decodeEvents(payload, 16)
 	if err != nil {
 		t.Fatal(err)

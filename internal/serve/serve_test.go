@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/oocsb/ibp/internal/cli"
+	"github.com/oocsb/ibp/internal/ptrace"
 	"github.com/oocsb/ibp/internal/sim"
 	"github.com/oocsb/ibp/internal/trace"
 	"github.com/oocsb/ibp/internal/workload"
@@ -235,8 +236,24 @@ func TestServeEventCapture(t *testing.T) {
 	if len(evs) != len(indirect) {
 		t.Fatalf("captured %d events, want %d (one per indirect branch)", len(evs), len(indirect))
 	}
+	// Every wire field matches a full-capacity local sim capture.
+	pred, err := defaultFlags().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := ptrace.NewEventSink(len(indirect), 1)
+	sim.Run(pred, tr, sim.Options{Warmup: 50, Events: sink})
+	local := sink.Events()
+	if len(local) != len(evs) {
+		t.Fatalf("sim captured %d events, serve %d", len(local), len(evs))
+	}
 	var misses, warm int
 	for i, ev := range evs {
+		w := local[i]
+		if ev.PC != w.PC || ev.Predicted != w.Predicted || ev.Actual != w.Actual ||
+			ev.HasPred != w.HasPred || ev.Miss != w.Miss || ev.Warmup != w.Warmup {
+			t.Fatalf("event %d: serve %+v, sim %+v", i, ev, w)
+		}
 		if ev.PC != indirect[i].PC || ev.Actual != indirect[i].Target {
 			t.Fatalf("event %d: pc/actual %08x/%08x, want %08x/%08x",
 				i, ev.PC, ev.Actual, indirect[i].PC, indirect[i].Target)
@@ -327,8 +344,7 @@ func TestServeSessionPanicIsolation(t *testing.T) {
 	// the shard worker cannot be touching the predictor.
 	for _, e := range srv.track.Live() {
 		if sess, ok := e.Conn().(*session); ok && sess.hello.Benchmark == "panicker" {
-			sess.pred = panicPredictor{}
-			sess.condObs = nil
+			sess.kern = sim.NewKernel(panicPredictor{}, sim.Options{})
 		}
 	}
 

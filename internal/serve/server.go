@@ -465,7 +465,6 @@ func (s *Server) openSession(conn net.Conn, fr *trace.FrameReader) (*session, er
 		Upstream:  hello.RouterSession,
 	}
 	if ts, ok := pred.(core.TableStatser); ok {
-		sess.statser = ts
 		meta.Tables = ts.TableStats() // baseline for /sessions/{id} deltas
 	}
 	entry, err := s.track.Register(sess, meta)
@@ -481,10 +480,7 @@ func (s *Server) openSession(conn net.Conn, fr *trace.FrameReader) (*session, er
 	if s.cfg.Tuner != nil && !hello.Events {
 		sess.tun = s.cfg.Tuner.Session(policy, pf, entry)
 		if sess.tun != nil {
-			if a, ok := pred.(core.Attributor); ok {
-				a.SetAttribution(true)
-				sess.attrib = a
-			}
+			sess.kern.SetMissObserver(sess.tun)
 		}
 	}
 	s.m.sessionsTotal.Inc()

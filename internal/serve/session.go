@@ -13,6 +13,7 @@ import (
 	"github.com/oocsb/ibp/internal/core"
 	"github.com/oocsb/ibp/internal/flight"
 	"github.com/oocsb/ibp/internal/sessiontrack"
+	"github.com/oocsb/ibp/internal/sim"
 	"github.com/oocsb/ibp/internal/trace"
 	"github.com/oocsb/ibp/internal/tuner"
 )
@@ -67,26 +68,20 @@ type session struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 
-	// worker-owned: the predictor and sim-equivalent accounting
-	pred     core.Predictor
-	statser  core.TableStatser // pred's table stats view; nil when unsupported
-	condObs  core.CondObserver
-	seen     int
-	executed int
-	misses   int
-	noPred   int
-	frames   int
-	records  int
-	evBuf    []EventRec
+	// worker-owned: the prediction kernel (predictor and sim accounting),
+	// and evs, the kernel's event output for the frame in progress.
+	kern    *sim.Kernel
+	frames  int
+	records int
+	evs     eventLog
 
-	// tun is the session's adaptation-plane state (nil when tuning is off);
-	// attrib is pred's attribution view feeding the tuner's miss sketch.
-	// hist retains the session's record frames for the swap replay as views
-	// into block-granular arena allocations (histArena is the current fill
-	// block) — no reallocation ever copies a retained frame twice.
-	// Worker-owned like the predictor, so a hot swap needs no locks.
+	// tun is the session's adaptation-plane state (nil when tuning is off),
+	// fed by kern as its miss observer. hist retains the session's record
+	// frames for the swap replay as views into block-granular arena
+	// allocations (histArena is the current fill block) — no reallocation
+	// ever copies a retained frame twice. Worker-owned like the kernel, so a
+	// hot swap needs no locks.
 	tun        *tuner.SessionTuner
-	attrib     core.Attributor
 	hist       [][]byte
 	histBlocks []*histBlock
 	histArena  []byte
@@ -118,7 +113,7 @@ func newSession(s *Server, conn net.Conn, pred core.Predictor, hello Hello, wind
 		srv:      s,
 		conn:     conn,
 		hello:    hello,
-		pred:     pred,
+		kern:     sim.NewKernel(pred, sim.Options{Warmup: hello.Warmup}),
 		predName: pred.Name(),
 		window:   window,
 		events:   hello.Events,
@@ -130,7 +125,9 @@ func newSession(s *Server, conn net.Conn, pred core.Predictor, hello Hello, wind
 		out:  make(chan outMsg, 2*window+8),
 		stop: make(chan struct{}),
 	}
-	sess.condObs, _ = pred.(core.CondObserver)
+	if sess.events {
+		sess.kern.SetEvents(&sess.evs)
+	}
 	return sess
 }
 
@@ -382,11 +379,10 @@ func (sess *session) readLoop(fr *trace.FrameReader) {
 	}
 }
 
-// processFrame drives the session predictor straight off a RecordIter over
-// the borrowed chunk — the sim engine's exact accounting with no []Record
-// materialization — then queues the (events and) ack frames from pooled
-// payload buffers and releases the chunk's buffer. A predictor panic is
-// confined to this session, like a sim lane's.
+// processFrame runs the session kernel (DESIGN.md §5b) straight off a
+// RecordIter over the borrowed chunk, then queues the (events and) ack frames
+// from pooled payload buffers and releases the chunk's buffer. A predictor
+// panic is confined to this session, like a sim lane's.
 func (sess *session) processFrame(j job) {
 	seq, chunk, buf := j.seq, j.chunk, j.buf
 	defer buf.Release()
@@ -401,76 +397,17 @@ func (sess *session) processFrame(j job) {
 	startNS := time.Now().UnixNano()
 	j.span.StampAt(flight.HopServerDequeue, startNS)
 	m.queueWait.Observe(time.Duration(startNS - j.recvNS))
-	it, err := trace.NewRecordIter(chunk, s.cfg.MaxFrameRecords)
+	before := sess.kern.Result()
+	nrecs, err := runChunk(sess.kern, chunk, s.cfg.MaxFrameRecords)
 	if err != nil {
+		// The predictor may already have seen the frame's valid prefix, but a
+		// session that ships a malformed chunk never reaches a Summary, so
+		// the bit-identical accounting contract is unaffected.
 		sess.fail(CodeBadFrame, err.Error())
 		return
 	}
-	exec0, miss0 := sess.executed, sess.misses
-	evs := sess.evBuf[:0]
-	nrecs := 0
-	var batch [256]trace.Record
-	for {
-		bn := it.NextBatch(batch[:])
-		if bn == 0 {
-			break
-		}
-		nrecs += bn
-		for _, r := range batch[:bn] {
-			switch {
-			case r.Kind == trace.Cond:
-				if sess.condObs != nil {
-					sess.condObs.ObserveCond(r.PC, r.Target, r.Target != 0)
-				}
-				continue
-			case !r.Kind.Indirect():
-				continue
-			}
-			pred, ok := sess.pred.Predict(r.PC)
-			sess.pred.Update(r.PC, r.Target)
-			sess.seen++
-			miss := !ok || pred != r.Target
-			if sess.events {
-				evs = append(evs, EventRec{
-					PC:        r.PC,
-					Predicted: pred,
-					Actual:    r.Target,
-					HasPred:   ok,
-					Miss:      miss,
-					Warmup:    sess.seen <= sess.hello.Warmup,
-				})
-			}
-			if sess.seen <= sess.hello.Warmup {
-				continue
-			}
-			sess.executed++
-			if miss {
-				sess.misses++
-				if !ok {
-					sess.noPred++
-				}
-				if sess.tun != nil {
-					// Feed the miss sketch — only misses are classified, so
-					// correctly predicted records pay the tuner nothing.
-					// Attribution when the predictor records it, else the
-					// bare hit bit.
-					if sess.attrib != nil {
-						at := sess.attrib.Attribution()
-						sess.tun.ObserveMiss(at.TableHit, at.AltCorrect, at.NewEntry, at.Evicted)
-					} else {
-						sess.tun.ObserveMiss(ok, false, false, false)
-					}
-				}
-			}
-		}
-	}
-	if err := it.Err(); err != nil {
-		// The predictor already saw the frame's valid prefix, but a session
-		// that ships a malformed chunk never reaches a Summary, so the
-		// bit-identical accounting contract is unaffected.
-		sess.fail(CodeBadFrame, fmt.Sprintf("trace: records payload: %v", err))
-		return
-	}
+	res := sess.kern.Result()
+	executed, misses := res.Executed-before.Executed, res.Misses-before.Misses
 	sess.frames++
 	sess.records += nrecs
 	doneNS := time.Now().UnixNano()
@@ -480,30 +417,29 @@ func (sess *session) processFrame(j job) {
 	// one stats update per frame, zero allocations. The (allocating) table
 	// stats refresh is amortized to every 16th frame — the predictor is
 	// worker-owned, so only this goroutine may read it.
-	sess.track.FrameProcessed(doneNS, nrecs, sess.executed-exec0, sess.misses-miss0,
-		time.Duration(startNS-j.recvNS))
-	if sess.statser != nil && sess.frames&0xf == 0 {
-		sess.track.UpdateTables(sess.statser.TableStats())
+	sess.track.FrameProcessed(doneNS, nrecs, executed, misses, time.Duration(startNS-j.recvNS))
+	if sess.frames&0xf == 0 {
+		sess.updateTables()
 	}
 	m.predictTime.Observe(time.Duration(doneNS - startNS))
 	m.frameLatency.Observe(time.Duration(doneNS - j.recvNS))
 	m.frames.Inc()
 	m.records.Add(uint64(nrecs))
-	m.misses.Add(uint64(sess.misses - miss0))
+	m.misses.Add(uint64(misses))
 	ack := Ack{
 		Seq:               seq,
 		Records:           nrecs,
-		Executed:          sess.executed - exec0,
-		Misses:            sess.misses - miss0,
-		TotalExecuted:     sess.executed,
-		TotalMisses:       sess.misses,
-		TotalNoPrediction: sess.noPred,
+		Executed:          executed,
+		Misses:            misses,
+		TotalExecuted:     res.Executed,
+		TotalMisses:       res.Misses,
+		TotalNoPrediction: res.NoPrediction,
 	}
 	if sess.events {
 		// Worst case per event: three 5-byte varints plus the flags byte.
-		eb := s.pool.Get(16*len(evs) + 2*binary.MaxVarintLen64)
-		payload := appendEvents(eb.Bytes()[:0], seq, evs)
-		sess.evBuf = evs[:0] // keep the grown buffer for the next frame
+		eb := s.pool.Get(16*len(sess.evs) + 2*binary.MaxVarintLen64)
+		payload := appendEvents(eb.Bytes()[:0], seq, sess.evs)
+		sess.evs = sess.evs[:0] // keep the grown buffer for the next frame
 		if !sess.send(outMsg{typ: FrameEvents, payload: payload, buf: eb}) {
 			return
 		}
@@ -521,7 +457,38 @@ func (sess *session) processFrame(j job) {
 	// still carries the pre-swap totals, the next one reflects the replayed
 	// accounting.
 	if sess.tun != nil {
-		sess.tunerFrameEnd(chunk, sess.executed-exec0, sess.misses-miss0)
+		sess.tunerFrameEnd(chunk, executed, misses)
+	}
+}
+
+// runChunk runs k over an encoded record chunk in place, a RecordIter batch
+// at a time, and returns the number of records it held.
+func runChunk(k *sim.Kernel, chunk []byte, maxRecords int) (int, error) {
+	it, err := trace.NewRecordIter(chunk, maxRecords)
+	if err != nil {
+		return 0, err
+	}
+	n := 0
+	var batch [256]trace.Record
+	for {
+		bn := it.NextBatch(batch[:])
+		if bn == 0 {
+			break
+		}
+		n += bn
+		k.Run(batch[:bn])
+	}
+	if err := it.Err(); err != nil {
+		return n, fmt.Errorf("trace: records payload: %w", err)
+	}
+	return n, nil
+}
+
+// updateTables refreshes the session's table stats in the introspection
+// registry when the predictor exposes them.
+func (sess *session) updateTables() {
+	if ts, ok := sess.kern.Predictor().(core.TableStatser); ok {
+		sess.track.UpdateTables(ts.TableStats())
 	}
 }
 
@@ -538,20 +505,19 @@ func (sess *session) emitSummary(drained bool) {
 	// The Done/drain job is the last the worker runs for this session, so
 	// its retained tuner history can be recycled here, on the owning worker.
 	sess.dropHistory()
+	res := sess.kern.Result()
 	sum := Summary{
 		Session:      sess.id,
 		Benchmark:    sess.hello.Benchmark,
 		Predictor:    sess.predName,
 		Frames:       sess.frames,
 		Records:      sess.records,
-		Executed:     sess.executed,
-		Misses:       sess.misses,
-		NoPrediction: sess.noPred,
-		Warmup:       sess.hello.Warmup,
+		Executed:     res.Executed,
+		Misses:       res.Misses,
+		NoPrediction: res.NoPrediction,
+		Warmup:       res.Warmup,
+		MissRate:     res.MissRate(),
 		Drained:      drained,
-	}
-	if sum.Executed > 0 {
-		sum.MissRate = 100 * float64(sum.Misses) / float64(sum.Executed)
 	}
 	sess.srv.cfg.Log.Info("session summary", "session", sess.id,
 		"benchmark", sum.Benchmark, "frames", sum.Frames, "records", sum.Records,

@@ -1,8 +1,7 @@
 package serve
 
 import (
-	"github.com/oocsb/ibp/internal/core"
-	"github.com/oocsb/ibp/internal/trace"
+	"github.com/oocsb/ibp/internal/sim"
 	"github.com/oocsb/ibp/internal/tuner"
 )
 
@@ -58,9 +57,10 @@ func (sess *session) tunerFrameEnd(chunk []byte, executed, misses int) {
 }
 
 // applySwap builds the decision's target predictor, replays the retained
-// history through it with from-scratch accounting, and installs it as the
-// session's predictor. On any failure the session keeps its current
-// predictor and the tuner stops (SwapFailed) — never a half-applied swap.
+// history through a fresh kernel on it (from-scratch accounting), and
+// installs that kernel as the session's. On any failure the session keeps
+// its current kernel and the tuner stops (SwapFailed) — never a half-applied
+// swap.
 func (sess *session) applySwap(d *tuner.Decision) {
 	pred, err := d.Target.Build()
 	if err != nil {
@@ -70,77 +70,25 @@ func (sess *session) applySwap(d *tuner.Decision) {
 		sess.srv.cfg.Log.Warn("tuner swap failed", "session", sess.id, "err", err)
 		return
 	}
-	condObs, _ := pred.(core.CondObserver)
-	var attrib core.Attributor
-	if a, ok := pred.(core.Attributor); ok {
-		a.SetAttribution(true)
-		attrib = a
-	}
-	seen, executed, misses, noPred := 0, 0, 0, 0
+	k := sim.NewKernel(pred, sim.Options{Warmup: sess.hello.Warmup})
 	replayed := 0
-	var batch [256]trace.Record
 	for _, frame := range sess.hist {
-		it, err := trace.NewRecordIter(frame, sess.srv.cfg.MaxFrameRecords)
+		n, err := runChunk(k, frame, sess.srv.cfg.MaxFrameRecords)
 		if err != nil {
 			sess.tun.SwapFailed()
 			sess.srv.cfg.Log.Warn("tuner swap replay failed", "session", sess.id, "err", err)
 			return
 		}
-		for {
-			bn := it.NextBatch(batch[:])
-			if bn == 0 {
-				break
-			}
-			replayed += bn
-			for _, r := range batch[:bn] {
-				switch {
-				case r.Kind == trace.Cond:
-					if condObs != nil {
-						condObs.ObserveCond(r.PC, r.Target, r.Target != 0)
-					}
-					continue
-				case !r.Kind.Indirect():
-					continue
-				}
-				p, ok := pred.Predict(r.PC)
-				pred.Update(r.PC, r.Target)
-				seen++
-				if seen <= sess.hello.Warmup {
-					continue
-				}
-				executed++
-				if !ok || p != r.Target {
-					misses++
-					if !ok {
-						noPred++
-					}
-				}
-			}
-		}
-		if err := it.Err(); err != nil {
-			sess.tun.SwapFailed()
-			sess.srv.cfg.Log.Warn("tuner swap replay failed", "session", sess.id, "err", err)
-			return
-		}
+		replayed += n
 	}
-	sess.pred = pred
-	sess.condObs = condObs
-	sess.attrib = attrib
-	sess.statser, _ = pred.(core.TableStatser)
+	// The miss observer joins after the replay: the tuner has already
+	// windowed these records, so their misses must not reach it twice.
+	k.SetMissObserver(sess.tun)
+	sess.kern = k
 	sess.predName = pred.Name()
-	sess.seen, sess.executed, sess.misses, sess.noPred = seen, executed, misses, noPred
 	sess.tun.SwapApplied(d, sess.predName, replayed)
-	if sess.statser != nil {
-		sess.track.UpdateTables(sess.statser.TableStats())
-	}
+	sess.updateTables()
 	sess.srv.cfg.Log.Info("tuner swap", "session", sess.id, "predictor", sess.predName,
 		"escalate", d.Escalate, "reason", d.Reason, "replayedRecords", replayed,
-		"missRate", missRatePct(misses, executed))
-}
-
-func missRatePct(misses, executed int) float64 {
-	if executed == 0 {
-		return 0
-	}
-	return 100 * float64(misses) / float64(executed)
+		"missRate", k.Result().MissRate())
 }

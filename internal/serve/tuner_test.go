@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -32,66 +33,65 @@ func tunedServer(t *testing.T, spec string) (*Server, string) {
 // Summary bit-identical to a session that ran the swap target from its
 // first record — the swap replays the whole retained history — and two
 // identical runs must land identical summaries (decisions are functions of
-// the record stream, never the clock). The tuner CI job greps for this
-// test, so it must never t.Skip.
+// the record stream, never the clock). It runs several benchmarks and frame
+// splits, so swaps land at different boundaries. The tuner CI job greps for
+// this test, so it must never t.Skip.
 func TestTunerSwapBitReproducible(t *testing.T) {
 	const (
 		n      = 6000
 		warmup = 64
-		frame  = 317
 	)
 	_, addr := tunedServer(t, aggressivePolicy)
 
-	cfg := workload.Suite()[0]
-	tr := cfg.MustGenerate(n)
-
-	run := func() Summary {
-		t.Helper()
-		c, err := Dial(addr, Hello{Benchmark: cfg.Name, Warmup: warmup}, DialOptions{Timeout: 20 * time.Second, Retries: 2})
-		if err != nil {
-			t.Fatalf("dial: %v", err)
-		}
-		sum, err := c.Stream(tr, frame, nil)
-		c.Close()
-		if err != nil {
-			t.Fatalf("stream: %v", err)
-		}
-		return sum
-	}
-
-	sum := run()
-	if !strings.HasPrefix(sum.Predictor, "ittage") {
-		t.Fatalf("session finished on %q — the tuner never escalated", sum.Predictor)
-	}
-
-	// Bit-identical to running the escalation target from the first record.
+	// Every swap lands on the escalation target; the reference is that
+	// target run from the first record.
 	target, err := tuner.PredictorFor("ittage:4,256,2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := target.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sim.Run(pred, tr, sim.Options{Warmup: warmup})
-	if sum.Executed != want.Executed || sum.Misses != want.Misses || sum.NoPrediction != want.NoPrediction {
-		t.Errorf("swapped session: executed/misses/noPred = %d/%d/%d, target-from-start sim = %d/%d/%d",
-			sum.Executed, sum.Misses, sum.NoPrediction, want.Executed, want.Misses, want.NoPrediction)
-	}
-	wantRate := 0.0
-	if want.Executed > 0 {
-		wantRate = 100 * float64(want.Misses) / float64(want.Executed)
-	}
-	if sum.MissRate != wantRate {
-		t.Errorf("miss rate %v, want %v (must be bit-identical)", sum.MissRate, wantRate)
-	}
+	for _, cfg := range workload.Suite()[:3] {
+		tr := cfg.MustGenerate(n)
+		pred, err := target.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := sim.Run(pred, tr, sim.Options{Warmup: warmup})
+		for _, frame := range []int{317, 1024} {
+			name := fmt.Sprintf("%s/frame=%d", cfg.Name, frame)
+			run := func() Summary {
+				t.Helper()
+				c, err := Dial(addr, Hello{Benchmark: cfg.Name, Warmup: warmup}, DialOptions{Timeout: 20 * time.Second, Retries: 2})
+				if err != nil {
+					t.Fatalf("%s: dial: %v", name, err)
+				}
+				sum, err := c.Stream(tr, frame, nil)
+				c.Close()
+				if err != nil {
+					t.Fatalf("%s: stream: %v", name, err)
+				}
+				return sum
+			}
 
-	// Same trace, same policy: the rerun must land the identical summary.
-	again := run()
-	if again.Executed != sum.Executed || again.Misses != sum.Misses ||
-		again.NoPrediction != sum.NoPrediction || again.MissRate != sum.MissRate ||
-		again.Predictor != sum.Predictor {
-		t.Errorf("rerun diverged: %+v vs %+v", again, sum)
+			sum := run()
+			if !strings.HasPrefix(sum.Predictor, "ittage") {
+				t.Fatalf("%s: session finished on %q — the tuner never escalated", name, sum.Predictor)
+			}
+			if sum.Executed != want.Executed || sum.Misses != want.Misses || sum.NoPrediction != want.NoPrediction {
+				t.Errorf("%s: swapped session: executed/misses/noPred = %d/%d/%d, target-from-start sim = %d/%d/%d",
+					name, sum.Executed, sum.Misses, sum.NoPrediction, want.Executed, want.Misses, want.NoPrediction)
+			}
+			if sum.MissRate != want.MissRate() {
+				t.Errorf("%s: miss rate %v, want %v (must be bit-identical)", name, sum.MissRate, want.MissRate())
+			}
+
+			// Same trace, same policy: the rerun must land the identical summary.
+			again := run()
+			if again.Executed != sum.Executed || again.Misses != sum.Misses ||
+				again.NoPrediction != sum.NoPrediction || again.MissRate != sum.MissRate ||
+				again.Predictor != sum.Predictor {
+				t.Errorf("%s: rerun diverged: %+v vs %+v", name, again, sum)
+			}
+		}
 	}
 }
 

@@ -19,7 +19,7 @@ func TestDisabledEventSinkZeroAllocs(t *testing.T) {
 	p := core.MustTwoLevel(core.Config{PathLength: 4, Precision: core.AutoPrecision,
 		Scheme: bits.Reverse, TableKind: "tagless", Entries: 512})
 	l := trainedLane(p, tr, nil)
-	if l.sink != nil {
+	if l.k.events != nil {
 		t.Fatal("sink attached without Options.Events")
 	}
 	allocs := testing.AllocsPerRun(5, func() {

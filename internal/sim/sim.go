@@ -200,49 +200,21 @@ func newRunMetrics(r *telemetry.Registry) *runMetrics {
 	}
 }
 
-// lane is the per-predictor state of a batched run.
+// lane is the per-predictor state of a batched run: a Kernel plus the
+// lane's panic isolation and per-run table telemetry.
 type lane struct {
-	p         core.Predictor
-	condObs   core.CondObserver
-	resetter  core.Resetter
+	k    *Kernel
+	dead bool
+	err  error
+	// statser and baseStats (the predictor's table counters at run start)
+	// let the per-Result snapshot report this run's deltas even when the
+	// predictor is a reused (Reset) instance. Only set when telemetry is on.
 	statser   core.TableStatser
-	shadow    core.Predictor
-	shadowObs core.CondObserver
-	shadowRst core.Resetter
-	sink      *ptrace.EventSink
-	attrib    core.Attributor
-	opts      Options
-	seen      int
-	res       Result
-	dead      bool
-	err       error
-	// baseStats is the predictor's table counters at run start, so the
-	// per-Result snapshot reports this run's deltas even when the predictor
-	// is a reused (Reset) instance. Only captured when telemetry is on.
 	baseStats []table.Stats
 }
 
 func (l *lane) init(p core.Predictor, opts Options, m *runMetrics) {
-	l.p = p
-	l.opts = opts
-	l.condObs, _ = p.(core.CondObserver)
-	l.resetter, _ = p.(core.Resetter)
-	l.shadow = opts.Shadow
-	if l.shadow != nil {
-		l.shadowObs, _ = l.shadow.(core.CondObserver)
-		l.shadowRst, _ = l.shadow.(core.Resetter)
-	}
-	l.res = Result{Warmup: opts.Warmup}
-	if opts.Sites {
-		l.res.PerSite = make(map[uint32]*SiteStats)
-	}
-	if opts.Events != nil {
-		l.sink = opts.Events
-		if a, ok := p.(core.Attributor); ok {
-			a.SetAttribution(true)
-			l.attrib = a
-		}
-	}
+	l.k = NewKernel(p, opts)
 	if m != nil {
 		if l.statser, _ = p.(core.TableStatser); l.statser != nil {
 			l.baseStats = l.statser.TableStats()
@@ -266,7 +238,7 @@ func (l *lane) finishStats(m *runMetrics) {
 		m.evictions.Add(cur[i].Evictions)
 		m.resets.Add(cur[i].Resets)
 	}
-	l.res.Tables = cur
+	l.k.res.Tables = cur
 	m.occupancy.Set(table.Merge(cur).Occupancy)
 }
 
@@ -279,115 +251,29 @@ func (l *lane) step(block []trace.Record, m *runMetrics) {
 		return
 	}
 	start := time.Now()
-	seen0, miss0 := l.seen, l.res.Misses
+	seen0, miss0 := l.k.seen, l.k.res.Misses
 	l.runBlock(block)
 	m.block.Observe(time.Since(start))
 	m.records.Add(uint64(len(block)))
-	m.predicts.Add(uint64(l.seen - seen0))
-	m.misses.Add(uint64(l.res.Misses - miss0))
+	m.predicts.Add(uint64(l.k.seen - seen0))
+	m.misses.Add(uint64(l.k.res.Misses - miss0))
 	if l.dead {
 		m.panics.Inc()
 	}
 }
 
-// runBlock advances the lane over one block of trace records. The hot
-// counters live in locals for the duration of the block and are written back
-// by the deferred function, which also converts a predictor panic into a
-// dead lane carrying a *PanicError — one deferred frame per lane-block
-// instead of per record keeps isolation off the per-branch path.
+// runBlock runs the lane's kernel over one block of trace records, converting
+// a predictor panic into a dead lane carrying a *PanicError — one deferred
+// frame per lane-block instead of per record keeps isolation off the
+// per-branch path.
 func (l *lane) runBlock(block []trace.Record) {
-	seen, res := l.seen, l.res
 	defer func() {
-		l.seen, l.res = seen, res
 		if r := recover(); r != nil {
 			l.dead = true
 			l.err = &PanicError{Val: r, Stack: debug.Stack()}
 		}
 	}()
-	for _, r := range block {
-		switch {
-		case r.Kind == trace.Cond:
-			if l.condObs != nil {
-				l.condObs.ObserveCond(r.PC, r.Target, r.Target != 0)
-			}
-			if l.shadowObs != nil {
-				l.shadowObs.ObserveCond(r.PC, r.Target, r.Target != 0)
-			}
-			continue
-		case !r.Kind.Indirect():
-			continue
-		}
-		if l.opts.FlushEvery > 0 && seen > 0 && seen%l.opts.FlushEvery == 0 {
-			if l.resetter != nil {
-				l.resetter.Reset()
-			}
-			if l.shadowRst != nil {
-				l.shadowRst.Reset()
-			}
-		}
-		pred, ok := l.p.Predict(r.PC)
-		l.p.Update(r.PC, r.Target)
-		var shadowCorrect bool
-		if l.shadow != nil {
-			st, sok := l.shadow.Predict(r.PC)
-			l.shadow.Update(r.PC, r.Target)
-			shadowCorrect = sok && st == r.Target
-		}
-		seen++
-		miss := !ok || pred != r.Target
-		if l.sink != nil {
-			l.emit(r, pred, ok, miss, seen)
-		}
-		if seen <= l.opts.Warmup {
-			continue
-		}
-		res.Executed++
-		if miss {
-			res.Misses++
-			if !ok {
-				res.NoPrediction++
-			}
-			if shadowCorrect {
-				res.CapacityMisses++
-			}
-		}
-		if res.PerSite != nil {
-			ss := res.PerSite[r.PC]
-			if ss == nil {
-				ss = &SiteStats{}
-				res.PerSite[r.PC] = ss
-			}
-			ss.Executed++
-			if miss {
-				ss.Misses++
-			}
-		}
-	}
-}
-
-// emit offers one per-prediction event to the lane's sink, merging the
-// sim-visible outcome with the predictor's attribution detail when the
-// predictor records it. Kept out of runBlock so the hot loop's sink-disabled
-// cost stays at a single nil check.
-func (l *lane) emit(r trace.Record, pred uint32, ok, miss bool, seen int) {
-	ev := ptrace.Event{
-		Seq:       uint64(seen),
-		PC:        r.PC,
-		Predicted: pred,
-		Actual:    r.Target,
-		Component: -1,
-		HasPred:   ok,
-		Miss:      miss,
-		Warmup:    seen <= l.opts.Warmup,
-		TableHit:  ok,
-	}
-	if l.attrib != nil {
-		a := l.attrib.Attribution()
-		ev.Pattern, ev.Component, ev.Conf = a.Pattern, a.Component, a.Conf
-		ev.TableHit, ev.Evicted = a.TableHit, a.Evicted
-		ev.NewEntry, ev.AltCorrect = a.NewEntry, a.AltCorrect
-	}
-	l.sink.Record(ev)
+	l.k.Run(block)
 }
 
 // blockSize is how many trace records a lane processes per protected block;
@@ -469,7 +355,7 @@ func collect(lanes []lane, cancel error, m *runMetrics) ([]Result, error) {
 	var failed []LaneError
 	for i := range lanes {
 		lanes[i].finishStats(m)
-		results[i] = lanes[i].res
+		results[i] = lanes[i].k.res
 		if lanes[i].err != nil {
 			failed = append(failed, LaneError{Lane: i, Err: lanes[i].err})
 		}

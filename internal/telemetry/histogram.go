@@ -1,7 +1,6 @@
-// Log-bucketed latency histograms: the percentile-bearing upgrade of Timer.
+// Log-bucketed latency histograms.
 //
-// A Histogram keeps the Timer's count/total-ns pair (so every snapshot key a
-// Timer ever exported stays stable) and adds a fixed array of atomic bucket
+// A Histogram keeps a count/total-ns pair and a fixed array of atomic bucket
 // counters over a log2 scale with 4 sub-buckets per octave — ~12% worst-case
 // relative error on any quantile, 1.3KB per histogram, no locks, and an
 // Observe that is two atomic adds and an atomic increment with zero
@@ -65,9 +64,8 @@ func histLower(idx int) uint64 {
 
 // Histogram accumulates duration observations into log-spaced buckets and
 // answers quantile queries. The nil Histogram is a valid no-op, same contract
-// as every other handle in this package. It is a drop-in replacement for
-// Timer: Observe/Count/Total/Mean have identical signatures, and Snapshot
-// emits the same <name>_count / <name>_ns keys (plus quantiles).
+// as every other handle in this package. Snapshot emits it as <name>_count
+// and <name>_ns keys plus quantiles.
 type Histogram struct {
 	n       atomic.Uint64
 	ns      atomic.Uint64
@@ -103,15 +101,6 @@ func (h *Histogram) Total() time.Duration {
 		return 0
 	}
 	return time.Duration(h.ns.Load())
-}
-
-// Mean returns the average observation, 0 before the first one.
-func (h *Histogram) Mean() time.Duration {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return h.Total() / time.Duration(n)
 }
 
 // Quantile returns the q-quantile (q in [0,1]) of everything observed so

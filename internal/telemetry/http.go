@@ -15,9 +15,7 @@ import (
 
 // WritePrometheus renders the registry in the Prometheus text exposition
 // format: one `# HELP` + `# TYPE` header per metric family, sorted by family
-// name. Counters are counters, gauges are gauges, timers are summaries
-// (`<name>_count` observations + `<name>_sum` seconds — not the two
-// gauge-style counter lines of earlier revisions), and histograms are real
+// name. Counters are counters, gauges are gauges, and histograms are real
 // histograms (`<name>_bucket{le="..."}` cumulative series in seconds, only
 // the non-empty buckets, plus `_sum`/`_count`) followed by convenience
 // quantile gauges (`<name>_p99_ns` etc., same values as the JSON snapshot)
@@ -34,7 +32,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		emit func(io.Writer, string) error
 	}
 	r.mu.Lock()
-	fams := make([]family, 0, len(r.counters)+len(r.gauges)+len(r.timers)+len(r.histograms))
+	fams := make([]family, 0, len(r.counters)+len(r.gauges)+len(r.histograms))
 	for name, c := range r.counters {
 		c := c
 		fams = append(fams, family{name, func(w io.Writer, n string) error {
@@ -48,14 +46,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		fams = append(fams, family{name, func(w io.Writer, n string) error {
 			_, err := fmt.Fprintf(w, "# HELP %s Gauge %s.\n# TYPE %s gauge\n%s %v\n",
 				n, n, n, n, g.Load())
-			return err
-		}})
-	}
-	for name, t := range r.timers {
-		t := t
-		fams = append(fams, family{name, func(w io.Writer, n string) error {
-			_, err := fmt.Fprintf(w, "# HELP %s Duration summary %s (seconds).\n# TYPE %s summary\n%s_sum %v\n%s_count %v\n",
-				n, n, n, n, t.Total().Seconds(), n, float64(t.Count()))
 			return err
 		}})
 	}

@@ -110,11 +110,11 @@ func TestHTTPEndpointsUnderEnableDisableToggle(t *testing.T) {
 }
 
 // TestVarsMatchesSnapshot pins /vars to the JSON snapshot of the served
-// registry, including the timer's _count/_ns flattening.
+// registry, including the histogram's _count/_ns flattening.
 func TestVarsMatchesSnapshot(t *testing.T) {
 	r := New()
 	r.Counter("reqs_total").Add(3)
-	r.Timer("step").Observe(1500 * time.Nanosecond)
+	r.Histogram("step").Observe(1500 * time.Nanosecond)
 	srv, addr, err := ServeMetrics("127.0.0.1:0", r)
 	if err != nil {
 		t.Fatal(err)

@@ -57,16 +57,6 @@ func TestGaugeAddConcurrent(t *testing.T) {
 	}
 }
 
-func TestTimer(t *testing.T) {
-	r := New()
-	tm := r.Timer("block")
-	tm.Observe(10 * time.Millisecond)
-	tm.Observe(30 * time.Millisecond)
-	if tm.Count() != 2 || tm.Total() != 40*time.Millisecond || tm.Mean() != 20*time.Millisecond {
-		t.Errorf("timer: count=%d total=%v mean=%v", tm.Count(), tm.Total(), tm.Mean())
-	}
-}
-
 // TestNopRegistryZeroAllocs is the disabled-instrumentation guarantee: every
 // metric update through nil handles must be allocation-free (and, trivially,
 // crash-free).
@@ -74,13 +64,13 @@ func TestNopRegistryZeroAllocs(t *testing.T) {
 	var r *Registry // the disabled registry
 	c := r.Counter("x")
 	g := r.Gauge("y")
-	tm := r.Timer("z")
+	h := r.Histogram("z")
 	allocs := testing.AllocsPerRun(100, func() {
 		c.Inc()
 		c.Add(3)
 		g.Set(1)
 		g.Add(-1)
-		tm.Observe(time.Millisecond)
+		h.Observe(time.Millisecond)
 		_ = c.Load()
 		_ = g.Load()
 	})
@@ -93,16 +83,16 @@ func TestNopRegistryZeroAllocs(t *testing.T) {
 }
 
 // TestEnabledUpdateZeroAllocs pins the other half of the overhead story:
-// live counter/gauge/timer updates don't allocate either.
+// live counter/gauge/histogram updates don't allocate either.
 func TestEnabledUpdateZeroAllocs(t *testing.T) {
 	r := New()
 	c := r.Counter("x")
 	g := r.Gauge("y")
-	tm := r.Timer("z")
+	h := r.Histogram("z")
 	allocs := testing.AllocsPerRun(100, func() {
 		c.Add(7)
 		g.Add(0.5)
-		tm.Observe(time.Microsecond)
+		h.Observe(time.Microsecond)
 	})
 	if allocs != 0 {
 		t.Errorf("live instrumentation allocates: %v allocs/op", allocs)
@@ -153,8 +143,8 @@ func TestHandlesAreStable(t *testing.T) {
 	if r.Gauge("a") != r.Gauge("a") {
 		t.Error("same name returned distinct gauges")
 	}
-	if r.Timer("a") != r.Timer("a") {
-		t.Error("same name returned distinct timers")
+	if r.Histogram("a") != r.Histogram("a") {
+		t.Error("same name returned distinct histograms")
 	}
 }
 
@@ -200,7 +190,6 @@ func TestWritePrometheus(t *testing.T) {
 	r := New()
 	r.Counter("requests_total").Add(7)
 	r.Gauge("inflight").Set(2)
-	r.Timer("cell").Observe(5 * time.Millisecond)
 	r.Histogram("frame").Observe(2 * time.Millisecond)
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -212,9 +201,6 @@ func TestWritePrometheus(t *testing.T) {
 		"# HELP requests_total ",
 		"# TYPE requests_total counter\nrequests_total 7\n",
 		"# TYPE inflight gauge\ninflight 2\n",
-		// Timers are summaries: _sum in seconds + _count, not gauge-style
-		// counter lines.
-		"# TYPE cell summary\ncell_sum 0.005\ncell_count 1\n",
 		// Histograms expose cumulative buckets, totals, and quantile gauges.
 		"# TYPE frame histogram\n",
 		"frame_bucket{le=\"+Inf\"} 1\nframe_sum 0.002\nframe_count 1\n",
@@ -224,8 +210,8 @@ func TestWritePrometheus(t *testing.T) {
 			t.Errorf("prometheus output missing %q:\n%s", want, out)
 		}
 	}
-	if strings.Contains(out, "cell_ns") {
-		t.Errorf("timer still rendered as gauge-style cell_ns line:\n%s", out)
+	if strings.Contains(out, "frame_ns") || strings.Contains(out, "summary") {
+		t.Errorf("histogram rendered with snapshot-style frame_ns line or as a summary:\n%s", out)
 	}
 	// The single 2ms observation's bucket must cover 0.002s.
 	if !strings.Contains(out, "frame_bucket{le=\"0.002") {
