@@ -65,7 +65,7 @@ type Config struct {
 
 	// JournalBytes bounds each session's replay journal. Acknowledged frame
 	// payloads are evicted oldest-first past this budget — and eviction
-	// forfeits that session's lossless-failover guarantee (see journal).
+	// forfeits that session's lossless-failover guarantee (see trace.FrameLog).
 	// Default 64 MiB; negative means unbounded.
 	JournalBytes int64
 
@@ -422,7 +422,7 @@ func (r *Router) handleConn(conn net.Conn) {
 		conn:   conn,
 		hello:  hello,
 		window: window,
-		j:      newJournal(r.cfg.JournalBytes),
+		j:      trace.NewFrameLog(r.cfg.JournalBytes),
 		notify: make(chan struct{}, 1),
 		out:    make(chan outFrame, 2*window+8),
 		closed: make(chan struct{}),
@@ -480,7 +480,7 @@ func (r *Router) unregister(sess *proxySession) {
 	}
 	r.m.sessionsActive.Add(-1)
 	sess.mu.Lock()
-	bytes := sess.j.releaseAll()
+	bytes := sess.j.Release()
 	sess.mu.Unlock()
 	if bytes > 0 {
 		r.m.journalBytes.Add(-float64(bytes))

@@ -59,9 +59,9 @@ type outFrame struct {
 //     acks/events back — and on backend death loops around to a survivor,
 //     replaying the journaled prefix.
 //
-// Correctness hinges on the journal invariant (see journal): as long as the
-// complete prefix is retained, a replacement backend that replays frames
-// 1..max through a fresh predictor reaches bit-identical state, because
+// Correctness hinges on the journal invariant (see trace.FrameLog): as long
+// as the complete prefix is retained, a replacement backend that replays
+// frames 1..max through a fresh predictor reaches bit-identical state, because
 // prediction is deterministic in the record stream. The relayedThrough
 // watermark suppresses the duplicate acks/events a replay produces, so the
 // client sees each seq acknowledged exactly once.
@@ -85,7 +85,7 @@ type proxySession struct {
 	track *sessiontrack.Session
 
 	mu         sync.Mutex
-	j          *journal
+	j          *trace.FrameLog
 	done       bool // client sent Done
 	clientGone bool // client connection failed before Done
 	placed     bool
@@ -165,7 +165,7 @@ func (sess *proxySession) setCurConn(c io.Closer) {
 func (sess *proxySession) replayable() bool {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	return sess.j.replayable()
+	return sess.j.Complete()
 }
 
 // markDropped counts the session once in router_sessions_dropped_total.
@@ -373,7 +373,7 @@ func (sess *proxySession) readLoop(fr *trace.FrameReader) {
 				sess.placed = true
 			}
 			// The journal takes over the frame's buffer reference.
-			jerr := sess.j.append(seq, f.Payload, f.Buffer())
+			jerr := sess.j.Append(seq, f.Payload, f.Buffer())
 			if jerr == nil && sess.spans != nil {
 				sp := sess.tracer.Start(seq)
 				sp.Stamp(flight.HopRouterRecv)
@@ -474,7 +474,7 @@ func (sess *proxySession) forward() {
 			return
 		}
 		sess.mu.Lock()
-		replayOK := sess.j.replayable()
+		replayOK := sess.j.Complete()
 		gone := sess.clientGone && !sess.done
 		sess.mu.Unlock()
 		if gone {
@@ -534,8 +534,8 @@ func (sess *proxySession) pump(b *backend, bc *serve.Client) pumpResult {
 		next := uint64(1)
 		for {
 			sess.mu.Lock()
-			payload, pbuf := sess.j.get(next)
-			doneAll := sess.done && next > sess.j.max()
+			payload, pbuf := sess.j.Get(next)
+			doneAll := sess.done && next > sess.j.Max()
 			gone := sess.clientGone && !sess.done
 			// The journal's reference can be evicted the moment the lock
 			// drops; a private one keeps the bytes alive across the write.
@@ -631,8 +631,8 @@ recv:
 			default:
 			}
 			sess.mu.Lock()
-			evFrames, evBytes := sess.j.ack(seq)
-			jmax := sess.j.max()
+			evFrames, evBytes := sess.j.Ack(seq)
+			jmax := sess.j.Max()
 			var sp *flight.Span
 			if sess.spans != nil {
 				if sp = sess.spans[seq]; sp != nil {

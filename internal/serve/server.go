@@ -99,9 +99,6 @@ type Server struct {
 	cfg  Config
 	m    *metrics
 	pool *trace.BufferPool // frame payload buffers, shared by all readers
-	// histPool recycles tuner history arena blocks across sessions; blocks
-	// are taken and returned only on shard workers (see session.dropHistory).
-	histPool sync.Pool
 
 	shards  []*shard
 	shardWG sync.WaitGroup
@@ -162,7 +159,6 @@ func New(cfg Config) (*Server, error) {
 		hardStop: make(chan struct{}),
 	}
 	s.pool.OnStats(func() { s.m.poolHits.Inc() }, func() { s.m.poolMisses.Inc() })
-	s.histPool.New = func() any { return new(histBlock) }
 	s.shards = make([]*shard, cfg.Shards)
 	for i := range s.shards {
 		sh := &shard{id: i, queue: make(chan job, cfg.QueueDepth)}
@@ -481,6 +477,7 @@ func (s *Server) openSession(conn net.Conn, fr *trace.FrameReader) (*session, er
 		sess.tun = s.cfg.Tuner.Session(policy, pf, entry)
 		if sess.tun != nil {
 			sess.kern.SetMissObserver(sess.tun)
+			sess.hist = trace.NewFrameLog(int64(policy.MaxHistoryBytes))
 		}
 	}
 	s.m.sessionsTotal.Inc()

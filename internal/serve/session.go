@@ -76,36 +76,12 @@ type session struct {
 	evs     eventLog
 
 	// tun is the session's adaptation-plane state (nil when tuning is off),
-	// fed by kern as its miss observer. hist retains the session's record
-	// frames for the swap replay as views into block-granular arena
-	// allocations (histArena is the current fill block) — no reallocation
-	// ever copies a retained frame twice. Worker-owned like the kernel, so a
-	// hot swap needs no locks.
-	tun        *tuner.SessionTuner
-	hist       [][]byte
-	histBlocks []*histBlock
-	histArena  []byte
-	histBytes  int
-}
-
-// histBlockSize is the arena block granularity for retained frame history:
-// large enough that a 30k-record session costs a handful of allocations,
-// small enough that a short-lived session doesn't strand much memory.
-const histBlockSize = 256 << 10
-
-// histBlock is one history arena block. Blocks are recycled through the
-// server's histPool, so steady-state tuned traffic retains history without
-// allocating — only the per-frame copy remains.
-type histBlock [histBlockSize]byte
-
-// dropHistory returns the session's arena blocks to the server pool and
-// forgets the retained frames. Worker-goroutine only (the worker owns hist,
-// and a block must not be reused while a queued frame could still append).
-func (sess *session) dropHistory() {
-	for _, blk := range sess.histBlocks {
-		sess.srv.histPool.Put(blk)
-	}
-	sess.histBlocks, sess.hist, sess.histArena, sess.histBytes = nil, nil, nil, 0
+	// fed by kern as its miss observer. hist (non-nil exactly when tun is)
+	// retains the session's processed record chunks in their pooled frame
+	// buffers for the swap replay, within the policy's histmax budget.
+	// Worker-owned like the kernel, so a hot swap needs no locks.
+	tun  *tuner.SessionTuner
+	hist *trace.FrameLog
 }
 
 func newSession(s *Server, conn net.Conn, pred core.Predictor, hello Hello, window int) *session {
@@ -238,18 +214,21 @@ func (sess *session) writeLoop() {
 			}
 		flush:
 			sess.srv.m.ackBatchSize.Set(float64(fb.Frames()))
-			sess.conn.SetWriteDeadline(time.Now().Add(sess.srv.cfg.WriteTimeout))
-			flushStart := time.Now()
+			// One clock read on each side of the flush: the one before arms
+			// the write deadline and starts serve_ack_flush, the one after
+			// ends it and stamps every ack of the batch (they all hit the
+			// wire in the same writev).
+			start := time.Now()
+			sess.conn.SetWriteDeadline(start.Add(sess.srv.cfg.WriteTimeout))
 			if err := fb.Flush(sess.conn); err != nil {
 				sess.fail(CodeOverload, fmt.Sprintf("write: %v", err))
 				sess.conn.Close()
 				return
 			}
-			sess.srv.m.ackFlush.Observe(time.Since(flushStart))
+			end := time.Now()
+			sess.srv.m.ackFlush.Observe(end.Sub(start))
 			if len(spans) > 0 {
-				// One clock read serves the whole flushed batch: every ack in
-				// it hit the wire in the same writev.
-				now := time.Now().UnixNano()
+				now := end.UnixNano()
 				for i, sp := range spans {
 					sp.StampAt(flight.HopServerAckWrite, now)
 					sp.Finish()
@@ -457,7 +436,7 @@ func (sess *session) processFrame(j job) {
 	// still carries the pre-swap totals, the next one reflects the replayed
 	// accounting.
 	if sess.tun != nil {
-		sess.tunerFrameEnd(chunk, executed, misses)
+		sess.tunerFrameEnd(seq, chunk, buf, executed, misses)
 	}
 }
 
@@ -503,8 +482,10 @@ func (sess *session) emitSummary(drained bool) {
 		sess.srv.m.drains.Inc()
 	}
 	// The Done/drain job is the last the worker runs for this session, so
-	// its retained tuner history can be recycled here, on the owning worker.
-	sess.dropHistory()
+	// its retained tuner history can be released here, on the owning worker.
+	if sess.hist != nil {
+		sess.hist.Release()
+	}
 	res := sess.kern.Result()
 	sum := Summary{
 		Session:      sess.id,

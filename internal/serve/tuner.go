@@ -2,6 +2,7 @@ package serve
 
 import (
 	"github.com/oocsb/ibp/internal/sim"
+	"github.com/oocsb/ibp/internal/trace"
 	"github.com/oocsb/ibp/internal/tuner"
 )
 
@@ -19,40 +20,33 @@ import (
 // wall clock), a router replaying the journal onto a surviving backend
 // drives that backend's tuner through the same decisions at the same
 // boundaries: failover converges to the same Summary.
-func (sess *session) tunerFrameEnd(chunk []byte, executed, misses int) {
+func (sess *session) tunerFrameEnd(seq uint64, chunk []byte, buf *trace.PooledBuf, executed, misses int) {
 	tun := sess.tun
 	if !tun.Stopped() {
 		// The just-processed frame joins the history before the vote: the
 		// decision point is this frame's boundary, so a swap must replay
-		// through it. Frames are copied into block-granular arena
-		// allocations — a retained frame is written exactly once.
-		if sess.histBytes+len(chunk) > tun.Policy().MaxHistoryBytes {
+		// through it. The history keeps the frame's own pooled buffer (no
+		// copy), and a processed frame is always evictable, so the first
+		// frame past the histmax budget evicts the prefix and the history
+		// can no longer replay.
+		buf.Retain()
+		err := sess.hist.Append(seq, chunk, buf)
+		if err != nil {
+			buf.Release() // unreachable: the reader enforces seq order
+		}
+		sess.hist.Ack(seq)
+		if err != nil || !sess.hist.Complete() {
 			tun.HistoryOverflow()
 			sess.srv.cfg.Log.Warn("tuner history cap hit; session tuning disabled",
-				"session", sess.id, "histBytes", sess.histBytes)
-		} else {
-			if len(sess.histArena) < len(chunk) {
-				if len(chunk) > histBlockSize {
-					// Oversize frame: a one-shot slice outside the pool.
-					sess.histArena = make([]byte, len(chunk))
-				} else {
-					blk := sess.srv.histPool.Get().(*histBlock)
-					sess.histBlocks = append(sess.histBlocks, blk)
-					sess.histArena = blk[:]
-				}
-			}
-			n := copy(sess.histArena, chunk)
-			sess.hist = append(sess.hist, sess.histArena[:n:n])
-			sess.histArena = sess.histArena[n:]
-			sess.histBytes += n
+				"session", sess.id, "histmax", tun.Policy().MaxHistoryBytes)
 		}
 	}
 	if d := tun.FrameEnd(executed, misses); d != nil {
 		sess.applySwap(d)
 	}
 	if tun.Stopped() {
-		// No further swaps can happen; recycle the history now.
-		sess.dropHistory()
+		// No further swaps can happen; release the history now.
+		sess.hist.Release()
 	}
 }
 
@@ -72,7 +66,8 @@ func (sess *session) applySwap(d *tuner.Decision) {
 	}
 	k := sim.NewKernel(pred, sim.Options{Warmup: sess.hello.Warmup})
 	replayed := 0
-	for _, frame := range sess.hist {
+	for seq := uint64(1); seq <= sess.hist.Max(); seq++ {
+		frame, _ := sess.hist.Get(seq)
 		n, err := runChunk(k, frame, sess.srv.cfg.MaxFrameRecords)
 		if err != nil {
 			sess.tun.SwapFailed()

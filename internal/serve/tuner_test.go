@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"github.com/oocsb/ibp/internal/sim"
+	"github.com/oocsb/ibp/internal/telemetry"
+	"github.com/oocsb/ibp/internal/trace"
 	"github.com/oocsb/ibp/internal/tuner"
 	"github.com/oocsb/ibp/internal/workload"
 )
@@ -92,6 +94,94 @@ func TestTunerSwapBitReproducible(t *testing.T) {
 				t.Errorf("%s: rerun diverged: %+v vs %+v", name, again, sum)
 			}
 		}
+	}
+}
+
+// TestTunerHistoryCapStopsTuning is the history cap's degrade-honestly path:
+// a session whose payload outgrows its histmax budget stops tuning for good
+// at the overflowing frame — counted once in tuner_history_overflow_total,
+// no swap afterwards — and still finishes with a Summary bit-identical to
+// the predictor it ended on, run from record one. The policy's thresholds sit
+// between the two predictors' window miss rates, so it keeps flipping
+// between them: a swap after the history was released would replay a broken
+// prefix and lose that identity. A second session on the same server, with
+// the default budget, keeps swapping to the end.
+func TestTunerHistoryCapStopsTuning(t *testing.T) {
+	const (
+		n      = 6000
+		warmup = 64
+		frame  = 317
+		flip   = "warmup=0;interval=256;miss=0.03;low=0.025;hyst=1;swaps=1000;coldmax=1;target=ittage:4,256,2"
+	)
+	cfg := workload.Suite()[0]
+	tr := cfg.MustGenerate(n)
+	histmax := len(trace.AppendRecords(nil, tr)) / 2
+
+	reg := telemetry.New()
+	policy, err := tuner.ParsePolicy(flip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, addr := startServer(t, Config{
+		Shards: 2,
+		Window: 4,
+		Tuner:  tuner.New(tuner.Options{Policy: policy, Telemetry: reg}),
+	})
+	overflows, swaps := reg.Counter("tuner_history_overflow_total"), reg.Counter("tuner_swaps_total")
+	target, err := tuner.PredictorFor("ittage:4,256,2")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// run streams the trace under the given per-session policy, checks the
+	// Summary against sim.Run of the predictor the session ended on, and
+	// returns the swaps the session made.
+	run := func(name, spec string) uint64 {
+		t.Helper()
+		before := swaps.Load()
+		c, err := Dial(addr, Hello{Benchmark: cfg.Name, Warmup: warmup, TunerPolicy: spec},
+			DialOptions{Timeout: 20 * time.Second, Retries: 2})
+		if err != nil {
+			t.Fatalf("%s: dial: %v", name, err)
+		}
+		sum, err := c.Stream(tr, frame, nil)
+		c.Close()
+		if err != nil {
+			t.Fatalf("%s: stream: %v", name, err)
+		}
+		flags := defaultFlags()
+		if strings.HasPrefix(sum.Predictor, "ittage") {
+			flags = target
+		}
+		pred, err := flags.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pred.Name() != sum.Predictor {
+			t.Fatalf("%s: session ended on %q, reference builds %q", name, sum.Predictor, pred.Name())
+		}
+		want := sim.Run(pred, tr, sim.Options{Warmup: warmup})
+		if sum.Executed != want.Executed || sum.Misses != want.Misses ||
+			sum.NoPrediction != want.NoPrediction || sum.MissRate != want.MissRate() {
+			t.Errorf("%s: executed/misses/noPred = %d/%d/%d, %s from record one = %d/%d/%d",
+				name, sum.Executed, sum.Misses, sum.NoPrediction, sum.Predictor,
+				want.Executed, want.Misses, want.NoPrediction)
+		}
+		return swaps.Load() - before
+	}
+
+	capped := run("capped", fmt.Sprintf("%s;histmax=%d", flip, histmax))
+	if got := overflows.Load(); got != 1 {
+		t.Fatalf("tuner_history_overflow_total = %d after the capped session, want 1", got)
+	}
+	full := run("uncapped", flip)
+	if got := overflows.Load(); got != 1 {
+		t.Fatalf("tuner_history_overflow_total = %d after the uncapped session, want still 1", got)
+	}
+	// The capped session swapped while its history still held the prefix,
+	// then never again; the uncapped one kept flipping to the end.
+	if capped == 0 || capped >= full {
+		t.Fatalf("swaps: capped session %d, uncapped %d — want 0 < capped < uncapped", capped, full)
 	}
 }
 

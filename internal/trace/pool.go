@@ -20,7 +20,7 @@ import (
 //     reference must Release it or the buffer is merely garbage-collected
 //     instead of reused (correct, but slow).
 //   - Retain adds a reference before handing the buffer to another holder
-//     (a journal, a writer queue); each holder Releases independently.
+//     (a FrameLog, a writer queue); each holder Releases independently.
 //   - After the final Release the bytes must not be touched. Bytes and
 //     Release check the reference count and panic on use-after-release and
 //     double-release — cheap (one atomic load) and loud, instead of the
@@ -30,11 +30,15 @@ import (
 // never pooled, so a hostile length can not pin a huge buffer in the pool —
 // the capacity ladder is the cap.
 
-// poolClasses is the capacity ladder. Acks and control frames land in the
-// smallest class; a default records frame (8192 records × ≤14 bytes) fits in
-// the 128 KiB class; the largest class matches the serve layer's default
-// 1 MiB frame payload limit.
-var poolClasses = [...]int{512, 4 << 10, 32 << 10, 128 << 10, 1 << 20}
+// poolClasses is the capacity ladder: every power of two from 512 B to
+// 1 MiB. Acks and control frames land in the smallest class; the largest
+// matches the serve layer's default 1 MiB frame payload limit. A retained
+// frame (FrameLog) pins its whole class capacity, so the steps are fine:
+// any payload past 512 B fills more than half of its buffer.
+var poolClasses = [...]int{
+	512, 1 << 10, 2 << 10, 4 << 10, 8 << 10, 16 << 10,
+	32 << 10, 64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20,
+}
 
 // PooledBuf is one refcounted buffer borrowed from a BufferPool. The zero
 // reference state is "released"; all methods are nil-safe so optional

@@ -23,19 +23,23 @@ func mustPanic(t *testing.T, want string, fn func()) {
 
 func TestBufferPoolClassLadder(t *testing.T) {
 	p := NewBufferPool()
-	for _, n := range []int{0, 1, 512, 513, 4 << 10, 32 << 10, 128 << 10, 1 << 20} {
-		b := p.Get(n)
-		if got := len(b.Bytes()); got != n {
-			t.Fatalf("Get(%d) length %d", n, got)
+	for _, c := range []struct{ n, capacity int }{
+		{0, 512}, {1, 512}, {512, 512}, {513, 1 << 10}, {1 << 10, 1 << 10},
+		{1<<10 + 1, 2 << 10}, {3000, 4 << 10}, {11 << 10, 16 << 10},
+		{32 << 10, 32 << 10}, {44 << 10, 64 << 10}, {128<<10 + 1, 256 << 10},
+		{1 << 20, 1 << 20},
+	} {
+		b := p.Get(c.n)
+		if got := len(b.Bytes()); got != c.n {
+			t.Fatalf("Get(%d) length %d", c.n, got)
 		}
-		c := classFor(n)
-		if c < 0 {
-			t.Fatalf("Get(%d) should be a pooled class", n)
-		}
-		if got := cap(b.Bytes()); got != poolClasses[c] {
-			t.Fatalf("Get(%d) capacity %d, want class capacity %d", n, got, poolClasses[c])
+		if got := cap(b.Bytes()); got != c.capacity {
+			t.Fatalf("Get(%d) capacity %d, want class capacity %d", c.n, got, c.capacity)
 		}
 		b.Release()
+	}
+	if got := classFor(1<<20 + 1); got != -1 {
+		t.Fatalf("classFor(1 MiB + 1) = %d, want -1 (oversize)", got)
 	}
 }
 
