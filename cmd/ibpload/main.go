@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sort"
@@ -69,7 +70,7 @@ func main() {
 	flag.StringVar(&o.traceDump, "tracedump", "", "write a client-side flight-recorder dump (send/ack stamps per frame) to this file")
 	o.pf.Register(flag.CommandLine)
 	flag.Parse()
-	if err := realMain(o); err != nil {
+	if err := realMain(o, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "ibpload:", err)
 		os.Exit(1)
 	}
@@ -132,7 +133,7 @@ type report struct {
 	ReplayedFrames int                 `json:"replayedFrames"`
 }
 
-func realMain(o options) error {
+func realMain(o options, stdout io.Writer) error {
 	if err := o.pf.Validate(); err != nil {
 		return err
 	}
@@ -229,13 +230,13 @@ func realMain(o options) error {
 		}
 	}
 	if o.asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {
 			return err
 		}
 	} else {
-		printTable(rep)
+		printTable(stdout, rep)
 	}
 	if rep.Failed > 0 {
 		return fmt.Errorf("%d of %d sessions failed", rep.Failed, len(results))
@@ -370,34 +371,34 @@ func writeTraceDump(path string, rec *flight.Recorder) error {
 	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
-func printTable(rep report) {
-	fmt.Printf("%-10s %-28s %10s %8s %10s %8s %9s %10s\n",
+func printTable(w io.Writer, rep report) {
+	fmt.Fprintf(w, "%-10s %-28s %10s %8s %10s %8s %9s %10s\n",
 		"benchmark", "predictor", "records", "frames", "executed", "misses", "miss%", "elapsed")
 	for _, r := range rep.Benchmarks {
 		if r.Err != "" {
-			fmt.Printf("%-10s FAILED: %s\n", r.Benchmark, r.Err)
+			fmt.Fprintf(w, "%-10s FAILED: %s\n", r.Benchmark, r.Err)
 			continue
 		}
 		note := ""
 		if r.Drained {
 			note = " (drained)"
 		}
-		fmt.Printf("%-10s %-28s %10d %8d %10d %8d %8.2f%% %9.0fms%s\n",
+		fmt.Fprintf(w, "%-10s %-28s %10d %8d %10d %8d %8.2f%% %9.0fms%s\n",
 			r.Benchmark, r.Predictor, r.Records, r.Frames, r.Executed, r.Misses,
 			r.MissRate, r.ElapsedMS, note)
 	}
-	fmt.Printf("\n%d records in %s over %d conns — %.0f records/s; frame latency p50 %.2fms p95 %.2fms p99 %.2fms p999 %.2fms\n",
+	fmt.Fprintf(w, "\n%d records in %s over %d conns — %.0f records/s; frame latency p50 %.2fms p95 %.2fms p99 %.2fms p999 %.2fms\n",
 		rep.Records, rep.Elapsed, rep.Conns, rep.RecordsPS,
 		rep.LatencyP50, rep.LatencyP95, rep.LatencyP99, rep.LatencyP999)
 	if rep.Hops != nil {
 		for _, name := range []string{"window-wait", "write", "rtt"} {
 			h := rep.Hops[name]
-			fmt.Printf("  %-12s p50 %.3fms p95 %.3fms p99 %.3fms p999 %.3fms\n",
+			fmt.Fprintf(w, "  %-12s p50 %.3fms p95 %.3fms p99 %.3fms p999 %.3fms\n",
 				name, h.P50Ms, h.P95Ms, h.P99Ms, h.P999Ms)
 		}
 	}
 	if rep.Failovers > 0 || rep.ReplayedFrames > 0 {
-		fmt.Printf("%d failovers, %d frames replayed — every summary above is still bit-identical\n",
+		fmt.Fprintf(w, "%d failovers, %d frames replayed — every summary above is still bit-identical\n",
 			rep.Failovers, rep.ReplayedFrames)
 	}
 }

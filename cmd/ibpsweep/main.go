@@ -162,14 +162,11 @@ func atomicWrite(path string, data []byte) error {
 // options carries every flag of the tool; realMain takes it whole so tests
 // drive the full surface in-process.
 type options struct {
-	list      bool
-	run       string
-	traceLen  int
-	csvDir    string
-	resume    bool
-	benchJSON string
-	benchRaw  string
-	loadJSON  string
+	list     bool
+	run      string
+	traceLen int
+	csvDir   string
+	resume   bool
 
 	progress    bool   // live status line on stderr
 	metricsAddr string // serve /metrics + /vars here
@@ -185,9 +182,6 @@ func main() {
 	flag.IntVar(&o.traceLen, "n", 0, "indirect branches per benchmark (default 80000)")
 	flag.StringVar(&o.csvDir, "csv", "", "directory to write one CSV per result table (plus the run manifest)")
 	flag.BoolVar(&o.resume, "resume", false, "skip experiments already journaled in the -csv dir's manifest")
-	flag.StringVar(&o.benchJSON, "benchjson", "", "write a benchmark snapshot (predictor ns/branch + experiment wall-times) to this JSON file instead of printing tables")
-	flag.StringVar(&o.benchRaw, "benchraw", "", "with -benchjson: embed parsed `go test -bench` output from this file")
-	flag.StringVar(&o.loadJSON, "loadjson", "", "with -benchjson: embed an ibpload -json report (throughput + latency percentiles) from this file")
 	flag.BoolVar(&o.progress, "progress", false, "render a live cells-done/total + miss-rate + ETA line on stderr")
 	flag.StringVar(&o.metricsAddr, "metrics", "", "serve telemetry at this address (/metrics Prometheus text, /vars JSON)")
 	flag.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof at this address")
@@ -221,8 +215,8 @@ func realMain(ctx context.Context, o options) error {
 		}
 		return nil
 	}
-	if o.run == "" && o.benchJSON == "" {
-		return fmt.Errorf("nothing to do: pass -run <ids>, -benchjson <file>, or -list")
+	if o.run == "" {
+		return fmt.Errorf("nothing to do: pass -run <ids> or -list")
 	}
 	if o.resume && o.csvDir == "" {
 		return fmt.Errorf("-resume needs -csv: the manifest lives next to the CSVs")
@@ -271,7 +265,7 @@ func realMain(ctx context.Context, o options) error {
 				selected = append(selected, e)
 			}
 		}
-	} else if o.run != "" {
+	} else {
 		for _, id := range strings.Split(o.run, ",") {
 			e, err := experiment.ByID(strings.TrimSpace(id))
 			if err != nil {
@@ -279,9 +273,6 @@ func realMain(ctx context.Context, o options) error {
 			}
 			selected = append(selected, e)
 		}
-	}
-	if o.benchJSON != "" {
-		return runBenchJSON(ctx, o.benchJSON, o.benchRaw, o.loadJSON, selected, o.traceLen)
 	}
 
 	ectx := experiment.NewContext(o.traceLen).WithContext(ctx)

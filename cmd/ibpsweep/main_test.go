@@ -96,46 +96,6 @@ func TestRealMainResumeNeedsCSV(t *testing.T) {
 	}
 }
 
-func TestBenchJSONSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	raw := filepath.Join(dir, "bench.txt")
-	rawText := "goos: linux\nBenchmarkFig17HybridMatrix \t       3\t  52365556 ns/op\nPASS\n"
-	if err := os.WriteFile(raw, []byte(rawText), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out := filepath.Join(dir, "BENCH_test.json")
-	err := sweep(bg(), "table1", 1500, func(o *options) { o.benchJSON, o.benchRaw = out, raw })
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep benchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("snapshot is not valid JSON: %v", err)
-	}
-	if rep.Date == "" || rep.GoVersion == "" || rep.TraceLen != 1500 {
-		t.Errorf("missing metadata: %+v", rep)
-	}
-	if len(rep.Predictors) == 0 {
-		t.Fatal("no predictor measurements")
-	}
-	for _, p := range rep.Predictors {
-		if p.NsBranch <= 0 {
-			t.Errorf("%s: ns/branch = %v", p.Name, p.NsBranch)
-		}
-	}
-	if len(rep.Experiments) != 1 || rep.Experiments[0].ID != "table1" {
-		t.Errorf("experiments = %+v", rep.Experiments)
-	}
-	if len(rep.GoTest) != 1 || rep.GoTest[0].Name != "BenchmarkFig17HybridMatrix" ||
-		rep.GoTest[0].NsOp != 52365556 {
-		t.Errorf("go test results not embedded: %+v", rep.GoTest)
-	}
-}
-
 func readManifest(t *testing.T, dir string) *manifest {
 	t.Helper()
 	m, err := loadManifest(dir)

@@ -320,7 +320,9 @@ func TestRouterRejectsBadHello(t *testing.T) {
 
 // BenchmarkRouterLoopback measures end-to-end throughput through the full
 // cluster path — router framing, journaling, relay, and a 2-backend fleet —
-// for comparison against BenchmarkServeLoopback's direct-serve baseline.
+// for comparison against BenchmarkServeLoopback's direct-serve baseline. Like
+// it, this is a profiling entry point; bench/'s routed workload is the
+// measured number.
 func BenchmarkRouterLoopback(b *testing.B) {
 	_, b1 := startServe(b)
 	_, b2 := startServe(b)
@@ -353,7 +355,8 @@ func BenchmarkRouterLoopback(b *testing.B) {
 // the loopback backend fleet grows, with as many concurrent clients as
 // backends. On a multi-core host the records/s column should scale close to
 // linearly until the router's own relay loop saturates; the gap from linear
-// is the router overhead satellite the bench snapshot tracks.
+// is the router's overhead. bench/ runs at GOMAXPROCS=1, so this is the
+// repo's only multi-P throughput probe.
 func BenchmarkRouterScaling(b *testing.B) {
 	for _, backends := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("backends=%d", backends), func(b *testing.B) {

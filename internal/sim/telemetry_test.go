@@ -21,7 +21,7 @@ func trainedLane(p core.Predictor, tr trace.Trace, m *runMetrics) *lane {
 	return l
 }
 
-// TestInstrumentedStepZeroAllocs is the overhead guard's allocation half: the
+// TestInstrumentedStepZeroAllocs pins telemetry's allocation cost: the
 // per-block step with LIVE telemetry handles must not allocate in steady
 // state. Together with core's TestSteadyStateZeroAllocs (the uninstrumented
 // loop) this pins the invariant that enabling -metrics cannot introduce GC
@@ -119,37 +119,4 @@ func TestTableStatsDeltaAcrossReuse(t *testing.T) {
 		// The Reset happened between runs, before the second baseline.
 		t.Errorf("second run charged with the inter-run reset: %+v", s)
 	}
-}
-
-// BenchmarkTelemetryOverhead measures the batch engine with telemetry off vs
-// on over an identical trace; CI's overhead guard compares the two (the "on"
-// case must stay within a few percent of "off", and neither may allocate in
-// steady state beyond the per-run setup).
-func BenchmarkTelemetryOverhead(b *testing.B) {
-	tr := cycleTrace(0x1000, []uint32{0x2000, 0x2040, 0x2080, 0x20C0}, 25000)
-	mk := func() core.Predictor {
-		return core.MustTwoLevel(core.Config{PathLength: 6, Precision: core.AutoPrecision,
-			Scheme: bits.Reverse, TableKind: "assoc4", Entries: 1024})
-	}
-	run := func(b *testing.B) {
-		b.Helper()
-		p := mk()
-		b.SetBytes(int64(len(tr)))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := RunBatchEach(context.Background(), []core.Predictor{p}, tr, []Options{{}}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("off", func(b *testing.B) {
-		telemetry.Disable()
-		run(b)
-	})
-	b.Run("on", func(b *testing.B) {
-		telemetry.Enable(nil)
-		defer telemetry.Disable()
-		run(b)
-	})
 }
