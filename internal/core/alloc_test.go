@@ -30,7 +30,8 @@ func cyclicStream(n int) []access {
 // engine depends on: once trained, a predictor replaying a periodic stream
 // must not allocate at all. This covers the exact string-keyed table (probe
 // via map lookup without key materialization, scratch key buffer reused), the
-// dense bounded tables, and the hybrid's component plumbing.
+// dense bounded tables, the flat unbounded and fully-associative tables, and
+// the hybrid's component plumbing.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	stream := cyclicStream(1 << 10)
 	cases := map[string]func() Predictor{
@@ -42,6 +43,12 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		},
 		"2lev-tagless": func() Predictor {
 			return MustTwoLevel(Config{PathLength: 3, Precision: AutoPrecision, Scheme: 2, TableKind: "tagless", Entries: 512})
+		},
+		"2lev-unbounded": func() Predictor {
+			return MustTwoLevel(Config{PathLength: 3, Precision: AutoPrecision})
+		},
+		"2lev-fullassoc": func() Predictor {
+			return MustTwoLevel(Config{PathLength: 2, Precision: AutoPrecision, TableKind: "fullassoc", Entries: 64})
 		},
 		"btb": func() Predictor { return NewBTB(nil, UpdateTwoMiss) },
 		"hybrid": func() Predictor {

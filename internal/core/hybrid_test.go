@@ -4,6 +4,8 @@ import (
 	"math/rand/v2"
 	"strings"
 	"testing"
+
+	"github.com/oocsb/ibp/internal/table"
 )
 
 // mixedStream builds the canonical hybrid test workload: site L runs a
@@ -323,6 +325,86 @@ func TestSharedHybridProtectsChosenEntries(t *testing.T) {
 	mHot, _ := run(hot, stream)
 	if misses > mHot*3/2+100 {
 		t.Errorf("shared hybrid (%d) far worse than single component (%d)", misses, mHot)
+	}
+}
+
+// stableAssoc is a reference 4-way LRU set-associative table whose entries
+// never move: each is its own allocation, so an *Entry held across probes
+// keeps naming its key. It implements the part of table.Bounded that
+// SharedHybrid uses, with SetAssoc's set selection and replacement.
+type stableAssoc struct {
+	table.Bounded               // methods SharedHybrid does not call
+	sets          [][]stableWay // per set, most recently used first
+	ways          int
+}
+
+type stableWay struct {
+	key uint64
+	e   *table.Entry
+}
+
+func newStableAssoc(entries, ways int) *stableAssoc {
+	return &stableAssoc{sets: make([][]stableWay, entries/ways), ways: ways}
+}
+
+func (t *stableAssoc) set(key uint64) *[]stableWay { return &t.sets[key%uint64(len(t.sets))] }
+
+func (t *stableAssoc) Probe(key uint64) *table.Entry {
+	set := t.set(key)
+	for i, w := range *set {
+		if w.key == key {
+			copy((*set)[1:i+1], (*set)[:i])
+			(*set)[0] = w
+			return w.e
+		}
+	}
+	return nil
+}
+
+func (t *stableAssoc) Insert(key uint64) *table.Entry {
+	set := t.set(key)
+	if len(*set) == t.ways {
+		*set = (*set)[:t.ways-1]
+	}
+	w := stableWay{key, &table.Entry{}}
+	*set = append([]stableWay{w}, *set...)
+	return w.e
+}
+
+func (t *stableAssoc) Victim(key uint64) *table.Entry {
+	if set := *t.set(key); len(set) == t.ways {
+		return set[t.ways-1].e
+	}
+	return nil
+}
+
+// TestSharedHybridMatchesStableReference pins the entry-pointer rule in
+// SharedHybrid: both component keys probe one table, and on a set-associative
+// table a hit on the second key reorders the set under the first key's entry.
+// An 8-entry assoc4 table (two sets) puts both keys in one set most of the
+// time; the hybrid must predict exactly what the same hybrid predicts over
+// the pointer-stable reference table.
+func TestSharedHybridMatchesStableReference(t *testing.T) {
+	got, err := NewSharedHybrid(2, 1, "assoc4", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewSharedHybrid(2, 1, "assoc4", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.tab = newStableAssoc(8, 4)
+	rng := rand.New(rand.NewPCG(61, 62))
+	for i := 0; i < 20000; i++ {
+		pc := 0x1000 + uint32(rng.IntN(4))*4
+		target := 0x2000 + uint32(rng.IntN(3))*4
+		gt, gok := got.Predict(pc)
+		rt, rok := ref.Predict(pc)
+		if gt != rt || gok != rok {
+			t.Fatalf("step %d pc %#x: predicted (%#x, %v), reference (%#x, %v)", i, pc, gt, gok, rt, rok)
+		}
+		got.Update(pc, target)
+		ref.Update(pc, target)
 	}
 }
 

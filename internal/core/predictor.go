@@ -42,6 +42,11 @@ type CondObserver interface {
 	// ObserveCond records a dynamic conditional branch. target is zero
 	// for a not-taken branch.
 	ObserveCond(pc, target uint32, taken bool)
+	// ReadsCond reports whether this instance's ObserveCond does anything.
+	// A predictor that reads conditionals only in some configurations
+	// returns false in the others, and the simulation kernel then skips
+	// the call on every conditional record (95% of the suite's records).
+	ReadsCond() bool
 }
 
 // Resetter is implemented by predictors whose state can be cleared for

@@ -70,32 +70,38 @@ func (s *SharedHybrid) keys(pc uint32) [2]uint64 {
 }
 
 // choose returns the index of the component whose entry wins metaprediction
-// (-1 if neither has an entry), along with the entries.
-func (s *SharedHybrid) choose(keys [2]uint64) (int, [2]*table.Entry) {
-	var es [2]*table.Entry
-	es[0] = s.tab.Probe(keys[0])
-	es[1] = s.tab.Probe(keys[1])
+// (-1 if neither has an entry) and that entry's target. Both components probe
+// the one table, so each probe's target and confidence are copied out before
+// the next probe: a hit may move the first entry (see table.Bounded).
+func (s *SharedHybrid) choose(keys [2]uint64) (int, uint32) {
+	var (
+		hit    [2]bool
+		target [2]uint32
+		conf   [2]uint8
+	)
+	for i, k := range keys {
+		if e := s.tab.Probe(k); e != nil {
+			hit[i], target[i], conf[i] = true, e.Target, e.Conf
+		}
+	}
 	switch {
-	case es[0] == nil && es[1] == nil:
-		return -1, es
-	case es[1] == nil:
-		return 0, es
-	case es[0] == nil:
-		return 1, es
-	case es[1].Conf > es[0].Conf:
-		return 1, es
+	case !hit[0] && !hit[1]:
+		return -1, 0
+	case !hit[1]:
+		return 0, target[0]
+	case !hit[0]:
+		return 1, target[1]
+	case conf[1] > conf[0]:
+		return 1, target[1]
 	default:
-		return 0, es
+		return 0, target[0]
 	}
 }
 
 // Predict implements Predictor.
 func (s *SharedHybrid) Predict(pc uint32) (uint32, bool) {
-	sel, es := s.choose(s.keys(pc))
-	if sel < 0 {
-		return 0, false
-	}
-	return es[sel].Target, true
+	sel, target := s.choose(s.keys(pc))
+	return target, sel >= 0
 }
 
 // Update implements Predictor.

@@ -73,6 +73,10 @@ func (t *TargetCache) ObserveCond(pc, target uint32, taken bool) {
 	t.hist &= 1<<uint(t.histBits) - 1
 }
 
+// ReadsCond implements CondObserver: the first level is the conditional
+// history.
+func (t *TargetCache) ReadsCond() bool { return true }
+
 // Name implements Predictor.
 func (t *TargetCache) Name() string { return t.name }
 

@@ -170,6 +170,10 @@ type TwoLevel struct {
 	max     uint8
 	scratch []uint32
 	keyBuf  []byte
+	// tracked is decided once, at construction: the history file keeps
+	// every register's compressed pattern current on push, so key reads it
+	// directly. Untrackable specs (PingPong, p = 0) go through Spec.Pattern.
+	tracked bool
 
 	// Probe memo: the simulator calls Predict(pc) immediately followed by
 	// Update(pc, target), and nothing moves the history in between, so the
@@ -232,7 +236,7 @@ func NewTwoLevel(cfg Config) (*TwoLevel, error) {
 	t.tabEvicts = tab.Capacity() >= 0
 	// Compressed-key mode reads the pattern on every probe; maintain it
 	// incrementally on push instead of reassembling it from all p targets.
-	t.hist.Track(t.spec)
+	t.tracked = t.hist.Track(t.spec)
 	return t, nil
 }
 
@@ -249,6 +253,19 @@ func MustTwoLevel(cfg Config) *TwoLevel {
 // Config returns the (defaulted) configuration.
 func (t *TwoLevel) Config() Config { return t.cfg }
 
+// key builds the compressed-mode lookup key for the branch at pc from reg's
+// pattern (§4.2).
+func (t *TwoLevel) key(reg *history.Register, pc uint32) uint64 {
+	pat := reg.TrackedPattern()
+	if !t.tracked {
+		pat = t.spec.Pattern(reg, t.scratch)
+	}
+	if t.spec.Op == history.OpConcat {
+		return bits.ConcatKey(pat, pc, t.spec.PatternBits())
+	}
+	return bits.XorKey(pat, pc)
+}
+
 // probe locates the entry for the branch at pc under the current history,
 // without modifying prediction state beyond recency, and memoizes the result
 // for the Update call that typically follows (see the memo fields).
@@ -259,7 +276,7 @@ func (t *TwoLevel) probe(pc uint32) *table.Entry {
 		t.keyBuf = history.FullKey(t.keyBuf[:0], reg, pc, t.cfg.TableShare, t.cfg.StartBit, t.cfg.Precision)
 		e = t.exact.Probe(t.keyBuf)
 	} else {
-		t.memoKey = t.spec.Key(reg, pc, t.scratch)
+		t.memoKey = t.key(reg, pc)
 		e = t.tab.Probe(t.memoKey)
 	}
 	t.memoPC, t.memoReg, t.memoEntry, t.memoValid = pc, reg, e, true
@@ -330,7 +347,7 @@ func (t *TwoLevel) Update(pc, target uint32) {
 			t.keyBuf = history.FullKey(t.keyBuf[:0], reg, pc, t.cfg.TableShare, t.cfg.StartBit, t.cfg.Precision)
 			e, found = t.exact.ProbeOrInsert(t.keyBuf)
 		} else {
-			e, found = t.tab.ProbeOrInsert(t.spec.Key(reg, pc, t.scratch))
+			e, found = t.tab.ProbeOrInsert(t.key(reg, pc))
 		}
 	}
 	if !found {
@@ -365,6 +382,10 @@ func (t *TwoLevel) ObserveCond(pc, target uint32, taken bool) {
 	}
 	reg.Push(target)
 }
+
+// ReadsCond implements CondObserver: only the §3.3 IncludeCond variation
+// reads conditionals.
+func (t *TwoLevel) ReadsCond() bool { return t.cfg.IncludeCond }
 
 // Name implements Predictor.
 func (t *TwoLevel) Name() string { return t.cfg.Name() }

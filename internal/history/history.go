@@ -8,6 +8,7 @@ package history
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"github.com/oocsb/ibp/internal/bits"
 )
@@ -20,15 +21,72 @@ type Register struct {
 	head int // index of the most recent target
 
 	// Incremental pattern state (see Track): when tracking is enabled the
-	// compressed pattern of §4 is maintained on every Push in O(b) bit
-	// deposits instead of being reassembled from all p targets on every
-	// probe — the dominant cost of the simulator's hot loop.
+	// compressed pattern of §4 is maintained on every Push in O(1) — one
+	// masked shift plus at most four table lookups — instead of being
+	// reassembled from all p targets on every probe, the dominant cost of
+	// the simulator's hot loop.
 	track    bool
 	scheme   bits.Scheme
 	b, start int
-	patMask  uint32 // low p*b bits (Concat shift-out mask)
-	colClear uint32 // column holding the exiting target (interleaved schemes)
+	patMask  uint32        // low p*b bits (Concat shift-out mask)
+	colClear uint32        // column holding the exiting target (interleaved schemes)
+	deposit  *depositTable // incoming target's field → pattern bits (interleaved schemes)
 	pat      uint32
+}
+
+// depositTable places the b-bit field of the incoming (youngest) target into
+// its column of an interleaved pattern, one field byte at a time: entry
+// [k][v] holds the pattern bits that field bits 8k..8k+7 set when they read
+// v. Four lookups cover any b <= 32; bytes above b index entry 0, which is 0.
+type depositTable [4][256]uint32
+
+// of returns the pattern bits of field t.
+func (d *depositTable) of(t uint32) uint32 {
+	return d[0][uint8(t)] | d[1][uint8(t>>8)] | d[2][uint8(t>>16)] | d[3][uint8(t>>24)]
+}
+
+type depositKey struct {
+	p, b   int
+	scheme bits.Scheme
+}
+
+// deposits shares one table per (p, b, scheme) across every register of
+// every predictor. A table is immutable once built, so lanes on different
+// goroutines read it without locking; only the lookup by key is guarded.
+var deposits struct {
+	sync.Mutex
+	m map[depositKey]*depositTable
+}
+
+// depositFor returns the shared table for an interleaved pattern of p
+// targets × b bits. Pattern bit r*p+j holds field bit r of the j-th target
+// in scheme order (bits.Assemble); the incoming target is j = 0 for
+// Straight and j = p-1 for Reverse.
+func depositFor(p, b int, scheme bits.Scheme) *depositTable {
+	k := depositKey{p, b, scheme}
+	deposits.Lock()
+	defer deposits.Unlock()
+	if d := deposits.m[k]; d != nil {
+		return d
+	}
+	col := 0
+	if scheme == bits.Reverse {
+		col = p - 1
+	}
+	d := new(depositTable)
+	for r := 0; r < b; r++ {
+		bit := uint32(1) << uint(r*p+col)
+		for v := 0; v < 256; v++ {
+			if v>>uint(r%8)&1 != 0 {
+				d[r/8][v] |= bit
+			}
+		}
+	}
+	if deposits.m == nil {
+		deposits.m = make(map[depositKey]*depositTable)
+	}
+	deposits.m[k] = d
+	return d
 }
 
 // NewRegister returns a register recording the last p targets. p = 0 yields
@@ -58,15 +116,22 @@ func (r *Register) Push(target uint32) {
 	}
 }
 
+// trackable reports whether a depth-p register can maintain the pattern for
+// s incrementally: not for a mismatched depth, a zero or over-32-bit pattern
+// width, or the PingPong scheme, whose columns do not shift uniformly on a
+// push.
+func (s Spec) trackable(p int) bool {
+	return p > 0 && s.PathLength == p && s.Bits > 0 && p*s.Bits <= 32 && s.Scheme != bits.PingPong
+}
+
 // Track enables incremental maintenance of the compressed pattern for spec,
 // so Spec.Pattern reads it in O(1). Tracking silently stays off when the
-// spec does not permit it (mismatched depth, zero pattern width, or the
-// PingPong scheme, whose columns do not shift uniformly on a push); Pattern
-// then falls back to reassembly. Call Track only on a freshly created or
-// reset register: the pattern is maintained from this point on.
+// spec does not permit it (see trackable); Pattern then falls back to
+// reassembly. Call Track only on a freshly created or reset register: the
+// pattern is maintained from this point on.
 func (r *Register) Track(s Spec) {
 	p := len(r.buf)
-	if p == 0 || s.PathLength != p || s.Bits <= 0 || p*s.Bits > 32 || s.Scheme == bits.PingPong {
+	if !s.trackable(p) {
 		return
 	}
 	r.track = true
@@ -74,6 +139,10 @@ func (r *Register) Track(s Spec) {
 	r.b, r.start = s.Bits, s.StartBit
 	r.patMask = uint32(uint64(1)<<uint(p*s.Bits) - 1)
 	r.colClear = 0
+	r.deposit = nil
+	if s.Scheme != bits.Concat {
+		r.deposit = depositFor(p, s.Bits, s.Scheme)
+	}
 	for i := 0; i < s.Bits; i++ {
 		switch s.Scheme {
 		case bits.Straight:
@@ -105,11 +174,9 @@ func (r *Register) TrackedPattern() uint32 { return r.pat }
 // pushPattern folds the new target into the maintained pattern. A push moves
 // every recorded target one position deeper in the history, which moves each
 // target's column of pattern bits by exactly one (dropping the oldest), so
-// the pattern updates with one masked shift plus b single-bit deposits for
-// the incoming target — equivalent to reassembling via bits.Assemble but
-// p times cheaper.
+// the pattern updates with one masked shift plus the incoming target's
+// deposit — equivalent to reassembling via bits.Assemble but p times cheaper.
 func (r *Register) pushPattern(target uint32) {
-	p := len(r.buf)
 	t := bits.Field(target, r.start, r.b)
 	switch r.scheme {
 	case bits.Concat:
@@ -117,20 +184,10 @@ func (r *Register) pushPattern(target uint32) {
 		r.pat = (r.pat<<uint(r.b) | t) & r.patMask
 	case bits.Straight:
 		// Youngest target sits in column 0 of each b-bit round.
-		pat := (r.pat &^ r.colClear) << 1
-		for pos := 0; t != 0; pos += p {
-			pat |= (t & 1) << uint(pos)
-			t >>= 1
-		}
-		r.pat = pat
+		r.pat = (r.pat&^r.colClear)<<1 | r.deposit.of(t)
 	case bits.Reverse:
 		// Youngest target sits in column p-1 of each round.
-		pat := (r.pat &^ r.colClear) >> 1
-		for pos := p - 1; t != 0; pos += p {
-			pat |= (t & 1) << uint(pos)
-			t >>= 1
-		}
-		r.pat = pat
+		r.pat = (r.pat&^r.colClear)>>1 | r.deposit.of(t)
 	}
 }
 
@@ -196,8 +253,13 @@ func NewFile(s, p int) *File {
 func (f *File) ShareBits() int { return f.shareBits }
 
 // Track enables incremental pattern maintenance (Register.Track) on every
-// register of the file, present and future.
-func (f *File) Track(spec Spec) {
+// register of the file, present and future, and reports whether the
+// registers track spec; when they do, TrackedPattern is every register's
+// pattern for spec.
+func (f *File) Track(spec Spec) bool {
+	if !spec.trackable(f.depth) {
+		return false
+	}
 	f.spec, f.track = spec, true
 	if f.global != nil {
 		f.global.Track(spec)
@@ -205,6 +267,7 @@ func (f *File) Track(spec Spec) {
 	for _, r := range f.regs {
 		r.Track(spec)
 	}
+	return true
 }
 
 // Get returns the register used by the branch at pc, creating it on first

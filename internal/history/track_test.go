@@ -2,6 +2,7 @@ package history
 
 import (
 	"math/rand/v2"
+	"sync"
 	"testing"
 
 	"github.com/oocsb/ibp/internal/bits"
@@ -9,7 +10,11 @@ import (
 
 // trackSpecs enumerates the spec space the simulator actually sweeps: every
 // scheme, path lengths through the paper's range, with the paper's b(p)
-// choice plus a few off-nominal widths and start bits.
+// choice plus a few off-nominal widths and start bits. For the interleaved
+// schemes, whose incoming target is deposited a field byte at a time, it
+// adds every (p, b) with p*b <= 32 at start bits 0 and 2, so every deposit
+// byte (field bits 24..31 are reachable only at p = 1) and every column
+// count up to 32 is exercised.
 func trackSpecs() []Spec {
 	var specs []Spec
 	for _, scheme := range []bits.Scheme{bits.Concat, bits.Straight, bits.Reverse, bits.PingPong} {
@@ -24,7 +29,46 @@ func trackSpecs() []Spec {
 			Spec{PathLength: 2, Bits: 12, StartBit: 1, Scheme: scheme},
 		)
 	}
+	for _, scheme := range []bits.Scheme{bits.Straight, bits.Reverse} {
+		for p := 1; p <= 32; p++ {
+			for b := 1; p*b <= 32; b++ {
+				for _, start := range []int{0, 2} {
+					specs = append(specs, Spec{PathLength: p, Bits: b, StartBit: start, Scheme: scheme})
+				}
+			}
+		}
+	}
 	return specs
+}
+
+// TestTrackConcurrent builds tracking registers for every spec from several
+// goroutines at once, as parallel sweep lanes do: the shared deposit tables
+// are built on first use and must reach every goroutine intact.
+func TestTrackConcurrent(t *testing.T) {
+	specs := trackSpecs()
+	var wg sync.WaitGroup
+	for g := uint64(0); g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(g, 29))
+			scratch := make([]uint32, 0, 32)
+			for _, s := range specs {
+				tracked, plain := NewRegister(s.PathLength), NewRegister(s.PathLength)
+				tracked.Track(s)
+				for i := 0; i < 2*s.PathLength; i++ {
+					target := rng.Uint32()
+					tracked.Push(target)
+					plain.Push(target)
+				}
+				if got, want := s.Pattern(tracked, scratch), s.Pattern(plain, scratch); got != want {
+					t.Errorf("%+v: tracked pattern %#x, reassembled %#x", s, got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestTrackedPatternMatchesReassembly is the differential test behind the
@@ -35,7 +79,7 @@ func trackSpecs() []Spec {
 // pins that Track does not corrupt state for untrackable specs.
 func TestTrackedPatternMatchesReassembly(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 9))
-	scratch := make([]uint32, 0, 16)
+	scratch := make([]uint32, 0, 32)
 	for _, s := range trackSpecs() {
 		tracked := NewRegister(s.PathLength)
 		tracked.Track(s)
@@ -62,7 +106,7 @@ func TestTrackedPatternMatchesReassembly(t *testing.T) {
 // reassembled one, not start from a cleared state.
 func TestTrackMidStream(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 17))
-	scratch := make([]uint32, 0, 16)
+	scratch := make([]uint32, 0, 32)
 	for _, s := range trackSpecs() {
 		if s.Scheme == bits.PingPong {
 			continue

@@ -22,10 +22,11 @@ type MissObserver interface {
 
 // Kernel is the one definition of running trace records through a predictor
 // under the paper's accounting: conditional branches feed the predictor's
-// core.CondObserver, returns and other non-indirect records are skipped, and
-// every dynamic indirect branch is predicted, resolved (Update), and counted
-// once past the warmup, a missing target counting as a miss. The sim lanes,
-// the serve sessions and the tuner's swap replay all drive a Kernel.
+// core.CondObserver when it reads them, returns and other non-indirect
+// records are skipped, and every dynamic indirect branch is predicted,
+// resolved (Update), and counted once past the warmup, a missing target
+// counting as a miss. The sim lanes, the serve sessions and the tuner's swap
+// replay all drive a Kernel.
 //
 // The optional hooks — shadow twin, FlushEvery reset, per-site stats (all
 // from Options), an EventRecorder and a MissObserver — each cost one nil
@@ -60,10 +61,10 @@ func NewKernel(p core.Predictor, opts Options) *Kernel {
 		warmup:     opts.Warmup,
 		res:        Result{Warmup: opts.Warmup},
 	}
-	k.condObs, _ = p.(core.CondObserver)
+	k.condObs = condObserver(p)
 	k.resetter, _ = p.(core.Resetter)
 	if k.shadow != nil {
-		k.shadowObs, _ = k.shadow.(core.CondObserver)
+		k.shadowObs = condObserver(k.shadow)
 		k.shadowRst, _ = k.shadow.(core.Resetter)
 	}
 	if opts.Sites {
@@ -73,6 +74,16 @@ func NewKernel(p core.Predictor, opts Options) *Kernel {
 		k.SetEvents(opts.Events)
 	}
 	return k
+}
+
+// condObserver returns p's conditional-branch observer, or nil when p does
+// not read conditionals, so Run pays one nil check per conditional record
+// instead of a call that returns at once.
+func condObserver(p core.Predictor) core.CondObserver {
+	if o, ok := p.(core.CondObserver); ok && o.ReadsCond() {
+		return o
+	}
+	return nil
 }
 
 // SetEvents attaches rec to receive one event per dynamic indirect branch.

@@ -128,6 +128,41 @@ func TestRunDeliversCondToObservers(t *testing.T) {
 	}
 }
 
+// condCounter is a BTB that counts the conditional records it is handed and
+// declares through ReadsCond whether it wants them.
+type condCounter struct {
+	*core.BTB
+	reads bool
+	seen  int
+}
+
+func (c *condCounter) ObserveCond(pc, target uint32, taken bool) { c.seen++ }
+func (c *condCounter) ReadsCond() bool                           { return c.reads }
+
+// TestKernelSkipsCondObserversThatDoNotRead pins that the kernel hands
+// conditional records only to observers that read them, predictor and
+// shadow alike.
+func TestKernelSkipsCondObserversThatDoNotRead(t *testing.T) {
+	tr := trace.Trace{
+		{PC: 0x4000, Target: 0x5000, Kind: trace.Cond, Gap: 2},
+		{PC: 0x1000, Target: 0x2000, Kind: trace.IndirectJump, Gap: 8},
+		{PC: 0x4004, Kind: trace.Cond, Gap: 2},
+	}
+	for _, reads := range []bool{false, true} {
+		p := &condCounter{BTB: core.NewBTB(nil, core.UpdateTwoMiss), reads: reads}
+		shadow := &condCounter{BTB: core.NewBTB(nil, core.UpdateTwoMiss), reads: reads}
+		Run(p, tr, Options{Shadow: shadow})
+		want := 0
+		if reads {
+			want = 2
+		}
+		if p.seen != want || shadow.seen != want {
+			t.Errorf("ReadsCond %v: predictor saw %d, shadow saw %d conditionals, want %d",
+				reads, p.seen, shadow.seen, want)
+		}
+	}
+}
+
 func TestRunPerSite(t *testing.T) {
 	tr := append(cycleTrace(0x1000, []uint32{0x2000}, 10),
 		cycleTrace(0x2000, []uint32{0x3000, 0x4000}, 10)...)

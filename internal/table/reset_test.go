@@ -146,6 +146,75 @@ func TestResetGenerationWraparound(t *testing.T) {
 	if e := sa.Probe(5); e != nil {
 		t.Fatalf("setassoc: pre-wrap entry resurrected: %+v", e)
 	}
+
+	// The growable tables never use generation 0 (a zeroed slot or index
+	// position must read as empty), so their wrap lands on 1 — the
+	// generation the pre-wrap entries below were stamped with.
+	ub := NewUnbounded64()
+	ub.Insert(7).Target = 0xEF
+	ub.gen = ^uint32(0)
+	ub.Reset()
+	if ub.gen != 1 {
+		t.Fatalf("unbounded: gen = %d after wrap", ub.gen)
+	}
+	if e := ub.Probe(7); e != nil {
+		t.Fatalf("unbounded: pre-wrap entry resurrected: %+v", e)
+	}
+	if ub.Len() != 0 {
+		t.Fatalf("unbounded: Len = %d after wrap", ub.Len())
+	}
+
+	fa := NewFullAssoc(4)
+	fa.Insert(9).Target = 0x12
+	fa.gen = ^uint32(0)
+	fa.Reset()
+	if fa.gen != 1 {
+		t.Fatalf("fullassoc: gen = %d after wrap", fa.gen)
+	}
+	if e := fa.Probe(9); e != nil {
+		t.Fatalf("fullassoc: pre-wrap entry resurrected: %+v", e)
+	}
+	fa.Insert(9).Target = 0x34
+	if e := fa.Probe(9); e == nil || e.Target != 0x34 || fa.Len() != 1 {
+		t.Fatalf("fullassoc: insert after wrap: %+v, Len %d", e, fa.Len())
+	}
+}
+
+// TestResetRefillZeroAllocs pins the reuse contract of the growable tables:
+// after Reset, refilling an Unbounded64 or FullAssoc to its earlier size runs
+// on the storage the table already has. The sweep's lane cache resets and
+// refills every predictor once per benchmark, 17 times per sweep cell.
+func TestResetRefillZeroAllocs(t *testing.T) {
+	tables := []Bounded{NewUnbounded64(), NewFullAssoc(1000)}
+	for _, tb := range tables {
+		fill := func() {
+			for k := uint64(0); k < 3000; k++ {
+				if e, found := tb.ProbeOrInsert(k * 0x9E37); !found {
+					e.Target = uint32(k)
+				}
+			}
+		}
+		fill()
+		if allocs := testing.AllocsPerRun(5, func() { tb.Reset(); fill() }); allocs != 0 {
+			t.Errorf("%s: %v allocs per Reset and refill, want 0", tb.Kind(), allocs)
+		}
+	}
+}
+
+// TestFullAssocGrowsOnDemand pins that a large FullAssoc holds storage for
+// the entries it has seen, not for its capacity: sweeps build many such
+// tables that stay mostly empty.
+func TestFullAssocGrowsOnDemand(t *testing.T) {
+	fa := NewFullAssoc(32768)
+	for k := uint64(0); k < 100; k++ {
+		fa.Insert(k)
+	}
+	if c := cap(fa.slots); c > 256 {
+		t.Errorf("100 entries hold %d slots", c)
+	}
+	if n := len(fa.index); n > 512 {
+		t.Errorf("100 entries hold a %d-position index", n)
+	}
 }
 
 // TestEntrySize pins Entry at 24 bytes: the generation stamp must live in

@@ -2,8 +2,8 @@
 // tables. The paper's progression from ideal to implementable hardware maps
 // to four bounded organizations over 64-bit keys — fully-associative LRU,
 // set-associative (1/2/4-way, LRU per set), direct-mapped tagged (1-way),
-// and tagless direct-mapped — plus unbounded map-backed tables used for the
-// §3 unconstrained experiments and for capacity-miss attribution.
+// and tagless direct-mapped — plus unbounded tables used for the §3
+// unconstrained experiments and for capacity-miss attribution.
 package table
 
 import (
@@ -26,10 +26,10 @@ type Entry struct {
 	// Next is the predicted address of the next indirect branch (the
 	// §8.1 run-ahead extension); zero when unknown.
 	Next uint32
-	// gen stamps the generation of the owning dense table (Tagless,
-	// SetAssoc) that wrote the entry: those tables reset in O(1) by bumping
-	// their generation, which makes every older entry read as invalid.
-	// List- and map-backed tables leave it zero.
+	// gen stamps the generation of the owning table (Tagless, SetAssoc,
+	// Unbounded64) that wrote the entry: those tables reset in O(1) by
+	// bumping their generation, which makes every older entry read as
+	// invalid. FullAssoc and UnboundedStr leave it zero.
 	gen   uint32
 	valid bool
 	// Hyst is the hysteresis state of the two-miss update rule: nonzero
@@ -137,6 +137,12 @@ func Merge(stats []Stats) Stats {
 // Bounded is a prediction table over 64-bit keys. The predictor calls Probe
 // first; on nil it may call Insert to allocate an entry (choosing a victim
 // if the table is full). Probe updates recency state on a hit.
+//
+// Entry-pointer rule: an *Entry returned by any method stays valid only until
+// the next Probe, Insert or ProbeOrInsert on the same table. Those calls may
+// move entries (SetAssoc reorders a set on a hit; Unbounded64 and FullAssoc
+// relocate entries when their arrays grow), so a caller that probes twice
+// copies what it needs from the first entry before the second call.
 type Bounded interface {
 	// Probe returns the entry for key, or nil if the table has no
 	// prediction for it.
@@ -422,19 +428,53 @@ func (t *SetAssoc) Stats() Stats {
 	}
 }
 
-// FullAssoc is a fully-associative table with true LRU replacement,
-// implemented as a hash map plus an intrusive recency list (§5.1).
+// fibHash spreads key over a power-of-two array of 2^(64-shift) positions:
+// Fibonacci hashing multiplies by 2^64/φ and keeps the top bits, so keys
+// that differ only in high bits (concatenated patterns) or only in low bits
+// (xor-folded ones) both scatter.
+func fibHash(key uint64, shift uint) uint64 { return (key * 0x9E3779B97F4A7C15) >> shift }
+
+// hashShift returns the fibHash shift for an array of n positions (a power
+// of two).
+func hashShift(n int) uint { return uint(64 - bits.TrailingZeros(uint(n))) }
+
+// FullAssoc is a fully-associative table with true LRU replacement (§5.1).
+// Entries live in a slot array that grows on demand up to the capacity and
+// is threaded into recency order by int32 links. An open-addressing index
+// (Fibonacci hashing, linear probing, kept at most half full) maps each key
+// to its slot; an eviction deletes the victim's key by backward shift, so the
+// index needs no tombstones. Reset is O(1): it truncates the slot array and
+// empties the index by bumping its generation, and a refill to an earlier
+// size allocates nothing.
 type FullAssoc struct {
 	capacity int
-	m        map[uint64]*faNode
-	mru, lru *faNode
+	slots    []lruSlot // every slot in use; cap grows to at most capacity
+	mru, lru int32     // slot numbers at the ends of the recency list; -1 when empty
+	index    []lruRef
+	shift    uint   // fibHash shift for len(index)
+	gen      uint32 // generation of the live index refs; never 0, so zeroed refs read as empty
 	stats    counters
 }
 
-type faNode struct {
+// lruSlot is one FullAssoc entry with its recency-list links: prev is the
+// next more recently used slot, next the next less recently used; -1 ends
+// the list.
+type lruSlot struct {
 	Entry
-	prev, next *faNode
+	prev, next int32
 }
+
+// lruRef is one FullAssoc index position: the slot holding key, live while
+// gen is the table's generation.
+type lruRef struct {
+	key  uint64
+	slot int32
+	gen  uint32
+}
+
+// minFullAssoc is the initial FullAssoc index size and the smallest slot
+// array it allocates.
+const minFullAssoc = 8
 
 // NewFullAssoc returns a fully-associative LRU table with the given
 // capacity in entries (any positive count).
@@ -442,105 +482,167 @@ func NewFullAssoc(entries int) *FullAssoc {
 	if entries <= 0 {
 		panic(fmt.Sprintf("table: capacity must be positive, got %d", entries))
 	}
-	return &FullAssoc{capacity: entries, m: make(map[uint64]*faNode, entries)}
+	return &FullAssoc{
+		capacity: entries,
+		mru:      -1,
+		lru:      -1,
+		index:    make([]lruRef, minFullAssoc),
+		shift:    hashShift(minFullAssoc),
+		gen:      1,
+	}
 }
 
-func (t *FullAssoc) unlink(n *faNode) {
-	if n.prev != nil {
-		n.prev.next = n.next
+// lookup returns the slot holding key (-1 if absent) and the index position
+// where the probe for key ended.
+func (t *FullAssoc) lookup(key uint64) (slot int32, pos uint64) {
+	mask := uint64(len(t.index) - 1)
+	for i := fibHash(key, t.shift); ; i = (i + 1) & mask {
+		r := &t.index[i]
+		if r.gen != t.gen {
+			return -1, i
+		}
+		if r.key == key {
+			return r.slot, i
+		}
+	}
+}
+
+func (t *FullAssoc) unlink(s int32) {
+	n := &t.slots[s]
+	if n.prev >= 0 {
+		t.slots[n.prev].next = n.next
 	} else {
 		t.mru = n.next
 	}
-	if n.next != nil {
-		n.next.prev = n.prev
+	if n.next >= 0 {
+		t.slots[n.next].prev = n.prev
 	} else {
 		t.lru = n.prev
 	}
-	n.prev, n.next = nil, nil
 }
 
-func (t *FullAssoc) pushFront(n *faNode) {
-	n.next = t.mru
-	if t.mru != nil {
-		t.mru.prev = n
+func (t *FullAssoc) pushFront(s int32) {
+	n := &t.slots[s]
+	n.prev, n.next = -1, t.mru
+	if t.mru >= 0 {
+		t.slots[t.mru].prev = s
+	} else {
+		t.lru = s
 	}
-	t.mru = n
-	if t.lru == nil {
-		t.lru = n
+	t.mru = s
+}
+
+// touch makes slot s the most recently used.
+func (t *FullAssoc) touch(s int32) {
+	if t.mru != s {
+		t.unlink(s)
+		t.pushFront(s)
 	}
+}
+
+// extend appends a slot and returns its number, growing the slot array
+// (never past the capacity) and the index as needed.
+func (t *FullAssoc) extend() int32 {
+	n := len(t.slots)
+	if n == cap(t.slots) {
+		grown := make([]lruSlot, n, min(max(2*n, minFullAssoc), t.capacity))
+		copy(grown, t.slots)
+		t.slots = grown
+	}
+	t.slots = t.slots[:n+1]
+	if 2*(n+1) > len(t.index) {
+		old := t.index
+		t.index = make([]lruRef, 2*len(old))
+		t.shift = hashShift(len(t.index))
+		for _, r := range old {
+			if r.gen == t.gen {
+				_, pos := t.lookup(r.key)
+				t.index[pos] = r
+			}
+		}
+	}
+	return int32(n)
+}
+
+// unindex deletes key, which must be present, from the index by backward
+// shift: every later ref of its probe cluster that may legally sit in the
+// hole moves back into it, leaving the cluster as if key had never been
+// inserted.
+func (t *FullAssoc) unindex(key uint64) {
+	mask := uint64(len(t.index) - 1)
+	_, hole := t.lookup(key)
+	for j := (hole + 1) & mask; t.index[j].gen == t.gen; j = (j + 1) & mask {
+		// The ref at j stays unless the hole lies cyclically between its
+		// home position and j.
+		if home := fibHash(t.index[j].key, t.shift); (j-home)&mask >= (j-hole)&mask {
+			t.index[hole] = t.index[j]
+			hole = j
+		}
+	}
+	t.index[hole].gen = 0
+}
+
+// claim allocates a slot for key, which is absent, evicting the least
+// recently used entry when the table is full.
+func (t *FullAssoc) claim(key uint64) *Entry {
+	t.stats.inserts++
+	var s int32
+	if len(t.slots) < t.capacity {
+		s = t.extend()
+	} else {
+		s = t.lru
+		t.unlink(s)
+		t.unindex(t.slots[s].key)
+		t.stats.evictions++
+	}
+	_, pos := t.lookup(key)
+	t.index[pos] = lruRef{key: key, slot: s, gen: t.gen}
+	t.pushFront(s)
+	e := &t.slots[s].Entry
+	e.reset(key)
+	return e
 }
 
 // Probe implements Bounded.
 func (t *FullAssoc) Probe(key uint64) *Entry {
-	n := t.m[key]
-	if n == nil {
+	s, _ := t.lookup(key)
+	if s < 0 {
 		return nil
 	}
-	if t.mru != n {
-		t.unlink(n)
-		t.pushFront(n)
-	}
-	return &n.Entry
+	t.touch(s)
+	return &t.slots[s].Entry
 }
 
 // Insert implements Bounded, evicting the least recently used entry when the
 // table is full.
 func (t *FullAssoc) Insert(key uint64) *Entry {
-	if n := t.m[key]; n != nil {
+	e, found := t.ProbeOrInsert(key)
+	if found {
 		// Defensive: reuse an existing entry rather than duplicating.
-		t.unlink(n)
-		t.pushFront(n)
-		n.Entry.reset(key)
 		t.stats.inserts++
-		return &n.Entry
+		e.reset(key)
 	}
-	var n *faNode
-	t.stats.inserts++
-	if len(t.m) >= t.capacity {
-		n = t.lru
-		t.unlink(n)
-		delete(t.m, n.key)
-		t.stats.evictions++
-	} else {
-		n = &faNode{}
-	}
-	n.Entry.reset(key)
-	t.m[key] = n
-	t.pushFront(n)
-	return &n.Entry
+	return e
 }
 
-// ProbeOrInsert implements Bounded with a single map lookup.
+// ProbeOrInsert implements Bounded with a single index lookup on a hit.
 func (t *FullAssoc) ProbeOrInsert(key uint64) (*Entry, bool) {
-	if n := t.m[key]; n != nil {
-		if t.mru != n {
-			t.unlink(n)
-			t.pushFront(n)
-		}
-		return &n.Entry, true
+	if s, _ := t.lookup(key); s >= 0 {
+		t.touch(s)
+		return &t.slots[s].Entry, true
 	}
-	var n *faNode
-	t.stats.inserts++
-	if len(t.m) >= t.capacity {
-		n = t.lru
-		t.unlink(n)
-		delete(t.m, n.key)
-		t.stats.evictions++
-	} else {
-		n = &faNode{}
-	}
-	n.Entry.reset(key)
-	t.m[key] = n
-	t.pushFront(n)
-	return &n.Entry, false
+	return t.claim(key), false
 }
 
 // Victim implements Bounded.
 func (t *FullAssoc) Victim(key uint64) *Entry {
-	if t.m[key] != nil || len(t.m) < t.capacity {
+	if len(t.slots) < t.capacity {
 		return nil
 	}
-	return &t.lru.Entry
+	if s, _ := t.lookup(key); s >= 0 {
+		return nil
+	}
+	return &t.slots[t.lru].Entry
 }
 
 // Capacity implements Bounded.
@@ -548,14 +650,21 @@ func (t *FullAssoc) Capacity() int { return t.capacity }
 
 // Utilization implements Bounded.
 func (t *FullAssoc) Utilization() float64 {
-	return float64(len(t.m)) / float64(t.capacity)
+	return float64(len(t.slots)) / float64(t.capacity)
 }
 
-// Reset implements Bounded.
+// Reset implements Bounded in O(1): the slot array is truncated (keeping its
+// storage) and a generation bump empties the index. On the 2^32nd reset the
+// generation wraps and the index is cleared for real (see Tagless.Reset).
 func (t *FullAssoc) Reset() {
-	clear(t.m)
-	t.mru, t.lru = nil, nil
+	t.slots = t.slots[:0]
+	t.mru, t.lru = -1, -1
 	t.stats.resets++
+	t.gen++
+	if t.gen == 0 {
+		clear(t.index)
+		t.gen = 1
+	}
 }
 
 // Kind implements Bounded.
@@ -573,46 +682,91 @@ func (t *FullAssoc) Stats() Stats {
 }
 
 // Len returns the number of valid entries.
-func (t *FullAssoc) Len() int { return len(t.m) }
+func (t *FullAssoc) Len() int { return len(t.slots) }
 
-// Unbounded64 is a map-backed table without capacity limits, used for the
+// Unbounded64 is a table without capacity limits, used for the
 // limited-precision §4 experiments and as the shadow twin that attributes
-// capacity and conflict misses (§5.1).
+// capacity and conflict misses (§5.1). Entries live inline in one
+// power-of-two array, placed by Fibonacci hashing with linear probing; the
+// array doubles at 3/4 load. Reset is O(1) by generation bump, and a refill
+// to an earlier size allocates nothing.
 type Unbounded64 struct {
-	m     map[uint64]*Entry
+	slots []Entry
+	shift uint   // fibHash shift for len(slots)
+	n     int    // live entries
+	gen   uint32 // generation of the live entries; never 0, so zeroed slots read as empty
 	stats counters
 }
 
+// minUnbounded is the initial Unbounded64 array size.
+const minUnbounded = 16
+
 // NewUnbounded64 returns an empty unbounded table.
 func NewUnbounded64() *Unbounded64 {
-	return &Unbounded64{m: make(map[uint64]*Entry)}
+	return &Unbounded64{
+		slots: make([]Entry, minUnbounded),
+		shift: hashShift(minUnbounded),
+		gen:   1,
+	}
+}
+
+// find returns key's entry, or the empty slot where its probe ended; the
+// result is live (e.gen == t.gen) exactly when key is present.
+func (t *Unbounded64) find(key uint64) *Entry {
+	mask := uint64(len(t.slots) - 1)
+	for i := fibHash(key, t.shift); ; i = (i + 1) & mask {
+		if e := &t.slots[i]; e.gen != t.gen || e.key == key {
+			return e
+		}
+	}
+}
+
+// claim makes e, the empty slot find returned for key, key's entry,
+// doubling the array first if the insertion would pass 3/4 load.
+func (t *Unbounded64) claim(e *Entry, key uint64) *Entry {
+	if 4*(t.n+1) > 3*len(t.slots) {
+		old := t.slots
+		t.slots = make([]Entry, 2*len(old))
+		t.shift = hashShift(len(t.slots))
+		for i := range old {
+			if old[i].gen == t.gen {
+				*t.find(old[i].key) = old[i]
+			}
+		}
+		e = t.find(key)
+	}
+	t.n++
+	e.reset(key)
+	e.gen = t.gen
+	return e
 }
 
 // Probe implements Bounded.
-func (t *Unbounded64) Probe(key uint64) *Entry { return t.m[key] }
+func (t *Unbounded64) Probe(key uint64) *Entry {
+	if e := t.find(key); e.gen == t.gen {
+		return e
+	}
+	return nil
+}
 
 // Insert implements Bounded.
 func (t *Unbounded64) Insert(key uint64) *Entry {
-	t.stats.inserts++
-	e := t.m[key]
-	if e == nil {
-		e = &Entry{}
-		t.m[key] = e
+	e, found := t.ProbeOrInsert(key)
+	if found {
+		t.stats.inserts++
+		e.reset(key)
 	}
-	e.reset(key)
 	return e
 }
 
 // ProbeOrInsert implements Bounded.
 func (t *Unbounded64) ProbeOrInsert(key uint64) (*Entry, bool) {
-	if e := t.m[key]; e != nil {
+	e := t.find(key)
+	if e.gen == t.gen {
 		return e, true
 	}
-	e := &Entry{}
-	e.reset(key)
-	t.m[key] = e
 	t.stats.inserts++
-	return e, false
+	return t.claim(e, key), false
 }
 
 // Victim implements Bounded: an unbounded table never evicts.
@@ -624,10 +778,16 @@ func (t *Unbounded64) Capacity() int { return -1 }
 // Utilization implements Bounded.
 func (t *Unbounded64) Utilization() float64 { return 1 }
 
-// Reset implements Bounded.
+// Reset implements Bounded in O(1) by generation bump, keeping the array
+// (see FullAssoc.Reset for the wrap).
 func (t *Unbounded64) Reset() {
-	clear(t.m)
+	t.n = 0
 	t.stats.resets++
+	t.gen++
+	if t.gen == 0 {
+		clear(t.slots)
+		t.gen = 1
+	}
 }
 
 // Kind implements Bounded.
@@ -646,7 +806,7 @@ func (t *Unbounded64) Stats() Stats {
 
 // Len returns the number of patterns stored (the paper quotes pattern counts
 // per path length, §5.1).
-func (t *Unbounded64) Len() int { return len(t.m) }
+func (t *Unbounded64) Len() int { return t.n }
 
 // UnboundedStr is the unbounded table over exact byte-string keys used by
 // the §3 full-precision predictors, where keys (selector + p full targets)

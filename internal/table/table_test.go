@@ -1,6 +1,7 @@
 package table
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -116,9 +117,18 @@ func TestFullAssocSingleEntry(t *testing.T) {
 }
 
 // TestFullAssocMatchesReference drives the LRU table against a brute-force
-// reference model with random probe/insert traffic.
+// reference model with random probe/insert traffic. Key spaces of about 2.5×
+// the capacity force steady eviction; at capacity 1000 the index grows
+// through several sizes and backward-shift deletion wraps around its end.
 func TestFullAssocMatchesReference(t *testing.T) {
-	const capacity = 16
+	for _, capacity := range []int{1, 16, 1000} {
+		t.Run(fmt.Sprint(capacity), func(t *testing.T) {
+			fullAssocMatchesReference(t, capacity, (5*capacity+1)/2)
+		})
+	}
+}
+
+func fullAssocMatchesReference(t *testing.T, capacity, keys int) {
 	tb := NewFullAssoc(capacity)
 	type refEntry struct {
 		key    uint64
@@ -135,7 +145,7 @@ func TestFullAssocMatchesReference(t *testing.T) {
 	}
 	rng := rand.New(rand.NewPCG(21, 22))
 	for step := 0; step < 20000; step++ {
-		key := uint64(rng.IntN(40)) // small key space to force eviction
+		key := uint64(rng.IntN(keys))
 		if i := refFind(key); i >= 0 {
 			e := ref[i]
 			copy(ref[1:i+1], ref[:i])
@@ -155,6 +165,9 @@ func TestFullAssocMatchesReference(t *testing.T) {
 			}
 			ref = append([]refEntry{{key, tgt}}, ref...)
 		}
+	}
+	if tb.Len() != len(ref) {
+		t.Fatalf("Len = %d, reference holds %d", tb.Len(), len(ref))
 	}
 }
 
