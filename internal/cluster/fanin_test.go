@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/binary"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 
 	"github.com/oocsb/ibp/internal/serve"
 	"github.com/oocsb/ibp/internal/sessiontrack"
+	"github.com/oocsb/ibp/internal/trace"
 )
 
 // startServeWithSessions runs a backend with its session registry mounted on
@@ -50,9 +52,21 @@ func TestFaninMergesBackendAndProxyViews(t *testing.T) {
 		clients = append(clients, open{c})
 		defer c.Close()
 	}
-	// Stream a prefix on each so frames flow through journal + backend.
+	// Write a prefix on each so frames flow through journal + backend. No
+	// FrameDone follows until the view is checked, so every session stays
+	// live however fast the frames go through.
+	const frames, perFrame = 4, 256
 	for _, cl := range clients {
-		go cl.c.Stream(tr, 256, nil)
+		for seq := uint64(1); seq <= frames; seq++ {
+			payload := binary.AppendUvarint(nil, seq)
+			payload = trace.AppendRecords(payload, tr[(seq-1)*perFrame:seq*perFrame])
+			if err := cl.c.WriteFrame(serve.FrameRecords, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := cl.c.Flush(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Poll the fan-in until every proxy leg is merged with a backend row.

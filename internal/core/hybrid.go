@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/oocsb/ibp/internal/bits"
@@ -29,6 +30,10 @@ type Component interface {
 type Hybrid struct {
 	comps []Component
 	name  string
+	// levels holds the components as two-level predictors when every one
+	// is a distinct *TwoLevel, the precondition of the keyed step; nil
+	// otherwise.
+	levels []*TwoLevel
 
 	// Attribution recording (see core.Attributor); off by default. While
 	// enabled, Predict keeps every component's prediction in the
@@ -52,10 +57,17 @@ func NewHybrid(comps ...Component) (*Hybrid, error) {
 		return nil, fmt.Errorf("core: hybrid needs at least 2 components, got %d", len(comps))
 	}
 	names := make([]string, len(comps))
+	levels := make([]*TwoLevel, len(comps))
 	for i, c := range comps {
 		names[i] = c.Name()
+		t, ok := c.(*TwoLevel)
+		if levels != nil && ok && !slices.Contains(levels[:i], t) {
+			levels[i] = t
+		} else {
+			levels = nil
+		}
 	}
-	return &Hybrid{comps: comps, name: "hybrid(" + strings.Join(names, "+") + ")"}, nil
+	return &Hybrid{comps: comps, name: "hybrid(" + strings.Join(names, "+") + ")", levels: levels}, nil
 }
 
 // MustHybrid is NewHybrid for statically-known component lists.
@@ -67,38 +79,79 @@ func MustHybrid(comps ...Component) *Hybrid {
 	return h
 }
 
+// vote is the metapredictor (§6.1): among the components that predict, the
+// highest confidence wins, and an earlier component wins a tie. Predict and
+// StepKeyed both choose through it.
+type vote struct {
+	target uint32
+	conf   int // the winner's confidence, -1 while no component predicts
+	comp   int // the winning component, -1 while no component predicts
+}
+
+func newVote() vote { return vote{conf: -1, comp: -1} }
+
+// offer returns the vote after component i casts its prediction;
+// components offer in order. A value, so the vote stays in registers.
+func (v vote) offer(i int, target uint32, conf uint8, ok bool) vote {
+	if ok && int(conf) > v.conf {
+		return vote{target: target, conf: int(conf), comp: i}
+	}
+	return v
+}
+
 // Predict implements Predictor.
 func (h *Hybrid) Predict(pc uint32) (uint32, bool) {
-	var (
-		best     uint32
-		bestConf int = -1
-	)
+	v := newVote()
 	if !h.attrib {
-		for _, c := range h.comps {
-			if t, conf, ok := c.PredictConf(pc); ok && int(conf) > bestConf {
-				best, bestConf = t, int(conf)
-			}
+		for i, c := range h.comps {
+			t, conf, ok := c.PredictConf(pc)
+			v = v.offer(i, t, conf, ok)
 		}
-		return best, bestConf >= 0
+		return v.target, v.comp >= 0
 	}
-	chosen := -1
 	for i, c := range h.comps {
 		t, conf, ok := c.PredictConf(pc)
 		h.attPred[i], h.attOK[i] = t, ok
-		if ok && int(conf) > bestConf {
-			best, bestConf, chosen = t, int(conf), i
-		}
+		v = v.offer(i, t, conf, ok)
 	}
-	h.att = AttribState{Component: int16(chosen)}
+	h.att = AttribState{Component: int16(v.comp)}
 	h.attComp = nil
-	if chosen >= 0 {
-		h.att.Conf = uint8(bestConf)
+	if v.comp >= 0 {
+		h.att.Conf = uint8(v.conf)
 		h.att.TableHit = true
-		if a, ok := h.comps[chosen].(Attributor); ok {
+		if a, ok := h.comps[v.comp].(Attributor); ok {
 			h.attComp = a
 		}
 	}
-	return best, bestConf >= 0
+	return v.target, v.comp >= 0
+}
+
+// Histories implements Keyed: a hybrid is keyed when every component is a
+// distinct keyed TwoLevel, and attribution is off.
+func (h *Hybrid) Histories(dst []TableHistory) ([]TableHistory, bool) {
+	if h.levels == nil || h.attrib {
+		return dst, false
+	}
+	n := len(dst)
+	for _, t := range h.levels {
+		var ok bool
+		if dst, ok = t.Histories(dst); !ok {
+			return dst[:n], false
+		}
+	}
+	return dst, true
+}
+
+// StepKeyed implements Keyed, keys[i] being component i's key. The
+// components' tables are disjoint, so each one predicts and trains in turn
+// and the vote sees the same predictions Predict would.
+func (h *Hybrid) StepKeyed(keys []uint64, target uint32) (uint32, bool) {
+	v := newVote()
+	for i, t := range h.levels {
+		pred, conf, ok := t.stepKeyed(keys[i], target)
+		v = v.offer(i, pred, conf, ok)
+	}
+	return v.target, v.comp >= 0
 }
 
 // Update implements Predictor: every component resolves the branch. With

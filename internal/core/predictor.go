@@ -12,6 +12,7 @@ package core
 import (
 	"fmt"
 
+	"github.com/oocsb/ibp/internal/history"
 	"github.com/oocsb/ibp/internal/table"
 )
 
@@ -47,6 +48,33 @@ type CondObserver interface {
 	// returns false in the others, and the simulation kernel then skips
 	// the call on every conditional record (95% of the suite's records).
 	ReadsCond() bool
+}
+
+// TableHistory is the first level behind one target table of a Keyed
+// predictor: the spec the table's keys are built with and the global history
+// register they are built from.
+type TableHistory struct {
+	Spec history.Spec
+	Reg  *history.Register
+}
+
+// Keyed is implemented by predictors whose target-table keys are a pure
+// function of the indirect-branch stream (§3.2, Figure 3): each table's key
+// for a branch is Spec.Key over one global register that every indirect
+// branch pushes its target into and nothing else touches. A caller driving
+// many such predictors over one trace can then compute each distinct
+// history's keys once and step only the second level of every predictor.
+type Keyed interface {
+	Predictor
+	// Histories appends the first level of each target table to dst, in
+	// a fixed table order, and reports whether the predictor is keyed
+	// now. An instance stops qualifying while attribution is on.
+	Histories(dst []TableHistory) ([]TableHistory, bool)
+	// StepKeyed predicts and resolves one indirect branch, keys[i] being
+	// table i's key under the pre-branch history: what Predict and then
+	// Update(pc, target) do to the tables. It leaves the registers alone;
+	// the caller pushes target into them, or into copies it writes back.
+	StepKeyed(keys []uint64, target uint32) (pred uint32, ok bool)
 }
 
 // Resetter is implemented by predictors whose state can be cleared for

@@ -132,6 +132,19 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
+// HistorySpec returns the (defaulted) configuration's history pattern spec:
+// the first level that compressed-key mode builds its keys from.
+func (cfg Config) HistorySpec() history.Spec {
+	cfg = cfg.Defaults()
+	return history.Spec{
+		PathLength: cfg.PathLength,
+		Bits:       cfg.Precision,
+		StartBit:   cfg.StartBit,
+		Scheme:     cfg.Scheme,
+		Op:         cfg.KeyOp,
+	}
+}
+
 // Name renders a compact configuration string.
 func (cfg Config) Name() string {
 	cfg = cfg.Defaults()
@@ -209,14 +222,8 @@ func NewTwoLevel(cfg Config) (*TwoLevel, error) {
 		return nil, err
 	}
 	t := &TwoLevel{
-		cfg: cfg,
-		spec: history.Spec{
-			PathLength: cfg.PathLength,
-			Bits:       cfg.Precision,
-			StartBit:   cfg.StartBit,
-			Scheme:     cfg.Scheme,
-			Op:         cfg.KeyOp,
-		},
+		cfg:     cfg,
+		spec:    cfg.HistorySpec(),
 		hist:    history.NewFile(cfg.HistShare, cfg.PathLength),
 		max:     confMax(cfg.ConfBits),
 		scratch: make([]uint32, 0, cfg.PathLength+1),
@@ -260,10 +267,7 @@ func (t *TwoLevel) key(reg *history.Register, pc uint32) uint64 {
 	if !t.tracked {
 		pat = t.spec.Pattern(reg, t.scratch)
 	}
-	if t.spec.Op == history.OpConcat {
-		return bits.ConcatKey(pat, pc, t.spec.PatternBits())
-	}
-	return bits.XorKey(pat, pc)
+	return t.spec.Fold(pat, pc)
 }
 
 // probe locates the entry for the branch at pc under the current history,
@@ -350,11 +354,7 @@ func (t *TwoLevel) Update(pc, target uint32) {
 			e, found = t.tab.ProbeOrInsert(t.key(reg, pc))
 		}
 	}
-	if !found {
-		e.Target = target
-	} else {
-		bumpConf(e, applyTarget(e, target, t.cfg.Update), t.max)
-	}
+	t.train(e, found, target)
 	if t.attrib && !found {
 		t.att.NewEntry = true
 		if t.tabEvicts {
@@ -367,6 +367,47 @@ func (t *TwoLevel) Update(pc, target uint32) {
 		reg.Push(pc)
 	}
 	reg.Push(target)
+}
+
+// train applies the resolved target to e, the entry the branch's key
+// selected: a fresh entry (found false) takes the target; a found one goes
+// through the update rule, and its confidence counter moves.
+func (t *TwoLevel) train(e *table.Entry, found bool, target uint32) {
+	if !found {
+		e.Target = target
+		return
+	}
+	bumpConf(e, applyTarget(e, target, t.cfg.Update), t.max)
+}
+
+// Histories implements Keyed. A TwoLevel is keyed in compressed-key mode
+// with one global history that only indirect targets enter (neither §3.3
+// variation), while attribution is off.
+func (t *TwoLevel) Histories(dst []TableHistory) ([]TableHistory, bool) {
+	if t.tab == nil || t.hist.ShareBits() < 32 || t.cfg.IncludeCond || t.cfg.IncludeAddress || t.attrib {
+		return dst, false
+	}
+	return append(dst, TableHistory{Spec: t.spec, Reg: t.hist.Get(0)}), true
+}
+
+// StepKeyed implements Keyed.
+func (t *TwoLevel) StepKeyed(keys []uint64, target uint32) (uint32, bool) {
+	pred, _, ok := t.stepKeyed(keys[0], target)
+	return pred, ok
+}
+
+// stepKeyed is StepKeyed for the one table, also returning the predicting
+// entry's confidence for the hybrid's vote. One ProbeOrInsert walk serves
+// both the prediction and the update, as Predict's probe and Update's insert
+// on a miss would.
+func (t *TwoLevel) stepKeyed(key uint64, target uint32) (pred uint32, conf uint8, ok bool) {
+	t.memoValid = false // the walk may move the memoized entry
+	e, found := t.tab.ProbeOrInsert(key)
+	if found {
+		pred, conf, ok = e.Target, e.Conf, true
+	}
+	t.train(e, found, target)
+	return pred, conf, ok
 }
 
 // ObserveCond implements CondObserver for the §3.3 variation: when enabled,

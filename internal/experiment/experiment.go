@@ -5,16 +5,19 @@
 package experiment
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"github.com/oocsb/ibp/internal/core"
+	"github.com/oocsb/ibp/internal/history"
 	"github.com/oocsb/ibp/internal/sim"
 	"github.com/oocsb/ibp/internal/stats"
 	"github.com/oocsb/ibp/internal/telemetry"
@@ -426,6 +429,19 @@ func (lc *laneCache) lanes(chunk int, specs []SweepSpec, sm sweepMetrics) (ps, s
 // degrades to recorded CellErrors while the other cells and lanes still
 // produce results; cancellation aborts.
 func (c *Context) SweepSpecs(specs []SweepSpec, full bool) ([]map[string]sim.Result, error) {
+	return c.sweepSpecs(specs, full, nil)
+}
+
+// sweepSpecs is SweepSpecs over specs given in run order: order[k] is the
+// caller's index of specs[k] (nil for the identity). Results and
+// degraded-cell errors use the caller's indices.
+func (c *Context) sweepSpecs(specs []SweepSpec, full bool, order []int) ([]map[string]sim.Result, error) {
+	caller := func(k int) int {
+		if order == nil {
+			return k
+		}
+		return order[k]
+	}
 	out := make([]map[string]sim.Result, len(specs))
 	for i := range out {
 		out[i] = make(map[string]sim.Result, len(c.Suite))
@@ -494,14 +510,14 @@ func (c *Context) SweepSpecs(specs []SweepSpec, full bool) ([]map[string]sim.Res
 				cache.valid = false // panicked lanes may violate Reset invariants
 				for _, le := range be.Lanes {
 					dead[le.Lane] = true
-					c.recordFailure(bench.Name, fmt.Errorf("config %d: %w", lo+le.Lane, le.Err))
+					c.recordFailure(bench.Name, fmt.Errorf("config %d: %w", caller(lo+le.Lane), le.Err))
 				}
 			}
 			var executed, missed uint64
 			mu.Lock()
 			for i, r := range rs {
 				if !dead[i] {
-					out[lo+i][bench.Name] = r
+					out[caller(lo+i)][bench.Name] = r
 					executed += uint64(r.Executed)
 					missed += uint64(r.Misses)
 				}
@@ -559,24 +575,42 @@ func (c *Context) SweepBatchFull(mks []func() (core.Predictor, error)) ([]map[st
 	return rateMaps(res), err
 }
 
-func configMks(cfgs []core.Config) []func() (core.Predictor, error) {
-	mks := make([]func() (core.Predictor, error), len(cfgs))
-	for i, cfg := range cfgs {
-		cfg := cfg
-		mks[i] = func() (core.Predictor, error) { return core.NewTwoLevel(cfg) }
-	}
-	return mks
-}
-
-// SweepConfigs is SweepBatch over two-level predictor configurations.
+// SweepConfigs is SweepBatch over two-level predictor configurations. They
+// run ordered by history spec, so the lanes of one chunk share one or two
+// key tapes (see sim.RunBatchEach); the rates come back in cfgs order.
 func (c *Context) SweepConfigs(cfgs []core.Config) ([]map[string]float64, error) {
-	return c.SweepBatch(configMks(cfgs))
+	return c.sweepConfigs(cfgs, false)
 }
 
 // SweepConfigsFull is SweepConfigs over complete traces (conditional records
 // included).
 func (c *Context) SweepConfigsFull(cfgs []core.Config) ([]map[string]float64, error) {
-	return c.SweepBatchFull(configMks(cfgs))
+	return c.sweepConfigs(cfgs, true)
+}
+
+func (c *Context) sweepConfigs(cfgs []core.Config, full bool) ([]map[string]float64, error) {
+	keys := make([]history.Spec, len(cfgs))
+	order := make([]int, len(cfgs))
+	for i, cfg := range cfgs {
+		keys[i], order[i] = cfg.HistorySpec(), i
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		x, y := keys[a], keys[b]
+		return cmp.Or(
+			cmp.Compare(x.PathLength, y.PathLength),
+			cmp.Compare(x.Bits, y.Bits),
+			cmp.Compare(x.StartBit, y.StartBit),
+			cmp.Compare(x.Scheme, y.Scheme),
+			cmp.Compare(x.Op, y.Op),
+		)
+	})
+	specs := make([]SweepSpec, len(cfgs))
+	for k, i := range order {
+		cfg := cfgs[i]
+		specs[k] = SweepSpec{Mk: func() (core.Predictor, error) { return core.NewTwoLevel(cfg) }}
+	}
+	res, err := c.sweepSpecs(specs, full, order)
+	return rateMaps(res), err
 }
 
 // Sweep simulates one predictor per benchmark (constructed by mk, which must
@@ -584,13 +618,6 @@ func (c *Context) SweepConfigsFull(cfgs []core.Config) ([]map[string]float64, er
 // rates in percent.
 func (c *Context) Sweep(mk func() (core.Predictor, error)) (map[string]float64, error) {
 	rates, err := c.SweepBatch([]func() (core.Predictor, error){mk})
-	return rates[0], err
-}
-
-// SweepFull is Sweep over complete traces (conditional records included),
-// for predictors implementing core.CondObserver.
-func (c *Context) SweepFull(mk func() (core.Predictor, error)) (map[string]float64, error) {
-	rates, err := c.SweepBatchFull([]func() (core.Predictor, error){mk})
 	return rates[0], err
 }
 

@@ -1,9 +1,11 @@
 package experiment
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
+	"github.com/oocsb/ibp/internal/bits"
 	"github.com/oocsb/ibp/internal/core"
 	"github.com/oocsb/ibp/internal/sim"
 )
@@ -97,6 +99,64 @@ func TestSweepBatchMatchesSequential(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepConfigsKeepsCallerOrder: SweepConfigs runs configurations
+// grouped by history spec, yet returns each one's rates at the caller's
+// index, and a degraded lane's error names the caller's config index.
+func TestSweepConfigsKeepsCallerOrder(t *testing.T) {
+	ctx := tinyContext(t)
+	// Kind-major with falling path lengths: the spec order differs from
+	// the caller's everywhere.
+	var cfgs []core.Config
+	for _, kind := range []string{"tagless", "assoc2", "fullassoc"} {
+		for p := 6; p >= 0; p-- {
+			cfgs = append(cfgs, boundedConfig(p, bits.Reverse, kind, 256))
+		}
+	}
+	batched, err := ctx.SweepConfigs(cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cfg := range cfgs {
+		solo, err := ctx.Sweep(func() (core.Predictor, error) { return core.NewTwoLevel(cfg) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		for bench, want := range solo {
+			if got := batched[i][bench]; got != want {
+				t.Errorf("config %d (%s): %s: batched %v, solo %v", i, cfg.Name(), bench, got, want)
+			}
+		}
+	}
+
+	// Run order [1 0 2] with the middle run lane (caller index 0) dying.
+	ok := func() (core.Predictor, error) { return core.NewBTB(nil, core.UpdateTwoMiss), nil }
+	dies := func() (core.Predictor, error) { return &panicOnUpdate{}, nil }
+	res, err := ctx.sweepSpecs([]SweepSpec{{Mk: ok}, {Mk: dies}, {Mk: ok}}, false, []int{1, 0, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res[0]) != 0 || len(res[1]) != len(ctx.Suite) || len(res[2]) != len(ctx.Suite) {
+		t.Errorf("results by caller index hold %d, %d, %d benchmarks; want 0, %d, %d",
+			len(res[0]), len(res[1]), len(res[2]), len(ctx.Suite), len(ctx.Suite))
+	}
+	fails := ctx.TakeFailures()
+	if len(fails) != len(ctx.Suite) {
+		t.Fatalf("%d degraded cells, want %d", len(fails), len(ctx.Suite))
+	}
+	for _, f := range fails {
+		if !strings.HasPrefix(f.Err.Error(), "config 0:") {
+			t.Errorf("%s: %v does not name caller config 0", f.Bench, f.Err)
+		}
+	}
+}
+
+// panicOnUpdate is a predictor that panics on its first Update.
+type panicOnUpdate struct{}
+
+func (*panicOnUpdate) Predict(uint32) (uint32, bool) { return 0, false }
+func (*panicOnUpdate) Update(uint32, uint32)         { panic("lane blew up") }
+func (*panicOnUpdate) Name() string                  { return "panic-on-update" }
 
 // TestSweepSpecsShadowMatchesSolo checks the capacity-attribution path: a
 // batched spec with an unbounded shadow twin must report the same miss and

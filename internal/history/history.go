@@ -155,10 +155,50 @@ func (r *Register) Track(s Spec) {
 			r.colClear |= 1 << uint(i*p)
 		}
 	}
+	r.rebuildPattern()
+}
+
+// rebuildPattern recomputes the tracked pattern from the register contents,
+// oldest target first.
+func (r *Register) rebuildPattern() {
 	r.pat = 0
-	for i := p - 1; i >= 0; i-- {
+	for i := len(r.buf) - 1; i >= 0; i-- {
 		r.pushPattern(r.Recent(i))
 	}
+}
+
+// Equal reports whether r and o hold the same targets in the same order:
+// the same path length and the same contents, most recent first, whatever
+// their ring positions or tracking.
+func (r *Register) Equal(o *Register) bool {
+	if len(r.buf) != len(o.buf) {
+		return false
+	}
+	for i := range r.buf {
+		if r.Recent(i) != o.Recent(i) {
+			return false
+		}
+	}
+	return true
+}
+
+// CopyFrom sets r's contents to src's; both must have the same path length.
+// r keeps its own tracking (Track), and its pattern follows the copied
+// contents.
+func (r *Register) CopyFrom(src *Register) {
+	if len(r.buf) != len(src.buf) {
+		panic(fmt.Sprintf("history: CopyFrom a depth-%d register into a depth-%d one", len(src.buf), len(r.buf)))
+	}
+	copy(r.buf, src.buf)
+	r.head = src.head
+	if !r.track {
+		return
+	}
+	if src.track && src.scheme == r.scheme && src.b == r.b && src.start == r.start {
+		r.pat = src.pat
+		return
+	}
+	r.rebuildPattern()
 }
 
 // Tracks reports whether the register maintains the pattern for spec.
@@ -387,7 +427,12 @@ func (s Spec) Pattern(r *Register, scratch []uint32) uint32 {
 // Key builds the table lookup key for the branch at pc using the register's
 // current contents.
 func (s Spec) Key(r *Register, pc uint32, scratch []uint32) uint64 {
-	pattern := s.Pattern(r, scratch)
+	return s.Fold(s.Pattern(r, scratch), pc)
+}
+
+// Fold combines a history pattern with the address of the branch at pc into
+// the table lookup key, per s.Op (§4.2).
+func (s Spec) Fold(pattern, pc uint32) uint64 {
 	if s.Op == OpConcat {
 		return bits.ConcatKey(pattern, pc, s.PatternBits())
 	}

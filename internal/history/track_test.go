@@ -167,3 +167,64 @@ func TestTrackRejectsWideSpecs(t *testing.T) {
 		}
 	}
 }
+
+// TestRegisterEqualAndCopyFrom pins the register-state compare and copy the
+// batched engine shares histories with: Equal looks at contents, not ring
+// position or tracking, and a register copied into keeps its own tracking
+// with a pattern that follows the copied contents, whether the source
+// tracked the same spec, another one, or none.
+func TestRegisterEqualAndCopyFrom(t *testing.T) {
+	rng := rand.New(rand.NewPCG(11, 5))
+	scratch := make([]uint32, 0, 32)
+	for _, s := range trackSpecs() {
+		other := s
+		other.Bits, other.StartBit = 1, 3
+		srcs := []*Register{NewRegister(s.PathLength), NewRegister(s.PathLength), NewRegister(s.PathLength)}
+		srcs[0].Track(s)
+		srcs[1].Track(other)
+		// Ring positions differ: the sources take extra pushes first.
+		for i, src := range srcs {
+			for j := 0; j < i+s.PathLength; j++ {
+				src.Push(rng.Uint32())
+			}
+		}
+		last := make([]uint32, s.PathLength)
+		for i := range last {
+			last[i] = rng.Uint32()
+			for _, src := range srcs {
+				src.Push(last[i])
+			}
+		}
+		for i, src := range srcs {
+			if !src.Equal(srcs[0]) {
+				t.Fatalf("%+v: source %d holds the same targets but is not Equal", s, i)
+			}
+			dst := NewRegister(s.PathLength)
+			dst.Track(s)
+			dst.Push(rng.Uint32()) // a stale pattern must not survive the copy
+			dst.CopyFrom(src)
+			if !dst.Equal(src) {
+				t.Fatalf("%+v: copy from source %d is not Equal to it", s, i)
+			}
+			for k := 0; k < 3; k++ {
+				if got, want := s.Pattern(dst, scratch), s.Pattern(srcs[0], scratch); got != want {
+					t.Fatalf("%+v: copy from source %d, push %d: pattern %#x, want %#x", s, i, k, got, want)
+				}
+				target := rng.Uint32()
+				dst.Push(target)
+				srcs[0].Push(target)
+				srcs[1].Push(target)
+				srcs[2].Push(target)
+			}
+		}
+		if s.PathLength > 0 {
+			srcs[2].Push(rng.Uint32())
+			if srcs[2].Equal(srcs[0]) {
+				t.Fatalf("%+v: registers with different newest targets are Equal", s)
+			}
+		}
+		if NewRegister(s.PathLength).Equal(NewRegister(s.PathLength + 1)) {
+			t.Fatalf("%+v: registers of different depths are Equal", s)
+		}
+	}
+}

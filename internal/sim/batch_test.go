@@ -174,7 +174,7 @@ func TestRunBatchITTAGESuiteEquivalence(t *testing.T) {
 	}
 }
 
-// TestRunBatchSharedOptions exercises the RunBatch wrapper (shared Options)
+// TestRunBatchSharedOptions runs lanes that all take one Options value
 // against sequential runs.
 func TestRunBatchSharedOptions(t *testing.T) {
 	tr := cycleTrace(0x1000, []uint32{0x2000, 0x3000, 0x4000}, 400)
@@ -186,7 +186,7 @@ func TestRunBatchSharedOptions(t *testing.T) {
 		}
 	}
 	opts := Options{Warmup: 10}
-	batch, err := RunBatch(context.Background(), mk(), tr, opts)
+	batch, err := RunBatchEach(context.Background(), mk(), tr, []Options{opts, opts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,12 +204,21 @@ func TestRunBatchRejectsSharedShadow(t *testing.T) {
 		core.NewBTB(nil, core.UpdateAlways),
 		core.NewBTB(nil, core.UpdateTwoMiss),
 	}
-	if _, err := RunBatch(context.Background(), ps, nil, Options{Shadow: shadow}); err == nil {
-		t.Fatal("RunBatch accepted one shadow for two lanes")
+	shared := Options{Shadow: shadow}
+	if _, err := RunBatchEach(context.Background(), ps, nil, []Options{shared, shared}); err == nil {
+		t.Fatal("RunBatchEach accepted one shadow for two lanes")
 	}
-	// A single lane may carry a shadow through RunBatch.
-	if _, err := RunBatch(context.Background(), ps[:1], nil, Options{Shadow: shadow}); err != nil {
+	// A single lane may carry a shadow.
+	if _, err := RunBatchEach(context.Background(), ps[:1], nil, []Options{shared}); err != nil {
 		t.Fatalf("single-lane shadow rejected: %v", err)
+	}
+	// One predictor instance in two lanes, or as another lane's shadow, is
+	// shared state too.
+	if _, err := RunBatchEach(context.Background(), []core.Predictor{ps[0], ps[0]}, nil, make([]Options, 2)); err == nil {
+		t.Fatal("RunBatchEach accepted one predictor instance in two lanes")
+	}
+	if _, err := RunBatchEach(context.Background(), ps, nil, []Options{{}, {Shadow: ps[0]}}); err == nil {
+		t.Fatal("RunBatchEach accepted a lane predictor as another lane's shadow")
 	}
 }
 
@@ -233,7 +242,7 @@ func TestRunBatchIsolatesLanePanic(t *testing.T) {
 	tr := cycleTrace(0x1000, []uint32{0x2000, 0x3000}, 300)
 	good := func() core.Predictor { return core.NewBTB(nil, core.UpdateTwoMiss) }
 	ps := []core.Predictor{good(), &panicAfter{n: 100}, good()}
-	rs, err := RunBatch(context.Background(), ps, tr, Options{})
+	rs, err := RunBatchEach(context.Background(), ps, tr, make([]Options, len(ps)))
 	if err == nil {
 		t.Fatal("lane panic not reported")
 	}
@@ -272,7 +281,7 @@ func TestRunBatchCancellation(t *testing.T) {
 	tr := cycleTrace(0x1000, []uint32{0x2000, 0x3000}, 2*blockSize)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rs, err := RunBatch(ctx, []core.Predictor{core.NewBTB(nil, core.UpdateTwoMiss)}, tr, Options{})
+	rs, err := RunBatchEach(ctx, []core.Predictor{core.NewBTB(nil, core.UpdateTwoMiss)}, tr, []Options{{}})
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled identity", err)
 	}

@@ -149,25 +149,15 @@ func (k *Kernel) Run(recs []trace.Record) {
 			shadowCorrect = sok && st == r.Target
 		}
 		seen++
-		miss := !ok || pred != r.Target
+		counted, miss := res.account(seen, k.warmup, pred, ok, r.Target, shadowCorrect)
 		if k.events != nil {
 			k.emit(r, pred, ok, miss, seen)
 		}
-		if seen <= k.warmup {
+		if !counted {
 			continue
 		}
-		res.Executed++
-		if miss {
-			res.Misses++
-			if !ok {
-				res.NoPrediction++
-			}
-			if shadowCorrect {
-				res.CapacityMisses++
-			}
-			if k.misses != nil {
-				k.observeMiss(ok)
-			}
+		if miss && k.misses != nil {
+			k.observeMiss(ok)
 		}
 		if res.PerSite != nil {
 			ss := res.PerSite[r.PC]
@@ -182,6 +172,30 @@ func (k *Kernel) Run(recs []trace.Record) {
 		}
 	}
 	k.seen, k.res = seen, res
+}
+
+// account is the paper's accounting of the seen-th dynamic indirect branch
+// (counting from 1), predicted as pred (ok false for no prediction) and
+// resolved to target: past the warmup it counts as executed, and as a miss
+// when the target was wrong or missing; a miss the shadow twin predicted
+// correctly is a capacity miss. It reports whether the branch was counted
+// and whether it was a miss. Run and the keyed lanes both count through it.
+func (res *Result) account(seen, warmup int, pred uint32, ok bool, target uint32, shadowCorrect bool) (counted, miss bool) {
+	miss = !ok || pred != target
+	if seen <= warmup {
+		return false, miss
+	}
+	res.Executed++
+	if miss {
+		res.Misses++
+		if !ok {
+			res.NoPrediction++
+		}
+		if shadowCorrect {
+			res.CapacityMisses++
+		}
+	}
+	return true, miss
 }
 
 // emit offers one per-prediction event to the recorder, merging the

@@ -171,17 +171,12 @@ func TestEventHybridComponentAndMisSteer(t *testing.T) {
 	}
 }
 
-// TestSharedEventSinkRejected pins the one-sink-per-lane contract for both
-// batch entry points.
+// TestSharedEventSinkRejected pins the one-sink-per-lane contract.
 func TestSharedEventSinkRejected(t *testing.T) {
 	tr := cycleTrace(0x1000, []uint32{0x2000}, 10)
 	mk := func() core.Predictor { return core.NewBTB(nil, core.UpdateTwoMiss) }
 	sink := ptrace.NewEventSink(64, 1)
-	_, err := RunBatch(context.Background(), []core.Predictor{mk(), mk()}, tr, Options{Events: sink})
-	if err == nil {
-		t.Error("RunBatch accepted a shared sink across 2 lanes")
-	}
-	_, err = RunBatchEach(context.Background(), []core.Predictor{mk(), mk()}, tr,
+	_, err := RunBatchEach(context.Background(), []core.Predictor{mk(), mk()}, tr,
 		[]Options{{Events: sink}, {Events: sink}})
 	if err == nil {
 		t.Error("RunBatchEach accepted one sink on 2 lanes")

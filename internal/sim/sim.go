@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime/debug"
 	"strings"
 	"time"
@@ -37,8 +38,8 @@ type Options struct {
 	// function as the subject; a subject miss that the shadow predicts
 	// correctly is counted as a capacity/conflict miss. A Shadow instance
 	// belongs to exactly one lane: it trains on every branch of that
-	// lane's run, so sharing one across RunBatch lanes would corrupt it
-	// (RunBatch rejects that; RunBatchEach takes per-lane Options).
+	// lane's run, so sharing one across lanes would corrupt it, and
+	// RunBatchEach rejects that.
 	Shadow core.Predictor
 	// Sites enables per-site accounting (used for benchmark analysis).
 	Sites bool
@@ -54,7 +55,7 @@ type Options struct {
 	// pattern, table hit/evict detail, and the hybrid component chosen;
 	// other predictors produce events with sim-visible fields only. Like a
 	// Shadow, a sink belongs to exactly one lane — it is not safe for
-	// concurrent use, so sharing one across RunBatch lanes is rejected.
+	// concurrent use, so sharing one across lanes is rejected.
 	Events *ptrace.EventSink
 }
 
@@ -132,7 +133,7 @@ func (e *PanicError) Error() string {
 
 // LaneError attributes a failure to one lane of a batched run.
 type LaneError struct {
-	// Lane indexes the predictor in the RunBatch/RunBatchEach call.
+	// Lane indexes the predictor in the RunBatchEach call.
 	Lane int
 	// Err is the lane's failure (a *PanicError for recovered panics).
 	Err error
@@ -203,9 +204,12 @@ func newRunMetrics(r *telemetry.Registry) *runMetrics {
 // lane is the per-predictor state of a batched run: a Kernel plus the
 // lane's panic isolation and per-run table telemetry.
 type lane struct {
-	k    *Kernel
-	dead bool
-	err  error
+	k *Kernel
+	// keyed, when set, runs the lane's tables over shared key tapes in
+	// place of k.Run; k still holds the lane's warmup and accounting.
+	keyed *keyedLane
+	dead  bool
+	err   error
 	// statser and baseStats (the predictor's table counters at run start)
 	// let the per-Result snapshot report this run's deltas even when the
 	// predictor is a reused (Reset) instance. Only set when telemetry is on.
@@ -273,6 +277,10 @@ func (l *lane) runBlock(block []trace.Record) {
 			l.err = &PanicError{Val: r, Stack: debug.Stack()}
 		}
 	}()
+	if l.keyed != nil {
+		l.keyed.run(l.k)
+		return
+	}
 	l.k.Run(block)
 }
 
@@ -285,7 +293,15 @@ const blockSize = 1 << 13
 // RunBatchEach simulates each predictor — with its own Options — over the
 // trace in a single pass. Lanes are independent: predictors (and their
 // shadows) must not share mutable state, or the interleaved updates of one
-// lane would corrupt another; nothing else is shared between lanes.
+// lane would corrupt another. A predictor, shadow or event sink passed in
+// two places is rejected.
+//
+// Lanes whose predictor and shadow are core.Keyed, with no event sink,
+// per-site stats or flushes, share the first level: each distinct (history
+// spec, starting register contents) is keyed once per block, and those
+// lanes step only their tables. Their histories are written back when the
+// call returns, so every predictor ends in the state Kernel.Run would have
+// left, and every Result is the same.
 //
 // A panic inside one lane's predictor kills that lane only: its partial
 // Result must be discarded, and the failure is reported as a LaneError
@@ -301,41 +317,33 @@ func RunBatchEach(ctx context.Context, ps []core.Predictor, tr trace.Trace, opts
 	if len(opts) != len(ps) {
 		return nil, fmt.Errorf("sim: %d predictors but %d option sets", len(ps), len(opts))
 	}
-	if len(opts) > 1 {
-		sinks := make(map[*ptrace.EventSink]int)
-		for i, o := range opts {
-			if o.Events == nil {
-				continue
-			}
-			if j, dup := sinks[o.Events]; dup {
-				return nil, fmt.Errorf("sim: lanes %d and %d share one Options.Events sink; a sink serves exactly one lane", j, i)
-			}
-			sinks[o.Events] = i
-		}
+	if err := checkUnshared(ps, opts); err != nil {
+		return nil, err
 	}
 	m := newRunMetrics(telemetry.Default())
 	lanes := make([]lane, len(ps))
 	for i := range lanes {
 		lanes[i].init(ps[i], opts[i], m)
 	}
+	tapes := keyLanes(lanes, ps, opts, min(len(tr), blockSize))
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	done := ctx.Done()
 	live := len(lanes)
+	var cancel error
+blocks:
 	for base := 0; base < len(tr) && live > 0; base += blockSize {
 		if done != nil {
 			select {
 			case <-done:
-				return collect(lanes, ctx.Err(), m)
+				cancel = ctx.Err()
+				break blocks
 			default:
 			}
 		}
-		end := base + blockSize
-		if end > len(tr) {
-			end = len(tr)
-		}
-		block := tr[base:end]
+		block := tr[base:min(base+blockSize, len(tr))]
+		tapes.fill(block)
 		for i := range lanes {
 			if l := &lanes[i]; !l.dead {
 				l.step(block, m)
@@ -345,7 +353,44 @@ func RunBatchEach(ctx context.Context, ps []core.Predictor, tr trace.Trace, opts
 			}
 		}
 	}
-	return collect(lanes, nil, m)
+	tapes.writeBack()
+	return collect(lanes, cancel, m)
+}
+
+// checkUnshared rejects mutable state that two lanes would share: one
+// predictor instance in two places (as lane predictors, shadows, or both)
+// or one Events sink on two lanes. Interleaved updates would corrupt it,
+// and a keyed lane's history write-back would overwrite it.
+func checkUnshared(ps []core.Predictor, opts []Options) error {
+	owner := make(map[any]int)
+	claim := func(x any, lane int, what string) error {
+		// Instances are compared by identity. A value whose type cannot
+		// be compared is skipped: every predictor here is a pointer.
+		if x == nil || !reflect.TypeOf(x).Comparable() {
+			return nil
+		}
+		if j, dup := owner[x]; dup {
+			return fmt.Errorf("sim: lanes %d and %d share one %s; each serves exactly one lane", j, lane, what)
+		}
+		owner[x] = lane
+		return nil
+	}
+	for i, o := range opts {
+		if err := claim(ps[i], i, "predictor instance"); err != nil {
+			return err
+		}
+		if o.Shadow != nil {
+			if err := claim(o.Shadow, i, "predictor instance (Options.Shadow)"); err != nil {
+				return err
+			}
+		}
+		if o.Events != nil {
+			if err := claim(o.Events, i, "Options.Events sink"); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // collect gathers per-lane results and folds lane failures (and an optional
@@ -372,24 +417,6 @@ func collect(lanes []lane, cancel error, m *runMetrics) ([]Result, error) {
 		err = errors.Join(cancel, err)
 	}
 	return results, err
-}
-
-// RunBatch is RunBatchEach with one shared Options value. Options.Shadow
-// and Options.Events must be nil unless there is exactly one lane — a shadow
-// trains on (and a sink captures) one lane's branches and cannot serve
-// several lanes.
-func RunBatch(ctx context.Context, ps []core.Predictor, tr trace.Trace, opts Options) ([]Result, error) {
-	if opts.Shadow != nil && len(ps) > 1 {
-		return nil, fmt.Errorf("sim: one Options.Shadow cannot serve %d lanes; use RunBatchEach with a shadow per lane", len(ps))
-	}
-	if opts.Events != nil && len(ps) > 1 {
-		return nil, fmt.Errorf("sim: one Options.Events sink cannot serve %d lanes; use RunBatchEach with a sink per lane", len(ps))
-	}
-	all := make([]Options, len(ps))
-	for i := range all {
-		all[i] = opts
-	}
-	return RunBatchEach(ctx, ps, tr, all)
 }
 
 // Run simulates the predictor over the trace. Conditional-branch records are
