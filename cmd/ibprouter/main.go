@@ -1,10 +1,12 @@
 // Command ibprouter is the fault-tolerant cluster ingress for a fleet of
 // ibpserved backends. Clients speak the ordinary IBPT wire protocol to the
-// router; the router places each session onto a backend by consistent
+// router; the router places each session onto a backend by rendezvous
 // hashing of its first record's PC, health-checks the fleet, and keeps a
 // bounded per-session frame journal so that a backend dying mid-session is
 // repaired by replaying the session prefix onto a survivor — the client's
-// final summary is bit-identical to an uninterrupted run.
+// final summary is bit-identical to an uninterrupted run. The fleet is fixed
+// by -backends for the router's lifetime; -backends may list it in any
+// order, since every router derives the same placement from the same set.
 //
 // SIGTERM or SIGINT drains the router gracefully: no new sessions are
 // accepted and live ones run to completion within the drain budget.
@@ -41,29 +43,28 @@ type options struct {
 	addr           string
 	backends       string
 	backendMetrics string
-	window       int
-	maxRecords   int
-	maxPayload   int
-	journalBytes int64
-	probe        time.Duration
-	probeTimeout time.Duration
-	fails        int
-	rises        int
-	dialTimeout  time.Duration
-	dialRetries  int
-	dialBackoff  time.Duration
-	maxBackoff   time.Duration
-	vnodes       int
-	readTimeout  time.Duration
-	writeTimeout time.Duration
-	drainTimeout time.Duration
-	metricsAddr  string
-	summaryJSON  string
-	logLevel     string
-	flightCap    int
-	slo          time.Duration
-	tunerPolicy  string
-	readOnly     bool
+	window         int
+	maxRecords     int
+	maxPayload     int
+	journalBytes   int64
+	probe          time.Duration
+	probeTimeout   time.Duration
+	fails          int
+	rises          int
+	dialTimeout    time.Duration
+	dialRetries    int
+	dialBackoff    time.Duration
+	maxBackoff     time.Duration
+	readTimeout    time.Duration
+	writeTimeout   time.Duration
+	drainTimeout   time.Duration
+	metricsAddr    string
+	summaryJSON    string
+	logLevel       string
+	flightCap      int
+	slo            time.Duration
+	tunerPolicy    string
+	readOnly       bool
 
 	pf cli.PredictorFlags
 }
@@ -85,7 +86,6 @@ func main() {
 	flag.IntVar(&o.dialRetries, "dialretries", 0, "backend dial retries per candidate (0 = default)")
 	flag.DurationVar(&o.dialBackoff, "dialbackoff", 0, "initial backend dial backoff (0 = default)")
 	flag.DurationVar(&o.maxBackoff, "maxdialbackoff", 0, "backend dial backoff cap (0 = default)")
-	flag.IntVar(&o.vnodes, "vnodes", 0, "virtual nodes per backend on the placement ring (0 = default)")
 	flag.DurationVar(&o.readTimeout, "readtimeout", 0, "per-frame client read timeout (0 = default)")
 	flag.DurationVar(&o.writeTimeout, "writetimeout", 0, "client flush timeout (0 = default)")
 	flag.DurationVar(&o.drainTimeout, "draintimeout", 30*time.Second, "graceful drain budget after SIGTERM/SIGINT")
@@ -177,7 +177,6 @@ func realMain(o options) error {
 		ProbeTimeout:    o.probeTimeout,
 		FailThreshold:   o.fails,
 		RiseThreshold:   o.rises,
-		VirtualNodes:    o.vnodes,
 		Flight:          rec,
 		TunerPolicy:     o.tunerPolicy,
 		Log:             log,

@@ -375,7 +375,7 @@ func realMain(ctx context.Context, o options) error {
 		completed = append(completed, e.ID)
 		log.Info("experiment done", "id", e.ID, "wall", wall.Round(time.Millisecond),
 			"tables", len(tables), "degraded", len(degraded))
-		fmt.Printf("\n--- %s done in %v\n\n", e.ID, wall.Round(time.Millisecond))
+		fmt.Println()
 	}
 	if len(failedExperiments) > 0 {
 		return fmt.Errorf("%d experiment(s) failed: %s",

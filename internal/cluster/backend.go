@@ -11,19 +11,18 @@ import (
 
 // BackendState is a backend's position in the health state machine:
 //
-//	          probe ok                probe fail
-//	   Up ◄──────────── Suspect ◄──────────────── Up
-//	    │                  │ FailThreshold consecutive fails
-//	    │                  ▼
-//	    │                Down ──── probe ok ────► Rejoining
-//	    │                  ▲                         │
-//	    │              probe fail                    │ RiseThreshold
-//	    └────────────────────────────────────────────┘ consecutive oks
+//	       probe ok                probe fail
+//	Up ◄──────────── Suspect ◄──────────────── Up
+//	 │                  │ FailThreshold consecutive fails
+//	 │                  ▼
+//	 │                Down ──── probe ok ────► Rejoining
+//	 │                  ▲                         │
+//	 │              probe fail                    │ RiseThreshold
+//	 └────────────────────────────────────────────┘ consecutive oks
 //
-// Draining sits outside the probe loop: it is the administrative state
-// DrainBackend sets on a membership change. Sessions are placed only on Up,
-// Suspect, and Rejoining backends; a transition to Down (or a drain) kicks
-// the backend's attached sessions into the journal-replay failover path.
+// Sessions are placed only on Up, Suspect, and Rejoining backends; a
+// transition to Down kicks the backend's attached sessions into the
+// journal-replay failover path.
 type BackendState int32
 
 const (
@@ -31,7 +30,6 @@ const (
 	StateSuspect
 	StateDown
 	StateRejoining
-	StateDraining
 )
 
 func (s BackendState) String() string {
@@ -44,8 +42,6 @@ func (s BackendState) String() string {
 		return "down"
 	case StateRejoining:
 		return "rejoining"
-	case StateDraining:
-		return "draining"
 	default:
 		return "invalid"
 	}
@@ -53,9 +49,8 @@ func (s BackendState) String() string {
 
 // backend is one ibpserved instance in the membership.
 type backend struct {
-	addr      string
-	state     atomic.Int32
-	stopProbe chan struct{} // closed by RemoveBackend; ends the prober
+	addr  string
+	state atomic.Int32 // a BackendState; the zero value is StateUp
 
 	// prober-owned consecutive-outcome counters.
 	fails, rises int
@@ -64,23 +59,17 @@ type backend struct {
 	attached map[*proxySession]io.Closer // live sessions and their backend connections
 }
 
-func newBackend(addr string, initial BackendState) *backend {
-	b := &backend{addr: addr, attached: make(map[*proxySession]io.Closer), stopProbe: make(chan struct{})}
-	b.state.Store(int32(initial))
-	return b
+// newBackend returns a member that starts optimistically Up: probes demote
+// a dead one within FailThreshold intervals, and placement dials fail fast
+// against it in the meantime.
+func newBackend(addr string) *backend {
+	return &backend{addr: addr, attached: make(map[*proxySession]io.Closer)}
 }
 
 func (b *backend) getState() BackendState { return BackendState(b.state.Load()) }
 
 // placeable reports whether new sessions (or failovers) may land here.
-func (b *backend) placeable() bool {
-	switch b.getState() {
-	case StateUp, StateSuspect, StateRejoining:
-		return true
-	default:
-		return false
-	}
-}
+func (b *backend) placeable() bool { return b.getState() != StateDown }
 
 // setState moves the state machine, logging and counting the transition.
 func (b *backend) setState(r *Router, to BackendState, reason string) {
@@ -94,7 +83,7 @@ func (b *backend) setState(r *Router, to BackendState, reason string) {
 }
 
 // attach registers a session's live backend connection so a Down transition
-// or an administrative drain can kick it into failover.
+// can kick it into failover.
 func (b *backend) attach(sess *proxySession, conn io.Closer) {
 	b.mu.Lock()
 	b.attached[sess] = conn
@@ -114,25 +103,16 @@ func (b *backend) sessionCount() int {
 }
 
 // kickSessions severs attached sessions' backend connections, sending each
-// one through the failover path. When migratableOnly is set (administrative
-// drain), sessions whose journal can no longer replay losslessly are left
-// attached — they finish on this backend rather than being killed.
-func (b *backend) kickSessions(migratableOnly bool) {
+// one through the failover path.
+func (b *backend) kickSessions() {
 	b.mu.Lock()
-	type pair struct {
-		sess *proxySession
-		conn io.Closer
-	}
-	kicks := make([]pair, 0, len(b.attached))
-	for sess, conn := range b.attached {
-		kicks = append(kicks, pair{sess, conn})
+	kicks := make([]io.Closer, 0, len(b.attached))
+	for _, conn := range b.attached {
+		kicks = append(kicks, conn)
 	}
 	b.mu.Unlock()
-	for _, k := range kicks {
-		if migratableOnly && !k.sess.replayable() {
-			continue
-		}
-		k.conn.Close()
+	for _, conn := range kicks {
+		conn.Close()
 	}
 }
 
@@ -157,8 +137,6 @@ func (r *Router) probeLoop(b *backend) {
 		d = time.Duration(float64(d) * (0.9 + 0.2*rand.Float64()))
 		select {
 		case <-time.After(d):
-		case <-b.stopProbe:
-			return
 		case <-r.ctx.Done():
 			return
 		}
@@ -174,9 +152,6 @@ func (r *Router) probeLoop(b *backend) {
 // observeProbe advances the health state machine on one probe outcome.
 func (r *Router) observeProbe(b *backend, err error) {
 	state := b.getState()
-	if state == StateDraining {
-		return // administrative; probes don't resurrect a draining backend
-	}
 	if err != nil {
 		r.m.probeFailures.Inc()
 		b.fails++
@@ -188,7 +163,7 @@ func (r *Router) observeProbe(b *backend, err error) {
 			b.setState(r, StateDown, err.Error())
 			// Sessions still attached to a dead backend are not going to
 			// hear an EOF if the host vanished; kick them into failover now.
-			b.kickSessions(false)
+			b.kickSessions()
 		case state == StateUp:
 			b.setState(r, StateSuspect, err.Error())
 		}

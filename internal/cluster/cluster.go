@@ -1,7 +1,7 @@
 // Package cluster is the fault-tolerant ingress for a fleet of ibpserved
 // backends. A Router speaks the same IBPT wire protocol as the serve
 // package on its client side, places each session onto a backend by
-// consistent hashing of its first record's PC (the serve package's FNV-1a
+// rendezvous hashing of its first record's PC (the serve package's FNV-1a
 // shard pinning, lifted one level up), and keeps sessions alive across
 // backend death: every records frame is journaled until acknowledged, and
 // when a backend dies mid-session the router re-dials a survivor, replays
@@ -10,10 +10,9 @@
 // uninterrupted session whose final Summary is bit-identical to a run that
 // never failed over.
 //
-// Health is tracked per backend with active TCP probes driving the
-// Up/Suspect/Down/Rejoining state machine (see BackendState); an
-// administrative drain migrates a backend's replayable sessions away before
-// membership changes.
+// The membership is fixed when the Router is built. Health is tracked per
+// backend with active TCP probes driving the Up/Suspect/Down/Rejoining state
+// machine (see BackendState).
 package cluster
 
 import (
@@ -24,7 +23,6 @@ import (
 	"io"
 	"log/slog"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,8 +39,8 @@ import (
 // Config parameterizes a Router. The zero value of every field except
 // Backends is usable; withDefaults fills it.
 type Config struct {
-	// Backends is the initial membership: ibpserved addresses. At least one
-	// is required.
+	// Backends is the membership, fixed for the Router's lifetime:
+	// ibpserved addresses. At least one is required.
 	Backends []string
 
 	// BackendMetrics maps a backend's wire address to its -metrics listener
@@ -82,10 +80,6 @@ type Config struct {
 	DialBackoff    time.Duration
 	MaxDialBackoff time.Duration
 
-	// FailoverRounds is how many passes over the candidate ring a placement
-	// makes before giving up with a no-backend error. Default 2.
-	FailoverRounds int
-
 	// Health probing: interval between TCP probes (±10% jitter), per-probe
 	// timeout, consecutive failures to mark a backend Down, and consecutive
 	// successes for a Down backend to rejoin. Defaults: 1s, 2s, 3, 2.
@@ -93,10 +87,6 @@ type Config struct {
 	ProbeTimeout  time.Duration
 	FailThreshold int
 	RiseThreshold int
-
-	// VirtualNodes is each backend's point count on the placement ring.
-	// Default 64.
-	VirtualNodes int
 
 	// Log receives structured router lifecycle events; nil discards them.
 	Log *slog.Logger
@@ -149,9 +139,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxDialBackoff <= 0 {
 		c.MaxDialBackoff = time.Second
 	}
-	if c.FailoverRounds <= 0 {
-		c.FailoverRounds = 2
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = time.Second
 	}
@@ -163,9 +150,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RiseThreshold <= 0 {
 		c.RiseThreshold = 2
-	}
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = 64
 	}
 	if c.Log == nil {
 		c.Log = slog.New(slog.DiscardHandler)
@@ -193,10 +177,11 @@ type Router struct {
 	// backend sessions through one surface.
 	track *sessiontrack.Registry
 
-	mu       sync.Mutex
-	ln       net.Listener
-	backends map[string]*backend
-	ring     *ring
+	// backends is the membership sorted by address; fixed at New.
+	backends []*backend
+
+	mu sync.Mutex // guards ln
+	ln net.Listener
 
 	connWG   sync.WaitGroup
 	probeWG  sync.WaitGroup
@@ -222,6 +207,10 @@ func New(cfg Config) (*Router, error) {
 			return nil, fmt.Errorf("cluster: tuner policy: %w", err)
 		}
 	}
+	backends, err := newMembership(cfg.Backends)
+	if err != nil {
+		return nil, err
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	r := &Router{
 		cfg:      cfg,
@@ -232,23 +221,8 @@ func New(cfg Config) (*Router, error) {
 		ctx:      ctx,
 		cancel:   cancel,
 		track:    sessiontrack.NewRegistry(sessiontrack.Options{Service: "ibprouter"}),
-		backends: make(map[string]*backend, len(cfg.Backends)),
+		backends: backends,
 	}
-	for _, addr := range cfg.Backends {
-		if addr == "" {
-			cancel()
-			return nil, errors.New("cluster: empty backend address")
-		}
-		if _, dup := r.backends[addr]; dup {
-			cancel()
-			return nil, fmt.Errorf("cluster: duplicate backend %s", addr)
-		}
-		// Initial members start optimistically Up; probes demote the dead
-		// ones within FailThreshold intervals, and placement dials fail
-		// fast against them in the meantime.
-		r.backends[addr] = newBackend(addr, StateUp)
-	}
-	r.rebuildRing()
 	r.updateBackendsUpGauge()
 	for _, b := range r.backends {
 		r.probeWG.Add(1)
@@ -257,26 +231,14 @@ func New(cfg Config) (*Router, error) {
 	return r, nil
 }
 
-// rebuildRing recomputes the placement ring from the membership. Caller
-// holds r.mu, or is the constructor.
-func (r *Router) rebuildRing() {
-	members := make([]*backend, 0, len(r.backends))
-	for _, b := range r.backends {
-		members = append(members, b)
-	}
-	r.ring = buildRing(members, r.cfg.VirtualNodes)
-}
-
 // updateBackendsUpGauge recounts router_backends_up.
 func (r *Router) updateBackendsUpGauge() {
-	r.mu.Lock()
 	n := 0
 	for _, b := range r.backends {
 		if b.getState() == StateUp {
 			n++
 		}
 	}
-	r.mu.Unlock()
 	r.m.backendsUp.Set(float64(n))
 }
 
@@ -487,15 +449,15 @@ func (r *Router) unregister(sess *proxySession) {
 	}
 }
 
-// candidatesFor snapshots the ring and returns pc's candidate backends in
-// failover order, keeping only placeable ones (falling back to the full
-// non-draining walk when probes have everything marked dead — the dial will
-// sort truth from pessimism).
+// failoverRounds is how many passes over the candidates a placement makes
+// before giving up with a no-backend error.
+const failoverRounds = 2
+
+// candidatesFor returns pc's candidate backends in failover order, keeping
+// only placeable ones (falling back to every backend when probes have
+// everything marked dead — the dial will sort truth from pessimism).
 func (r *Router) candidatesFor(pc uint32) []*backend {
-	r.mu.Lock()
-	ring := r.ring
-	r.mu.Unlock()
-	all := ring.candidates(pc)
+	all := candidates(r.backends, pc)
 	placeable := make([]*backend, 0, len(all))
 	for _, b := range all {
 		if b.placeable() {
@@ -505,16 +467,10 @@ func (r *Router) candidatesFor(pc uint32) []*backend {
 	if len(placeable) > 0 {
 		return placeable
 	}
-	nonDraining := all[:0]
-	for _, b := range all {
-		if b.getState() != StateDraining {
-			nonDraining = append(nonDraining, b)
-		}
-	}
-	return nonDraining
+	return all
 }
 
-// connectSession dials pc's candidates in ring order (FailoverRounds
+// connectSession dials pc's candidates in rendezvous order (failoverRounds
 // passes) and returns the first backend that accepts the session's Hello.
 // avoid is the just-failed backend, skipped on the first pass when there is
 // an alternative. A deterministic backend rejection is relayed to the
@@ -527,7 +483,7 @@ func (r *Router) connectSession(sess *proxySession, pc uint32, avoid *backend) (
 		MaxBackoff: r.cfg.MaxDialBackoff,
 	}
 	lastErr := errors.New("no placeable backend")
-	for round := 0; round < r.cfg.FailoverRounds; round++ {
+	for round := 0; round < failoverRounds; round++ {
 		cands := r.candidatesFor(pc)
 		for _, b := range cands {
 			if sess.isClosed() || r.ctx.Err() != nil {
@@ -571,17 +527,10 @@ type BackendStatus struct {
 
 // BackendStatuses reports the membership sorted by address.
 func (r *Router) BackendStatuses() []BackendStatus {
-	r.mu.Lock()
-	members := make([]*backend, 0, len(r.backends))
-	for _, b := range r.backends {
-		members = append(members, b)
+	out := make([]BackendStatus, len(r.backends))
+	for i, b := range r.backends {
+		out[i] = BackendStatus{Addr: b.addr, State: b.getState().String(), Sessions: b.sessionCount()}
 	}
-	r.mu.Unlock()
-	out := make([]BackendStatus, 0, len(members))
-	for _, b := range members {
-		out = append(out, BackendStatus{Addr: b.addr, State: b.getState().String(), Sessions: b.sessionCount()})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
 }
 
@@ -593,68 +542,6 @@ func (r *Router) SessionCount() int {
 // Sessions returns the router's proxy-session registry, the live set behind
 // the /sessions introspection endpoints (sessiontrack.Mount).
 func (r *Router) Sessions() *sessiontrack.Registry { return r.track }
-
-// AddBackend joins addr to the membership (or un-drains it). New members
-// start Rejoining; probes promote them to Up.
-func (r *Router) AddBackend(addr string) error {
-	if addr == "" {
-		return errors.New("cluster: empty backend address")
-	}
-	r.mu.Lock()
-	if b, ok := r.backends[addr]; ok {
-		r.mu.Unlock()
-		if b.getState() == StateDraining {
-			b.setState(r, StateRejoining, "re-added")
-			return nil
-		}
-		return fmt.Errorf("cluster: backend %s already present", addr)
-	}
-	b := newBackend(addr, StateRejoining)
-	r.backends[addr] = b
-	r.rebuildRing()
-	r.mu.Unlock()
-	r.probeWG.Add(1)
-	go r.probeLoop(b)
-	r.log.Info("backend added", "backend", addr)
-	return nil
-}
-
-// DrainBackend excludes addr from placement and kicks its replayable
-// sessions into failover; sessions whose journal already evicted finish
-// where they are. The backend stays in the membership (AddBackend
-// reinstates it).
-func (r *Router) DrainBackend(addr string) error {
-	r.mu.Lock()
-	b, ok := r.backends[addr]
-	r.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("cluster: unknown backend %s", addr)
-	}
-	b.setState(r, StateDraining, "administrative drain")
-	b.kickSessions(true)
-	r.log.Info("backend draining", "backend", addr, "sessions", b.sessionCount())
-	return nil
-}
-
-// RemoveBackend drains addr and removes it from the membership.
-func (r *Router) RemoveBackend(addr string) error {
-	r.mu.Lock()
-	b, ok := r.backends[addr]
-	if ok {
-		delete(r.backends, addr)
-		r.rebuildRing()
-	}
-	r.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("cluster: unknown backend %s", addr)
-	}
-	b.setState(r, StateDraining, "removed")
-	close(b.stopProbe)
-	b.kickSessions(true)
-	r.updateBackendsUpGauge()
-	r.log.Info("backend removed", "backend", addr)
-	return nil
-}
 
 // Shutdown drains the router: the listener stops accepting, live sessions
 // run to completion, then the probers stop. If ctx expires first the

@@ -176,8 +176,14 @@ func TestRouterBasic(t *testing.T) {
 	if sum.Router.Backend != b1 && sum.Router.Backend != b2 {
 		t.Errorf("summary backend %q not in membership", sum.Router.Backend)
 	}
+	// The router's writer flushes the Summary before it closes and
+	// unregisters the session, so the count reaches zero shortly after.
+	deadline := time.Now().Add(5 * time.Second)
+	for r.SessionCount() != 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
 	if got := r.SessionCount(); got != 0 {
-		t.Errorf("%d sessions still registered after completion", got)
+		t.Errorf("%d sessions still registered 5s after completion", got)
 	}
 }
 
@@ -199,55 +205,6 @@ func TestRouterEmptySession(t *testing.T) {
 	}
 	if sum.Router == nil {
 		t.Fatal("empty session summary carries no router info")
-	}
-}
-
-// TestRouterDrainMigration: draining the backend that hosts a live session
-// migrates it — replay onto the other backend, bit-identical summary.
-func TestRouterDrainMigration(t *testing.T) {
-	_, b1 := startServe(t)
-	_, b2 := startServe(t)
-	r, addr := startRouter(t, []string{b1, b2}, nil)
-
-	const warmup = 32
-	tr := suiteTrace(t, "perl", 12000)
-	c, err := serve.Dial(addr, serve.Hello{Benchmark: "perl", Warmup: warmup}, serve.DialOptions{Timeout: 15 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	var drainOnce sync.Once
-	sum, err := c.Stream(tr, 128, func(a serve.Ack, _ time.Duration) {
-		if a.Seq < 3 {
-			return
-		}
-		drainOnce.Do(func() {
-			for _, st := range r.BackendStatuses() {
-				if st.Sessions > 0 {
-					if err := r.DrainBackend(st.Addr); err != nil {
-						t.Errorf("drain %s: %v", st.Addr, err)
-					}
-					return
-				}
-			}
-			t.Error("no backend had an attached session to drain")
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSummary(t, "perl", sum, tr, warmup)
-	if sum.Router.Failovers < 1 {
-		t.Errorf("failovers %d after drain, want >= 1", sum.Router.Failovers)
-	}
-	if sum.Router.ReplayedFrames < 1 {
-		t.Errorf("replayedFrames %d after drain, want >= 1", sum.Router.ReplayedFrames)
-	}
-	for _, st := range r.BackendStatuses() {
-		if st.State == StateDraining.String() && st.Sessions != 0 {
-			t.Errorf("draining backend %s still has %d sessions", st.Addr, st.Sessions)
-		}
 	}
 }
 
@@ -289,7 +246,6 @@ func TestRouterNoBackend(t *testing.T) {
 	srv.Close() // dead before the session arrives
 	_, addr := startRouter(t, []string{b1}, func(c *Config) {
 		c.DialRetries = 0
-		c.FailoverRounds = 1
 	})
 	tr := suiteTrace(t, "gcc", 8000)
 	c, err := serve.Dial(addr, serve.Hello{Benchmark: "gcc"}, serve.DialOptions{Timeout: 10 * time.Second})
@@ -305,7 +261,7 @@ func TestRouterNoBackend(t *testing.T) {
 }
 
 // TestRouterRejectsBadHello: a deterministic rejection is relayed verbatim,
-// not retried around the ring.
+// not retried on the other candidates.
 func TestRouterRejectsBadHello(t *testing.T) {
 	_, b1 := startServe(t)
 	_, addr := startRouter(t, []string{b1}, nil)

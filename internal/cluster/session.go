@@ -161,13 +161,6 @@ func (sess *proxySession) setCurConn(c io.Closer) {
 	}
 }
 
-// replayable reports whether the journal still holds the complete prefix.
-func (sess *proxySession) replayable() bool {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	return sess.j.Complete()
-}
-
 // markDropped counts the session once in router_sessions_dropped_total.
 func (sess *proxySession) markDropped() {
 	if sess.dropped.CompareAndSwap(false, true) {
@@ -433,7 +426,7 @@ func (sess *proxySession) awaitPlacement() (pc uint32, ok bool) {
 }
 
 // forward owns the session's backend side: place, pump, and on backend loss
-// fail over — dial the next ring candidate and replay the journaled prefix.
+// fail over — dial the next candidate and replay the journaled prefix.
 func (sess *proxySession) forward() {
 	defer sess.r.connWG.Done()
 	defer func() {

@@ -71,16 +71,13 @@ func (c *Context) WithContext(ctx context.Context) *Context {
 	return c
 }
 
-// Ctx returns the run's cancellation context (never nil).
-func (c *Context) Ctx() context.Context { return c.ctx }
-
 // Err returns the cancellation error once the run's context is done, nil
 // before that. Experiments with hand-rolled benchmark loops call this at
 // iteration boundaries.
 func (c *Context) Err() error { return c.ctx.Err() }
 
-// CellError records one benchmark cell that failed after retries and was
-// degraded to an error row instead of aborting the sweep.
+// CellError records one benchmark cell that failed and was degraded to an
+// error row instead of aborting the sweep.
 type CellError struct {
 	// Bench is the benchmark (suite cell) that failed.
 	Bench string
@@ -198,35 +195,6 @@ func (c *Context) Summary(cfg workload.Config) trace.Summary {
 	return c.entry(c.traces, cfg.Name).sum
 }
 
-// transientError marks a failure worth retrying (flaky I/O, resource
-// pressure) as opposed to a deterministic one (bad configuration, panic).
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return "transient: " + e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
-
-// Transient wraps err so forEach's workers retry the cell with capped
-// backoff before giving up. A nil err returns nil.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}
-
-// IsTransient reports whether err is marked retryable.
-func IsTransient(err error) bool {
-	var te *transientError
-	return errors.As(err, &te)
-}
-
-// Retry policy for transient cell failures.
-const (
-	maxCellAttempts = 3
-	baseBackoff     = 10 * time.Millisecond
-	maxBackoff      = 250 * time.Millisecond
-)
-
 // protect runs fn(i), converting a panic into an error carrying the stack,
 // so one misbehaving cell cannot take down the whole sweep process.
 func protect(i int, fn func(i int) error) (err error) {
@@ -238,36 +206,10 @@ func protect(i int, fn func(i int) error) (err error) {
 	return fn(i)
 }
 
-// runCell executes one cell with panic isolation, retrying failures marked
-// Transient with capped exponential backoff. Cancellation cuts the backoff
-// short.
-func runCell(ctx context.Context, i int, fn func(i int) error) error {
-	var err error
-	for attempt := 1; ; attempt++ {
-		err = protect(i, fn)
-		if err == nil || !IsTransient(err) || attempt >= maxCellAttempts {
-			return err
-		}
-		telemetry.Default().Counter("sweep_cells_retried_total").Inc()
-		delay := baseBackoff << (attempt - 1)
-		if delay > maxBackoff {
-			delay = maxBackoff
-		}
-		timer := time.NewTimer(delay)
-		select {
-		case <-ctx.Done():
-			timer.Stop()
-			return ctx.Err()
-		case <-timer.C:
-		}
-	}
-}
-
 // forEach runs fn(i) for every i in [0, n) on up to GOMAXPROCS goroutines
-// and returns the first error. Panics in fn are recovered into errors,
-// errors marked Transient are retried with capped backoff, and dispatch
-// stops at the first recorded failure (or context cancellation) — cells
-// already in flight finish, no new ones start.
+// and returns the first error. Panics in fn are recovered into errors, and
+// dispatch stops at the first recorded failure (or context cancellation) —
+// cells already in flight finish, no new ones start.
 func forEach(ctx context.Context, n int, fn func(i int) error) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -300,7 +242,7 @@ func forEach(ctx context.Context, n int, fn func(i int) error) error {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				if e := runCell(ctx, i, fn); e != nil {
+				if e := protect(i, fn); e != nil {
 					fail(e)
 				}
 			}
@@ -619,12 +561,6 @@ func (c *Context) sweepConfigs(cfgs []core.Config, full bool) ([]map[string]floa
 func (c *Context) Sweep(mk func() (core.Predictor, error)) (map[string]float64, error) {
 	rates, err := c.SweepBatch([]func() (core.Predictor, error){mk})
 	return rates[0], err
-}
-
-// GroupRow extends per-benchmark rates with the Table 3 group averages and
-// returns the value for the requested key ("AVG" etc. or a benchmark name).
-func GroupRow(values map[string]float64) map[string]float64 {
-	return stats.WithGroups(values)
 }
 
 // Experiment is one reproducible paper artifact.

@@ -161,36 +161,6 @@ func TestForEachRecoversPanics(t *testing.T) {
 	}
 }
 
-func TestForEachRetriesTransient(t *testing.T) {
-	var attempts atomic.Int32
-	err := forEach(context.Background(), 1, func(i int) error {
-		if attempts.Add(1) < 3 {
-			return Transient(errors.New("flaky"))
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("transient failure not retried away: %v", err)
-	}
-	if got := attempts.Load(); got != 3 {
-		t.Errorf("attempts = %d, want 3", got)
-	}
-}
-
-func TestForEachTransientGivesUp(t *testing.T) {
-	var attempts atomic.Int32
-	err := forEach(context.Background(), 1, func(i int) error {
-		attempts.Add(1)
-		return Transient(errors.New("always down"))
-	})
-	if !IsTransient(err) {
-		t.Fatalf("err = %v, want the transient failure", err)
-	}
-	if got := attempts.Load(); got != maxCellAttempts {
-		t.Errorf("attempts = %d, want %d", got, maxCellAttempts)
-	}
-}
-
 func TestForEachCancellation(t *testing.T) {
 	cctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int32

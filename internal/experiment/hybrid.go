@@ -74,12 +74,6 @@ func hybridMk(p1, p2 int, kind string, componentEntries int) func() (core.Predic
 	}
 }
 
-// hybridRates runs a dual-path hybrid over the suite and returns per-benchmark
-// rates.
-func (c *Context) hybridRates(p1, p2 int, kind string, componentEntries int) (map[string]float64, error) {
-	return c.Sweep(hybridMk(p1, p2, kind, componentEntries))
-}
-
 func runFig17(ctx *Context) ([]*stats.Table, error) {
 	var tables []*stats.Table
 	for _, compSize := range []int{2048, 8192} {

@@ -89,7 +89,6 @@ type sweepMetrics struct {
 	queued    *telemetry.Counter
 	done      *telemetry.Counter
 	failed    *telemetry.Counter
-	retried   *telemetry.Counter
 	running   *telemetry.Gauge
 	cellTime  *telemetry.Histogram
 	laneHits  *telemetry.Counter
@@ -107,7 +106,6 @@ func newSweepMetrics(r *telemetry.Registry) sweepMetrics {
 		queued:    r.Counter("sweep_cells_queued_total"),
 		done:      r.Counter("sweep_cells_done_total"),
 		failed:    r.Counter("sweep_cells_failed_total"),
-		retried:   r.Counter("sweep_cells_retried_total"),
 		running:   r.Gauge("sweep_cells_running"),
 		cellTime:  r.Histogram("sweep_cell"),
 		laneHits:  r.Counter("sweep_lane_cache_hits_total"),

@@ -207,18 +207,15 @@ type Options struct {
 	SLO time.Duration
 	// Log receives slow-frame reports; nil means slog.Default.
 	Log *slog.Logger
-	// SlowLogEvery rate-limits slow-frame logs (min gap between reports);
-	// <= 0 means DefaultSlowLogEvery.
-	SlowLogEvery time.Duration
 }
 
 // DefaultCapacity is the ring size when Options.Capacity is unset: enough
 // for every frame of several large sessions without the dump getting silly.
 const DefaultCapacity = 2048
 
-// DefaultSlowLogEvery is the default minimum gap between slow-frame log
-// lines — one report a second keeps a pathological run readable.
-const DefaultSlowLogEvery = time.Second
+// slowLogEvery is the minimum gap between slow-frame log lines — one report
+// a second keeps a pathological run readable.
+const slowLogEvery = time.Second
 
 // Recorder is the bounded flight-recorder ring shared by every session of
 // one process. The nil Recorder is the disabled recorder: Tracer returns
@@ -228,7 +225,6 @@ type Recorder struct {
 	slo      int64 // ns; 0 disables slow-frame logging
 	logEvery int64 // ns between slow-frame log lines
 	log      *slog.Logger
-	enabled  atomic.Bool
 	lastSlow atomic.Int64 // unix ns of the last slow-frame log line
 	slowSeen atomic.Uint64
 	total    atomic.Uint64
@@ -239,7 +235,7 @@ type Recorder struct {
 	wrapped  bool
 }
 
-// NewRecorder builds an enabled recorder.
+// NewRecorder builds a recorder.
 func NewRecorder(o Options) *Recorder {
 	if o.Capacity <= 0 {
 		o.Capacity = DefaultCapacity
@@ -247,38 +243,22 @@ func NewRecorder(o Options) *Recorder {
 	if o.Log == nil {
 		o.Log = slog.Default()
 	}
-	if o.SlowLogEvery <= 0 {
-		o.SlowLogEvery = DefaultSlowLogEvery
-	}
-	r := &Recorder{
+	return &Recorder{
 		service:  o.Service,
 		slo:      o.SLO.Nanoseconds(),
-		logEvery: o.SlowLogEvery.Nanoseconds(),
+		logEvery: slowLogEvery.Nanoseconds(),
 		log:      o.Log,
 		ring:     make([]SpanRecord, o.Capacity),
 	}
-	r.enabled.Store(true)
-	return r
 }
 
-// SetEnabled flips recording. While disabled, Tracer returns nil, so spans
-// in flight when the flag flips still publish (the ring keeps accepting
-// finished spans; only new frames stop being traced).
-func (r *Recorder) SetEnabled(on bool) {
-	if r != nil {
-		r.enabled.Store(on)
-	}
-}
-
-// Enabled reports whether new frames are being traced (false on nil).
-func (r *Recorder) Enabled() bool {
-	return r != nil && r.enabled.Load()
-}
+// Enabled reports whether frames are being traced (false on nil).
+func (r *Recorder) Enabled() bool { return r != nil }
 
 // Tracer returns a span factory for one session, or nil when the recorder
-// is nil or disabled (the zero-cost path).
+// is nil (the zero-cost path).
 func (r *Recorder) Tracer(traceID string, session uint64) *Tracer {
-	if r == nil || !r.enabled.Load() {
+	if r == nil {
 		return nil
 	}
 	return &Tracer{r: r, traceID: traceID, session: session}
