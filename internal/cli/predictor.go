@@ -1,7 +1,8 @@
-// Package cli holds the flag-level predictor construction shared by the
-// command-line tools: ibpsim and ibpreport accept the same
+// Package cli holds what the command-line tools share. The flag-level
+// predictor construction: ibpsim, ibpreport and the daemons accept the same
 // -pred/-p/-table/... surface and must build bit-identical predictors from
-// it, so the mapping lives once, here.
+// it, so the mapping lives once, here. And the daemon lifecycle (Daemon)
+// that ibpserved and ibprouter run.
 package cli
 
 import (

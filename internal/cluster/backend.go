@@ -9,39 +9,24 @@ import (
 	"time"
 )
 
-// BackendState is a backend's position in the health state machine:
-//
-//	       probe ok                probe fail
-//	Up ◄──────────── Suspect ◄──────────────── Up
-//	 │                  │ FailThreshold consecutive fails
-//	 │                  ▼
-//	 │                Down ──── probe ok ────► Rejoining
-//	 │                  ▲                         │
-//	 │              probe fail                    │ RiseThreshold
-//	 └────────────────────────────────────────────┘ consecutive oks
-//
-// Sessions are placed only on Up, Suspect, and Rejoining backends; a
-// transition to Down kicks the backend's attached sessions into the
-// journal-replay failover path.
+// BackendState is a backend's health. A backend is Up until FailThreshold
+// consecutive probes fail; the transition to Down kicks its attached
+// sessions into the journal-replay failover path, since a vanished host
+// sends no EOF. The next probe that connects brings it back Up. Sessions
+// are placed only on Up backends.
 type BackendState int32
 
 const (
 	StateUp BackendState = iota
-	StateSuspect
 	StateDown
-	StateRejoining
 )
 
 func (s BackendState) String() string {
 	switch s {
 	case StateUp:
 		return "up"
-	case StateSuspect:
-		return "suspect"
 	case StateDown:
 		return "down"
-	case StateRejoining:
-		return "rejoining"
 	default:
 		return "invalid"
 	}
@@ -52,8 +37,7 @@ type backend struct {
 	addr  string
 	state atomic.Int32 // a BackendState; the zero value is StateUp
 
-	// prober-owned consecutive-outcome counters.
-	fails, rises int
+	fails int // prober-owned: consecutive failed probes
 
 	mu       sync.Mutex
 	attached map[*proxySession]io.Closer // live sessions and their backend connections
@@ -69,7 +53,7 @@ func newBackend(addr string) *backend {
 func (b *backend) getState() BackendState { return BackendState(b.state.Load()) }
 
 // placeable reports whether new sessions (or failovers) may land here.
-func (b *backend) placeable() bool { return b.getState() != StateDown }
+func (b *backend) placeable() bool { return b.getState() == StateUp }
 
 // setState moves the state machine, logging and counting the transition.
 func (b *backend) setState(r *Router, to BackendState, reason string) {
@@ -116,17 +100,6 @@ func (b *backend) kickSessions() {
 	}
 }
 
-// noteSessionError is a session-level health signal: an I/O failure on a
-// live session demotes an Up backend to Suspect immediately instead of
-// waiting out a probe interval. Probes alone decide Down.
-func (b *backend) noteSessionError(r *Router) {
-	if b.state.CompareAndSwap(int32(StateUp), int32(StateSuspect)) {
-		r.m.healthTransitions.Inc()
-		r.updateBackendsUpGauge()
-		r.log.Info("backend state change", "backend", b.addr, "from", "up", "to", "suspect", "reason", "session I/O error")
-	}
-}
-
 // probeLoop actively health-checks b until the router closes: a TCP connect
 // within ProbeTimeout counts as alive. Intervals carry ±10% jitter so a
 // fleet of probers does not thunder in lockstep.
@@ -149,37 +122,19 @@ func (r *Router) probeLoop(b *backend) {
 	}
 }
 
-// observeProbe advances the health state machine on one probe outcome.
+// observeProbe moves b's health on one probe outcome.
 func (r *Router) observeProbe(b *backend, err error) {
-	state := b.getState()
-	if err != nil {
-		r.m.probeFailures.Inc()
-		b.fails++
-		b.rises = 0
-		switch {
-		case state == StateDown:
-			// stays down
-		case b.fails >= r.cfg.FailThreshold:
-			b.setState(r, StateDown, err.Error())
-			// Sessions still attached to a dead backend are not going to
-			// hear an EOF if the host vanished; kick them into failover now.
-			b.kickSessions()
-		case state == StateUp:
-			b.setState(r, StateSuspect, err.Error())
-		}
+	if err == nil {
+		b.fails = 0
+		b.setState(r, StateUp, "probe ok")
 		return
 	}
-	b.fails = 0
-	switch state {
-	case StateSuspect:
-		b.setState(r, StateUp, "probe ok")
-	case StateDown:
-		b.rises = 1
-		b.setState(r, StateRejoining, "probe ok")
-	case StateRejoining:
-		b.rises++
-		if b.rises >= r.cfg.RiseThreshold {
-			b.setState(r, StateUp, "rise threshold reached")
-		}
+	r.m.probeFailures.Inc()
+	b.fails++
+	if b.fails >= r.cfg.FailThreshold && b.getState() == StateUp {
+		b.setState(r, StateDown, err.Error())
+		// Sessions still attached to a dead backend are not going to hear
+		// an EOF if the host vanished; kick them into failover now.
+		b.kickSessions()
 	}
 }

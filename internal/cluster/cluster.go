@@ -11,8 +11,9 @@
 // never failed over.
 //
 // The membership is fixed when the Router is built. Health is tracked per
-// backend with active TCP probes driving the Up/Suspect/Down/Rejoining state
-// machine (see BackendState).
+// backend with active TCP probes: a backend is Up or Down (see
+// BackendState). The client side is serve's FrontEnd, the same accept loop,
+// handshake and drain ibpserved runs.
 package cluster
 
 import (
@@ -20,11 +21,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/oocsb/ibp/internal/cli"
@@ -81,12 +80,11 @@ type Config struct {
 	MaxDialBackoff time.Duration
 
 	// Health probing: interval between TCP probes (±10% jitter), per-probe
-	// timeout, consecutive failures to mark a backend Down, and consecutive
-	// successes for a Down backend to rejoin. Defaults: 1s, 2s, 3, 2.
+	// timeout, and consecutive failures to mark a backend Down. Defaults:
+	// 1s, 2s, 3.
 	ProbeInterval time.Duration
 	ProbeTimeout  time.Duration
 	FailThreshold int
-	RiseThreshold int
 
 	// Log receives structured router lifecycle events; nil discards them.
 	Log *slog.Logger
@@ -148,26 +146,22 @@ func (c Config) withDefaults() Config {
 	if c.FailThreshold <= 0 {
 		c.FailThreshold = 3
 	}
-	if c.RiseThreshold <= 0 {
-		c.RiseThreshold = 2
-	}
 	if c.Log == nil {
 		c.Log = slog.New(slog.DiscardHandler)
 	}
 	return c
 }
 
-// ErrRouterClosed is returned by Serve after Shutdown or Close.
-var ErrRouterClosed = errors.New("cluster: router closed")
-
 // Router is the cluster ingress. Create with New, run with
-// Serve/ListenAndServe, stop with Shutdown (graceful) or Close (hard).
+// Serve/ListenAndServe, stop with Shutdown (graceful: live sessions run to
+// completion) or Close (hard); all of those come with the embedded
+// serve.FrontEnd.
 type Router struct {
-	cfg      Config
-	m        *metrics
-	predName string
-	log      *slog.Logger
-	pool     *trace.BufferPool // frame payload buffers, shared by all sessions
+	*serve.FrontEnd
+
+	cfg Config
+	m   *metrics
+	log *slog.Logger
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -180,12 +174,7 @@ type Router struct {
 	// backends is the membership sorted by address; fixed at New.
 	backends []*backend
 
-	mu sync.Mutex // guards ln
-	ln net.Listener
-
-	connWG   sync.WaitGroup
-	probeWG  sync.WaitGroup
-	draining atomic.Bool
+	probeWG sync.WaitGroup
 }
 
 // New validates the configuration and returns a Router with its health
@@ -194,13 +183,6 @@ func New(cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Backends) == 0 {
 		return nil, errors.New("cluster: no backends configured")
-	}
-	if err := cfg.Predictor.Validate(); err != nil {
-		return nil, fmt.Errorf("cluster: default predictor: %w", err)
-	}
-	pred, err := cfg.Predictor.Build()
-	if err != nil {
-		return nil, fmt.Errorf("cluster: default predictor: %w", err)
 	}
 	if cfg.TunerPolicy != "" {
 		if _, err := tuner.ParsePolicy(cfg.TunerPolicy); err != nil {
@@ -215,13 +197,33 @@ func New(cfg Config) (*Router, error) {
 	r := &Router{
 		cfg:      cfg,
 		m:        newMetrics(telemetry.Default()),
-		predName: pred.Name(),
 		log:      cfg.Log,
-		pool:     trace.NewBufferPool(),
 		ctx:      ctx,
 		cancel:   cancel,
 		track:    sessiontrack.NewRegistry(sessiontrack.Options{Service: "ibprouter"}),
 		backends: backends,
+	}
+	r.FrontEnd, err = serve.NewFrontEnd(serve.FrontEndConfig{
+		Predictor:       cfg.Predictor,
+		Window:          cfg.Window,
+		MaxFramePayload: cfg.MaxFramePayload,
+		ReadTimeout:     cfg.ReadTimeout,
+		WriteTimeout:    cfg.WriteTimeout,
+		Pool:            trace.NewBufferPool(),
+		Flight:          cfg.Flight,
+		Log:             cfg.Log,
+		Sessions:        r.track,
+		Open:            r.open,
+		// A cut also stops placement dials; a stop, the probers.
+		OnCut: cancel,
+		OnStop: func() {
+			cancel()
+			r.probeWG.Wait()
+		},
+	})
+	if err != nil {
+		cancel()
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	r.updateBackendsUpGauge()
 	for _, b := range r.backends {
@@ -235,169 +237,46 @@ func New(cfg Config) (*Router, error) {
 func (r *Router) updateBackendsUpGauge() {
 	n := 0
 	for _, b := range r.backends {
-		if b.getState() == StateUp {
+		if b.placeable() {
 			n++
 		}
 	}
 	r.m.backendsUp.Set(float64(n))
 }
 
-// ListenAndServe listens on addr and serves.
-func (r *Router) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return r.Serve(ln)
-}
-
-// Serve accepts client sessions on ln until Shutdown or Close, then returns
-// ErrRouterClosed.
-func (r *Router) Serve(ln net.Listener) error {
-	r.mu.Lock()
-	r.ln = ln
-	r.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if r.draining.Load() || r.ctx.Err() != nil {
-				return ErrRouterClosed
-			}
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				continue
-			}
-			return err
-		}
-		if r.draining.Load() {
-			conn.Close()
-			continue
-		}
-		r.connWG.Add(1)
-		go func() {
-			defer r.connWG.Done()
-			r.handleConn(conn)
-		}()
-	}
-}
-
-// Addr returns the listener address, or "" before Serve.
-func (r *Router) Addr() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.ln == nil {
-		return ""
-	}
-	return r.ln.Addr().String()
-}
-
-// writeDirect writes one frame straight to a connection (pre-session
-// failures, before any writer goroutine exists).
-func (r *Router) writeDirect(conn net.Conn, typ uint64, payload []byte) {
-	fw := trace.NewFrameWriter(conn)
-	fw.WriteFrame(typ, payload)
-	conn.SetWriteDeadline(time.Now().Add(r.cfg.WriteTimeout))
-	fw.Flush()
-}
-
-func (r *Router) rejectConn(conn net.Conn, code, msg string) {
-	payload, _ := json.Marshal(&serve.WireError{Code: code, Msg: msg})
-	r.writeDirect(conn, serve.FrameError, payload)
-	conn.Close()
-}
-
-// handleConn is a session's reader goroutine: preamble, Hello handshake,
-// router-authored HelloAck, then the client frame read loop. The backend
-// connection is deferred to the forwarder — placement needs the first
-// records frame's PC.
-func (r *Router) handleConn(conn net.Conn) {
-	conn.SetReadDeadline(time.Now().Add(r.cfg.ReadTimeout))
-	var pre [len(serve.Preamble) + 1]byte
-	if _, err := io.ReadFull(conn, pre[:]); err != nil {
-		r.log.Debug("preamble read failed", "err", err)
-		conn.Close()
-		return
-	}
-	if string(pre[:len(serve.Preamble)]) != serve.Preamble || pre[len(serve.Preamble)] != serve.ProtocolVersion {
-		r.log.Debug("bad preamble", "bytes", fmt.Sprintf("%x", pre))
-		conn.Close()
-		return
-	}
-	fr := trace.NewPooledFrameReader(conn, r.cfg.MaxFramePayload, r.pool)
-	f, err := fr.Next()
-	if err != nil {
-		r.rejectConn(conn, serve.CodeBadFrame, err.Error())
-		return
-	}
-	if f.Type != serve.FrameHello {
-		f.Release()
-		r.rejectConn(conn, serve.CodeBadHello, fmt.Sprintf("first frame type %#x, want hello", f.Type))
-		return
-	}
-	var hello serve.Hello
-	uerr := json.Unmarshal(f.Payload, &hello)
-	f.Release()
-	if uerr != nil {
-		r.rejectConn(conn, serve.CodeBadHello, uerr.Error())
-		return
-	}
-	// Resolve the predictor locally so the HelloAck can announce its name,
-	// and pin the router default into the forwarded Hello: every backend a
-	// failover lands on must build the identical predictor.
-	pf := r.cfg.Predictor
-	if hello.Predictor != nil {
-		pf = *hello.Predictor
-	} else {
-		hello.Predictor = &pf
-	}
-	if hello.TunerPolicy == "" && r.cfg.TunerPolicy != "" {
+// open runs an accepted session on the connection's goroutine: it
+// registers the proxy session, authors the HelloAck, and reads client
+// frames. The backend connection is the forwarder's, since placement needs
+// the first records frame's PC.
+func (r *Router) open(conn net.Conn, fr *trace.FrameReader, h serve.Handshake) {
+	// Every backend the session lands on, failover replacements included,
+	// must build the identical predictor, run the identical tuner policy,
+	// and tag its spans with the router's trace ID.
+	hello, pf := h.Hello, h.Predictor // a copy: the session keeps no h.Pred
+	hello.Predictor = &pf
+	hello.TraceID = h.TraceID
+	if hello.TunerPolicy == "" {
 		hello.TunerPolicy = r.cfg.TunerPolicy
 	}
-	if err := pf.Validate(); err != nil {
-		r.rejectConn(conn, serve.CodeBadHello, err.Error())
-		return
-	}
-	pred, err := pf.Build()
-	if err != nil {
-		r.rejectConn(conn, serve.CodeBadHello, err.Error())
-		return
-	}
-	if hello.Warmup < 0 {
-		r.rejectConn(conn, serve.CodeBadHello, "negative warmup")
-		return
-	}
-	window := hello.Window
-	if window <= 0 || window > r.cfg.Window {
-		window = r.cfg.Window
-	}
-	// The effective trace ID is pinned into the forwarded Hello so every
-	// backend the session lands on (including failover replacements) tags
-	// its spans with the same ID the router uses.
-	traceID := hello.TraceID
-	if traceID == "" && r.cfg.Flight.Enabled() {
-		traceID = r.cfg.Flight.NextTraceID()
-		hello.TraceID = traceID
-	}
-
 	sess := &proxySession{
 		r:      r,
 		conn:   conn,
 		hello:  hello,
-		window: window,
+		window: h.Window,
 		j:      trace.NewFrameLog(r.cfg.JournalBytes),
 		notify: make(chan struct{}, 1),
-		out:    make(chan outFrame, 2*window+8),
+		out:    make(chan outFrame, 2*h.Window+8),
 		closed: make(chan struct{}),
 	}
-	entry, rerr := r.track.Register(sess, sessiontrack.Meta{
+	entry, err := r.track.Register(sess, sessiontrack.Meta{
 		Kind:      sessiontrack.KindProxy,
 		Benchmark: hello.Benchmark,
 		Tenant:    hello.Tenant,
-		Predictor: pred.Name(),
-		TraceID:   traceID,
-		Window:    window,
+		Predictor: h.Pred.Name(),
+		TraceID:   h.TraceID,
+		Window:    h.Window,
 	})
-	if rerr != nil { // draining: no new sessions
+	if err != nil { // draining: no new sessions
 		conn.Close()
 		return
 	}
@@ -407,29 +286,28 @@ func (r *Router) handleConn(conn net.Conn) {
 	// session lands on (including failover replacements) reports it as
 	// Upstream, which is the fan-in's correlation key.
 	sess.hello.RouterSession = sess.id
-	sess.tracer = r.cfg.Flight.Tracer(traceID, sess.id)
+	sess.tracer = r.cfg.Flight.Tracer(h.TraceID, sess.id)
 	if sess.tracer != nil {
 		sess.spans = make(map[uint64]*flight.Span)
 	}
 	r.m.sessionsTotal.Inc()
 	r.m.sessionsActive.Add(1)
 
-	r.connWG.Add(2)
-	go sess.writeLoop()
-	go sess.forward()
+	r.Go(sess.writeLoop)
+	r.Go(sess.forward)
 
 	ackPayload, _ := json.Marshal(serve.HelloAck{
 		Session:         sess.id,
-		Predictor:       pred.Name(),
-		Window:          window,
+		Predictor:       h.Pred.Name(),
+		Window:          h.Window,
 		MaxFramePayload: r.cfg.MaxFramePayload,
 		MaxFrameRecords: r.cfg.MaxFrameRecords,
 		Events:          hello.Events,
-		TraceID:         traceID,
+		TraceID:         h.TraceID,
 	})
 	sess.relay(serve.FrameHelloAck, ackPayload, nil, nil, false)
 	r.log.Info("session open", "session", sess.id, "benchmark", hello.Benchmark,
-		"predictor", pred.Name(), "window", window)
+		"predictor", h.Pred.Name(), "window", h.Window)
 	sess.readLoop(fr)
 }
 
@@ -532,64 +410,4 @@ func (r *Router) BackendStatuses() []BackendStatus {
 		out[i] = BackendStatus{Addr: b.addr, State: b.getState().String(), Sessions: b.sessionCount()}
 	}
 	return out
-}
-
-// SessionCount returns the number of live sessions.
-func (r *Router) SessionCount() int {
-	return r.track.Len()
-}
-
-// Sessions returns the router's proxy-session registry, the live set behind
-// the /sessions introspection endpoints (sessiontrack.Mount).
-func (r *Router) Sessions() *sessiontrack.Registry { return r.track }
-
-// Shutdown drains the router: the listener stops accepting, live sessions
-// run to completion, then the probers stop. If ctx expires first the
-// remaining sessions are cut hard and ctx.Err() is returned.
-func (r *Router) Shutdown(ctx context.Context) error {
-	r.draining.Store(true)
-	r.track.BeginDrain() // refuse new registrations; live sessions run on
-	r.mu.Lock()
-	if r.ln != nil {
-		r.ln.Close()
-	}
-	r.mu.Unlock()
-	done := make(chan struct{})
-	go func() {
-		r.connWG.Wait()
-		close(done)
-	}()
-	var err error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		err = ctx.Err()
-		r.closeSessions()
-		<-done
-	}
-	r.cancel()
-	r.probeWG.Wait()
-	return err
-}
-
-// Close hard-stops the router: listener, sessions, probers.
-func (r *Router) Close() error {
-	r.draining.Store(true)
-	r.track.BeginDrain()
-	r.mu.Lock()
-	if r.ln != nil {
-		r.ln.Close()
-	}
-	r.mu.Unlock()
-	r.closeSessions()
-	r.cancel()
-	r.connWG.Wait()
-	r.probeWG.Wait()
-	return nil
-}
-
-func (r *Router) closeSessions() {
-	for _, sess := range r.track.Live() {
-		sess.Kill()
-	}
 }

@@ -179,10 +179,10 @@ func TestRouterBasic(t *testing.T) {
 	// The router's writer flushes the Summary before it closes and
 	// unregisters the session, so the count reaches zero shortly after.
 	deadline := time.Now().Add(5 * time.Second)
-	for r.SessionCount() != 0 && time.Now().Before(deadline) {
+	for r.Sessions().Len() != 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if got := r.SessionCount(); got != 0 {
+	if got := r.Sessions().Len(); got != 0 {
 		t.Errorf("%d sessions still registered 5s after completion", got)
 	}
 }

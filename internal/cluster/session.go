@@ -50,8 +50,9 @@ type outFrame struct {
 // proxySession is one client connection routed through the cluster. Three
 // goroutines run it:
 //
-//   - the reader (handleConn's goroutine) parses client frames, journals
-//     records payloads, and flags Done or client loss;
+//   - the reader (the connection's own, after the FrontEnd handshake)
+//     parses client frames, journals records payloads, and flags Done or
+//     client loss;
 //   - the writer drains out to the client connection, batching frames per
 //     flush like serve's session writer;
 //   - the forwarder owns backend placement: it dials a backend, then pumps —
@@ -212,7 +213,6 @@ func (sess *proxySession) failClient(code, msg string) {
 // close (draining anything already queued first, so an early close cannot
 // drop a queued Summary).
 func (sess *proxySession) writeLoop() {
-	defer sess.r.connWG.Done()
 	var fb trace.FrameBatcher
 	// Spans riding the current batch: stamped with one clock read after the
 	// flush that actually put their acks on the wire, then published.
@@ -428,7 +428,6 @@ func (sess *proxySession) awaitPlacement() (pc uint32, ok bool) {
 // forward owns the session's backend side: place, pump, and on backend loss
 // fail over — dial the next candidate and replay the journaled prefix.
 func (sess *proxySession) forward() {
-	defer sess.r.connWG.Done()
 	defer func() {
 		// If a final frame is queued the writer finishes and closes; a
 		// session ending without one (client loss) is torn down here.
@@ -600,9 +599,6 @@ recv:
 		if err != nil {
 			if senderSawGone.Load() || sess.isClosed() {
 				result = pumpTerminal
-			} else {
-				b.noteSessionError(r)
-				result = pumpRetry
 			}
 			break recv
 		}
@@ -615,7 +611,6 @@ recv:
 			ack, aerr := serve.DecodeAck(f.Payload)
 			if aerr != nil {
 				f.Release()
-				b.noteSessionError(r)
 				break recv // corrupt ack; treat as backend loss
 			}
 			seq := ack.Seq
@@ -678,7 +673,6 @@ recv:
 			uerr := json.Unmarshal(f.Payload, &sum)
 			f.Release()
 			if uerr != nil {
-				b.noteSessionError(r)
 				break recv
 			}
 			sess.mu.Lock()

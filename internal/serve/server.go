@@ -1,15 +1,11 @@
 package serve
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/oocsb/ibp/internal/cli"
@@ -94,8 +90,12 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is a sharded streaming prediction service. Create with New, run
-// with Serve/ListenAndServe, stop with Shutdown (graceful drain) or Close.
+// with Serve/ListenAndServe, stop with Shutdown (graceful drain) or Close;
+// all of those come with the embedded FrontEnd, which Server shares with
+// the cluster router.
 type Server struct {
+	*FrontEnd
+
 	cfg  Config
 	m    *metrics
 	pool *trace.BufferPool // frame payload buffers, shared by all readers
@@ -103,18 +103,13 @@ type Server struct {
 	shards  []*shard
 	shardWG sync.WaitGroup
 
-	// track is the session-lifecycle core (ROADMAP item 5): it owns session
-	// id allocation, the live set, the drain handshake, and every
-	// per-session stat the introspection plane serves. The router's proxy
-	// sessions use the same registry type — one session-management core.
+	// track is the session-lifecycle core: it owns session id allocation,
+	// the live set, the drain handshake, and every per-session stat the
+	// introspection plane serves. The router's proxy sessions use the same
+	// registry type — one session-management core.
 	track *sessiontrack.Registry
 
-	mu sync.Mutex
-	ln net.Listener
-
-	connWG      sync.WaitGroup
-	draining    atomic.Bool
-	hardStop    chan struct{} // closed by Close/forced shutdown
+	hardStop    chan struct{} // closed when a stop cuts the sessions
 	stopOnce    sync.Once
 	workersOnce sync.Once
 }
@@ -145,12 +140,6 @@ type shard struct {
 // workers running (idle until sessions arrive).
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.Predictor.Validate(); err != nil {
-		return nil, err
-	}
-	if _, err := cfg.Predictor.Build(); err != nil {
-		return nil, fmt.Errorf("serve: default predictor: %w", err)
-	}
 	s := &Server{
 		cfg:      cfg,
 		m:        newMetrics(telemetry.Default()),
@@ -158,6 +147,26 @@ func New(cfg Config) (*Server, error) {
 		track:    sessiontrack.NewRegistry(sessiontrack.Options{Service: "ibpserved", Tag: cfg.Tag}),
 		hardStop: make(chan struct{}),
 	}
+	fe, err := NewFrontEnd(FrontEndConfig{
+		Predictor:       cfg.Predictor,
+		Policy:          cfg.Tuner.DefaultPolicy(),
+		Window:          cfg.Window,
+		MaxFramePayload: cfg.MaxFramePayload,
+		ReadTimeout:     cfg.ReadTimeout,
+		WriteTimeout:    cfg.WriteTimeout,
+		Pool:            s.pool,
+		Flight:          cfg.Flight,
+		Log:             cfg.Log,
+		Sessions:        s.track,
+		Open:            s.open,
+		// A cut unblocks readers waiting on a full shard queue.
+		OnCut:  func() { s.stopOnce.Do(func() { close(s.hardStop) }) },
+		OnStop: s.stopWorkers,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
+	s.FrontEnd = fe
 	s.pool.OnStats(func() { s.m.poolHits.Inc() }, func() { s.m.poolMisses.Inc() })
 	s.shards = make([]*shard, cfg.Shards)
 	for i := range s.shards {
@@ -170,128 +179,6 @@ func New(cfg Config) (*Server, error) {
 		}()
 	}
 	return s, nil
-}
-
-// Sessions returns the server's session registry, the live set behind the
-// /sessions introspection endpoints (sessiontrack.Mount).
-func (s *Server) Sessions() *sessiontrack.Registry { return s.track }
-
-// Addr returns the listener address ("" before Serve).
-func (s *Server) Addr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
-}
-
-// ListenAndServe binds addr and serves until Shutdown/Close.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
-// ErrServerClosed is returned by Serve after Shutdown or Close.
-var ErrServerClosed = errors.New("serve: server closed")
-
-// Serve accepts sessions on ln until the listener is closed by Shutdown or
-// Close, then returns ErrServerClosed.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	s.ln = ln
-	s.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if s.draining.Load() || s.stopped() {
-				return ErrServerClosed
-			}
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				continue
-			}
-			return err
-		}
-		if s.draining.Load() {
-			conn.Close()
-			continue
-		}
-		s.connWG.Add(1)
-		go func() {
-			defer s.connWG.Done()
-			s.handleConn(conn)
-		}()
-	}
-}
-
-func (s *Server) stopped() bool {
-	select {
-	case <-s.hardStop:
-		return true
-	default:
-		return false
-	}
-}
-
-// Shutdown drains the server: the listener stops accepting, every live
-// session stops reading, already-received frames are processed and
-// acknowledged, and each session gets its final Summary (Drained=true)
-// before its connection closes. If ctx expires first the remaining sessions
-// are cut hard and ctx.Err() is returned.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.draining.Store(true)
-	s.mu.Lock()
-	if s.ln != nil {
-		s.ln.Close()
-	}
-	s.mu.Unlock()
-	// BeginDrain atomically stops registration and snapshots the live set:
-	// every session either gets a Drain below or was refused registration —
-	// the race that used to need the server's own session map is gone.
-	live := s.track.BeginDrain()
-	for _, sess := range live {
-		sess.Drain()
-	}
-	done := make(chan struct{})
-	go func() {
-		s.connWG.Wait()
-		close(done)
-	}()
-	var err error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		err = ctx.Err()
-		s.stopOnce.Do(func() { close(s.hardStop) })
-		for _, sess := range live {
-			sess.Kill()
-		}
-		<-done
-	}
-	s.stopWorkers()
-	return err
-}
-
-// Close stops the server immediately: live sessions are cut without
-// summaries. Prefer Shutdown.
-func (s *Server) Close() error {
-	s.draining.Store(true)
-	s.stopOnce.Do(func() { close(s.hardStop) })
-	s.mu.Lock()
-	if s.ln != nil {
-		s.ln.Close()
-	}
-	s.mu.Unlock()
-	for _, sess := range s.track.BeginDrain() {
-		sess.Kill()
-	}
-	s.connWG.Wait()
-	s.stopWorkers()
-	return nil
 }
 
 // stopWorkers closes the shard queues (all producers have exited by now) and
@@ -359,145 +246,58 @@ func (s *Server) shardFor(pc uint32) *shard {
 	return s.shards[h%uint32(len(s.shards))]
 }
 
-// handleConn is a session's reader goroutine: handshake, then the frame
-// read loop feeding the session's shard.
-func (s *Server) handleConn(conn net.Conn) {
-	log := s.cfg.Log
-	conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
-	var pre [len(Preamble) + 1]byte
-	if _, err := io.ReadFull(conn, pre[:]); err != nil {
-		log.Debug("preamble read failed", "err", err)
-		conn.Close()
-		return
-	}
-	if string(pre[:len(Preamble)]) != Preamble || pre[len(Preamble)] != ProtocolVersion {
-		log.Debug("bad preamble", "bytes", fmt.Sprintf("%x", pre))
-		conn.Close()
-		return
-	}
-	fr := trace.NewPooledFrameReader(conn, s.cfg.MaxFramePayload, s.pool)
-	sess, err := s.openSession(conn, fr)
-	if err != nil {
-		// openSession already wrote the error frame where possible.
-		log.Debug("session open failed", "err", err)
-		conn.Close()
-		return
-	}
-	log.Info("session open", "session", sess.id, "benchmark", sess.hello.Benchmark,
-		"predictor", sess.predName, "events", sess.events, "window", sess.window)
-	sess.readLoop(fr)
-}
-
-// writeDirect writes one frame straight to the connection (used before the
-// session writer exists).
-func (s *Server) writeDirect(conn net.Conn, typ uint64, payload []byte) {
-	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	fw := trace.NewFrameWriter(conn)
-	fw.WriteFrame(typ, payload)
-	fw.Flush()
-}
-
-// openSession performs the Hello/HelloAck handshake and registers the
-// session (starting its writer goroutine).
-func (s *Server) openSession(conn net.Conn, fr *trace.FrameReader) (*session, error) {
-	f, err := fr.Next()
-	if err != nil {
-		return nil, fmt.Errorf("hello frame: %w", err)
-	}
-	defer f.Release() // borrowed payload; the decoded Hello below outlives it
-	if f.Type != FrameHello {
-		s.writeDirect(conn, FrameError, marshalJSON(&WireError{Code: CodeBadHello, Msg: "first frame must be Hello"}))
-		return nil, fmt.Errorf("first frame type %#x", f.Type)
-	}
-	var hello Hello
-	if err := unmarshalPayload(f.Payload, &hello); err != nil {
-		s.writeDirect(conn, FrameError, marshalJSON(&WireError{Code: CodeBadHello, Msg: err.Error()}))
-		return nil, err
-	}
-	// A malformed per-session tuner policy is a handshake error, like a bad
-	// predictor spec; validated even when tuning is off so the spec's
-	// meaning never depends on server flags.
-	policy := s.cfg.Tuner.DefaultPolicy()
-	if hello.TunerPolicy != "" {
-		var err error
-		if policy, err = tuner.ParsePolicy(hello.TunerPolicy); err != nil {
-			s.writeDirect(conn, FrameError, marshalJSON(&WireError{Code: CodeBadHello, Msg: err.Error()}))
-			return nil, err
-		}
-	}
-	pf := s.cfg.Predictor
-	if hello.Predictor != nil {
-		pf = *hello.Predictor
-	}
-	if err := pf.Validate(); err != nil {
-		s.writeDirect(conn, FrameError, marshalJSON(&WireError{Code: CodeBadHello, Msg: err.Error()}))
-		return nil, err
-	}
-	pred, err := pf.Build()
-	if err != nil {
-		s.writeDirect(conn, FrameError, marshalJSON(&WireError{Code: CodeBadHello, Msg: err.Error()}))
-		return nil, err
-	}
-	if hello.Warmup < 0 {
-		s.writeDirect(conn, FrameError, marshalJSON(&WireError{Code: CodeBadHello, Msg: "negative warmup"}))
-		return nil, fmt.Errorf("negative warmup %d", hello.Warmup)
-	}
-	window := hello.Window
-	if window <= 0 || window > s.cfg.Window {
-		window = s.cfg.Window
-	}
-	sess := newSession(s, conn, pred, hello, window)
-	traceID := hello.TraceID
-	if traceID == "" && s.cfg.Flight.Enabled() {
-		traceID = s.cfg.Flight.NextTraceID()
-	}
+// open registers an accepted session, starts its writer, answers the
+// HelloAck, and runs the session's frame reader on the connection's
+// goroutine.
+func (s *Server) open(conn net.Conn, fr *trace.FrameReader, h Handshake) {
+	sess := newSession(s, conn, h.Pred, h.Hello, h.Window)
 	meta := sessiontrack.Meta{
 		Kind:      sessiontrack.KindServe,
-		Benchmark: hello.Benchmark,
-		Tenant:    hello.Tenant,
+		Benchmark: h.Hello.Benchmark,
+		Tenant:    h.Hello.Tenant,
 		Predictor: sess.predName,
-		TraceID:   traceID,
-		Window:    window,
-		Upstream:  hello.RouterSession,
+		TraceID:   h.TraceID,
+		Window:    h.Window,
+		Upstream:  h.Hello.RouterSession,
 	}
-	if ts, ok := pred.(core.TableStatser); ok {
+	if ts, ok := h.Pred.(core.TableStatser); ok {
 		meta.Tables = ts.TableStats() // baseline for /sessions/{id} deltas
 	}
 	entry, err := s.track.Register(sess, meta)
 	if err != nil {
-		return nil, err // draining: no new sessions
+		s.cfg.Log.Debug("session open failed", "err", err) // draining
+		conn.Close()
+		return
 	}
 	sess.id = entry.ID()
 	sess.track = entry
-	sess.tracer = s.cfg.Flight.Tracer(traceID, sess.id)
+	sess.tracer = s.cfg.Flight.Tracer(h.TraceID, sess.id)
 	// Events sessions are not tuned: event frames already shipped under the
 	// old predictor could not be reconciled with a swap's replayed
 	// accounting, so the deterministic choice is to skip them.
-	if s.cfg.Tuner != nil && !hello.Events {
-		sess.tun = s.cfg.Tuner.Session(policy, pf, entry)
+	if s.cfg.Tuner != nil && !sess.events {
+		sess.tun = s.cfg.Tuner.Session(h.Policy, h.Predictor, entry)
 		if sess.tun != nil {
 			sess.kern.SetMissObserver(sess.tun)
-			sess.hist = trace.NewFrameLog(int64(policy.MaxHistoryBytes))
+			sess.hist = trace.NewFrameLog(int64(h.Policy.MaxHistoryBytes))
 		}
 	}
 	s.m.sessionsTotal.Inc()
 	s.m.sessionsActive.Add(1)
 
-	s.connWG.Add(1)
-	go func() {
-		defer s.connWG.Done()
-		sess.writeLoop()
-	}()
+	s.Go(sess.writeLoop)
 	sess.send(outMsg{typ: FrameHelloAck, payload: marshalJSON(HelloAck{
 		Session:         sess.id,
 		Predictor:       sess.predName,
-		Window:          window,
+		Window:          h.Window,
 		MaxFramePayload: s.cfg.MaxFramePayload,
 		MaxFrameRecords: s.cfg.MaxFrameRecords,
-		Events:          hello.Events,
+		Events:          sess.events,
 		TraceID:         sess.tracer.TraceID(),
 	})})
-	return sess, nil
+	s.cfg.Log.Info("session open", "session", sess.id, "benchmark", h.Hello.Benchmark,
+		"predictor", sess.predName, "events", sess.events, "window", h.Window)
+	sess.readLoop(fr)
 }
 
 // unregister removes the session from the live set. The registry's

@@ -34,11 +34,11 @@ type outMsg struct {
 	final bool
 }
 
-// session is one client connection's state. The reader goroutine
-// (Server.handleConn) decodes frames and feeds the session's shard; the
-// shard worker owns the predictor and the accounting; the writer goroutine
-// owns the connection's write side. The worker-owned fields are never
-// touched by the other two goroutines.
+// session is one client connection's state. The reader goroutine (the
+// connection's own, after the FrontEnd handshake) decodes frames and feeds
+// the session's shard; the shard worker owns the predictor and the
+// accounting; the writer goroutine owns the connection's write side. The
+// worker-owned fields are never touched by the other two goroutines.
 type session struct {
 	id   uint64
 	srv  *Server
