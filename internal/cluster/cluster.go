@@ -54,22 +54,14 @@ type Config struct {
 	// default.
 	Predictor cli.PredictorFlags
 
-	// Window, MaxFramePayload and MaxFrameRecords bound the client side of
-	// the protocol exactly like serve.Config. Defaults: 8, 1 MiB, 8192.
-	Window          int
-	MaxFramePayload int
-	MaxFrameRecords int
+	// Limits bound the client side exactly like serve.Config's.
+	serve.Limits
 
 	// JournalBytes bounds each session's replay journal. Acknowledged frame
 	// payloads are evicted oldest-first past this budget — and eviction
 	// forfeits that session's lossless-failover guarantee (see trace.FrameLog).
 	// Default 64 MiB; negative means unbounded.
 	JournalBytes int64
-
-	// ReadTimeout bounds the wait for the next client frame; WriteTimeout
-	// bounds each client-side flush. Defaults: 30s each.
-	ReadTimeout  time.Duration
-	WriteTimeout time.Duration
 
 	// Backend dialing: per-attempt timeout, retry count, initial backoff
 	// and its cap (the serve client adds ±20% jitter). Defaults: 5s, 2,
@@ -92,7 +84,7 @@ type Config struct {
 	// Flight, when non-nil, records per-frame hop spans (receive, relay,
 	// backend ack, client relay) into the flight recorder and pins a trace
 	// ID into every forwarded Hello so backend spans correlate with the
-	// router's. Nil disables tracing at zero per-frame cost.
+	// router's. Frames are stamped either way; nil only skips the ring.
 	Flight *flight.Recorder
 
 	// TunerPolicy, when non-empty, is pinned into forwarded Hellos that did
@@ -105,23 +97,9 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Window <= 0 {
-		c.Window = 8
-	}
-	if c.MaxFramePayload <= 0 {
-		c.MaxFramePayload = 1 << 20
-	}
-	if c.MaxFrameRecords <= 0 {
-		c.MaxFrameRecords = 8192
-	}
+	c.Limits, c.Log = serve.ClientDefaults(c.Limits, c.Log)
 	if c.JournalBytes == 0 {
 		c.JournalBytes = 64 << 20
-	}
-	if c.ReadTimeout <= 0 {
-		c.ReadTimeout = 30 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 30 * time.Second
 	}
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 5 * time.Second
@@ -145,9 +123,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FailThreshold <= 0 {
 		c.FailThreshold = 3
-	}
-	if c.Log == nil {
-		c.Log = slog.New(slog.DiscardHandler)
 	}
 	return c
 }
@@ -204,16 +179,13 @@ func New(cfg Config) (*Router, error) {
 		backends: backends,
 	}
 	r.FrontEnd, err = serve.NewFrontEnd(serve.FrontEndConfig{
-		Predictor:       cfg.Predictor,
-		Window:          cfg.Window,
-		MaxFramePayload: cfg.MaxFramePayload,
-		ReadTimeout:     cfg.ReadTimeout,
-		WriteTimeout:    cfg.WriteTimeout,
-		Pool:            trace.NewBufferPool(),
-		Flight:          cfg.Flight,
-		Log:             cfg.Log,
-		Sessions:        r.track,
-		Open:            r.open,
+		Predictor: cfg.Predictor,
+		Limits:    cfg.Limits,
+		Pool:      trace.NewBufferPool(),
+		Flight:    cfg.Flight,
+		Log:       cfg.Log,
+		Sessions:  r.track,
+		Open:      r.open,
 		// A cut also stops placement dials; a stop, the probers.
 		OnCut: cancel,
 		OnStop: func() {
@@ -264,8 +236,12 @@ func (r *Router) open(conn net.Conn, fr *trace.FrameReader, h serve.Handshake) {
 		hello:  hello,
 		window: h.Window,
 		j:      trace.NewFrameLog(r.cfg.JournalBytes),
+		// A frame's span lives from its receive to its first ack, and the
+		// reader refuses a frame more than window+1 past the last relayed
+		// ack, so window+2 slots never wrap onto a live span.
+		spans:  make([]flight.Span, h.Window+2),
 		notify: make(chan struct{}, 1),
-		out:    make(chan outFrame, 2*h.Window+8),
+		out:    make(chan serve.OutFrame, 2*h.Window+8),
 		closed: make(chan struct{}),
 	}
 	entry, err := r.track.Register(sess, sessiontrack.Meta{
@@ -287,25 +263,23 @@ func (r *Router) open(conn net.Conn, fr *trace.FrameReader, h serve.Handshake) {
 	// Upstream, which is the fan-in's correlation key.
 	sess.hello.RouterSession = sess.id
 	sess.tracer = r.cfg.Flight.Tracer(h.TraceID, sess.id)
-	if sess.tracer != nil {
-		sess.spans = make(map[uint64]*flight.Span)
-	}
 	r.m.sessionsTotal.Inc()
 	r.m.sessionsActive.Add(1)
 
-	r.Go(sess.writeLoop)
+	w := &serve.Writer{
+		Conn:    conn,
+		Out:     sess.out,
+		Stop:    sess.closed,
+		Timeout: r.cfg.WriteTimeout,
+		Publish: sess.publish,
+		// The writer ends the session: after its final frame, a failed
+		// flush or a close, which this repeats harmlessly.
+		Exit: func(error) { sess.close() },
+	}
+	r.Go(w.Run)
 	r.Go(sess.forward)
 
-	ackPayload, _ := json.Marshal(serve.HelloAck{
-		Session:         sess.id,
-		Predictor:       h.Pred.Name(),
-		Window:          h.Window,
-		MaxFramePayload: r.cfg.MaxFramePayload,
-		MaxFrameRecords: r.cfg.MaxFrameRecords,
-		Events:          hello.Events,
-		TraceID:         h.TraceID,
-	})
-	sess.relay(serve.FrameHelloAck, ackPayload, nil, nil, false)
+	sess.relay(serve.OutFrame{Type: serve.FrameHelloAck, Payload: r.AckHello(h, sess.id, h.TraceID)})
 	r.log.Info("session open", "session", sess.id, "benchmark", hello.Benchmark,
 		"predictor", h.Pred.Name(), "window", h.Window)
 	sess.readLoop(fr)
@@ -380,7 +354,7 @@ func (r *Router) connectSession(sess *proxySession, pc uint32, avoid *backend) (
 					// every backend would refuse identically.
 					sess.markDropped()
 					payload, _ := json.Marshal(we)
-					sess.relay(serve.FrameError, payload, nil, nil, true)
+					sess.relay(serve.OutFrame{Type: serve.FrameError, Payload: payload, Final: true})
 					return nil, nil, errSessionOver
 				}
 				lastErr = err

@@ -28,9 +28,8 @@ type metrics struct {
 	dials             *telemetry.Counter // router_backend_dials_total
 	dialFailures      *telemetry.Counter // router_backend_dial_failures_total
 
-	// Hot-path latency histograms, fed from the session's flight spans (so
-	// they move only while tracing is on — the router has no other per-frame
-	// clock reads).
+	// Hot-path latency histograms, fed once per frame from its stamps,
+	// with tracing on or off.
 	frameLatency *telemetry.Histogram // router_frame_latency: client recv → ack relayed
 	backendRTT   *telemetry.Histogram // router_backend_rtt: relay → backend ack
 }

@@ -32,29 +32,14 @@ const (
 // final frame (a deterministic backend rejection was relayed).
 var errSessionOver = errors.New("cluster: session over")
 
-// outFrame is one frame queued for the client writer. buf, when non-nil, is
-// the payload's pooled buffer; the writer releases it once the bytes are
-// batched. final marks the session's last frame; the writer closes the
-// connection after flushing it.
-type outFrame struct {
-	typ     uint64
-	payload []byte
-	buf     *trace.PooledBuf
-	// span, when non-nil, rides with a relayed ack: the writer stamps its
-	// ack-relay hop after the flush that carried it, feeds the frame-latency
-	// histogram, and publishes it to the flight recorder.
-	span  *flight.Span
-	final bool
-}
-
 // proxySession is one client connection routed through the cluster. Three
 // goroutines run it:
 //
 //   - the reader (the connection's own, after the FrontEnd handshake)
 //     parses client frames, journals records payloads, and flags Done or
 //     client loss;
-//   - the writer drains out to the client connection, batching frames per
-//     flush like serve's session writer;
+//   - the writer, serve's session Writer, drains out to the client
+//     connection, batching frames per flush;
 //   - the forwarder owns backend placement: it dials a backend, then pumps —
 //     a sender streaming journal frames forward and a receiver relaying
 //     acks/events back — and on backend death loops around to a survivor,
@@ -73,20 +58,21 @@ type proxySession struct {
 	hello  serve.Hello
 	window int // granted client window
 
-	// tracer mints a flight span per journaled frame; nil when tracing is
-	// off. spans (guarded by mu, nil when tracing is off) holds each
-	// frame's span from journal append until its ack is relayed — stamps
-	// from the reader, sender, and receiver goroutines all happen under mu,
-	// and the hand-off to the writer rides the out channel.
+	// tracer mints each journaled frame's span, its one stamp set; nil when
+	// tracing is off, and the stamps are taken all the same.
 	tracer *flight.Tracer
-	spans  map[uint64]*flight.Span
 	// track is this session's stats entry in the router's introspection
 	// registry: journal bytes, relayed-ack counters, placement and
 	// failover/replay state. Set before the goroutines start.
 	track *sessiontrack.Session
 
-	mu         sync.Mutex
-	j          *trace.FrameLog
+	mu sync.Mutex
+	j  *trace.FrameLog
+	// spans holds each frame's span, at seq modulo its length, from the
+	// journal append until the first ack for it arrives: the reader, the
+	// sender and the receiver stamp it under mu, and the ack's OutFrame
+	// carries it to the writer.
+	spans      []flight.Span
 	done       bool // client sent Done
 	clientGone bool // client connection failed before Done
 	placed     bool
@@ -97,8 +83,8 @@ type proxySession struct {
 	// events at or below it are replay duplicates and are suppressed.
 	relayedThrough atomic.Uint64
 
-	notify chan struct{} // collapsed reader→forwarder signal
-	out    chan outFrame // writer queue
+	notify chan struct{}       // collapsed reader→forwarder signal
+	out    chan serve.OutFrame // writer queue
 	closed chan struct{}
 	close1 sync.Once
 
@@ -117,6 +103,11 @@ func (sess *proxySession) signal() {
 	case sess.notify <- struct{}{}:
 	default:
 	}
+}
+
+// span returns seq's slot in the span table. The caller holds mu.
+func (sess *proxySession) span(seq uint64) *flight.Span {
+	return &sess.spans[seq%uint64(len(sess.spans))]
 }
 
 func (sess *proxySession) isClosed() bool {
@@ -169,21 +160,21 @@ func (sess *proxySession) markDropped() {
 	}
 }
 
-// relay queues a frame for the client, blocking for backpressure. buf is the
-// payload's pooled buffer (nil for unpooled payloads): on success its
+// relay queues a frame for the client, blocking for backpressure. f.Buf is
+// the payload's pooled buffer (nil for unpooled payloads): on success its
 // reference moves to the writer, on failure relay releases it. It returns
 // false when the session closed (or a final frame already went out and this
 // one is final too).
-func (sess *proxySession) relay(typ uint64, payload []byte, buf *trace.PooledBuf, sp *flight.Span, final bool) bool {
-	if final && !sess.finalQueued.CompareAndSwap(false, true) {
-		buf.Release()
+func (sess *proxySession) relay(f serve.OutFrame) bool {
+	if f.Final && !sess.finalQueued.CompareAndSwap(false, true) {
+		f.Buf.Release()
 		return false
 	}
 	select {
-	case sess.out <- outFrame{typ: typ, payload: payload, buf: buf, span: sp, final: final}:
+	case sess.out <- f:
 		return true
 	case <-sess.closed:
-		buf.Release()
+		f.Buf.Release()
 		return false
 	}
 }
@@ -198,109 +189,24 @@ func (sess *proxySession) failClient(code, msg string) {
 	sess.r.log.Warn("session failed", "session", sess.id, "code", code, "err", msg)
 	payload, _ := json.Marshal(&serve.WireError{Code: code, Msg: msg})
 	select {
-	case sess.out <- outFrame{typ: serve.FrameError, payload: payload, final: true}:
+	case sess.out <- serve.OutFrame{Type: serve.FrameError, Payload: payload, Final: true}:
 	default:
 		sess.close()
 	}
 }
 
-// writeLoop drains out to the client connection, mirroring serve's batched
-// session writer: every queued frame joins the current flush, and the whole
-// batch goes out in one vectored write — relayed backend frames (acks,
-// events) are forwarded from their borrowed buffers without re-encoding, and
-// the batcher releases each buffer once its bytes are out. It owns the
-// client connection's close — after a final frame's flush, or on session
-// close (draining anything already queued first, so an early close cannot
-// drop a queued Summary).
-func (sess *proxySession) writeLoop() {
-	var fb trace.FrameBatcher
-	// Spans riding the current batch: stamped with one clock read after the
-	// flush that actually put their acks on the wire, then published.
-	var spans []*flight.Span
-	add := func(m outFrame) {
-		fb.Add(m.typ, m.payload, m.buf)
-		if m.span != nil {
-			spans = append(spans, m.span)
-		}
-	}
-	flush := func() error {
-		sess.conn.SetWriteDeadline(time.Now().Add(sess.r.cfg.WriteTimeout))
-		err := fb.Flush(sess.conn)
-		if len(spans) > 0 {
-			if err == nil {
-				now := time.Now().UnixNano()
-				for _, sp := range spans {
-					sp.StampAt(flight.HopRouterAckRelay, now)
-					if recvNS := sp.HopNS(flight.HopRouterRecv); recvNS > 0 {
-						sess.r.m.frameLatency.Observe(time.Duration(now - recvNS))
-					}
-					sp.Finish()
-				}
-			}
-			clear(spans)
-			spans = spans[:0]
-		}
-		return err
-	}
-	// drainReleases returns late stragglers' buffers to the pool after the
-	// session is over (best-effort: a relay racing close may still enqueue).
-	drainRelease := func() {
-		for {
-			select {
-			case m := <-sess.out:
-				m.buf.Release()
-			default:
-				return
-			}
-		}
-	}
-	finish := func() {
-		flush()
-		sess.conn.Close()
-		sess.close()
-		drainRelease()
-	}
-	for {
-		select {
-		case m := <-sess.out:
-			final := m.final
-			add(m)
-			for !final {
-				select {
-				case n := <-sess.out:
-					add(n)
-					final = n.final
-					continue
-				default:
-				}
-				break
-			}
-			if final {
-				finish()
-				return
-			}
-			if err := flush(); err != nil {
-				sess.conn.Close()
-				sess.close()
-				drainRelease()
-				return
-			}
-		case <-sess.closed:
-			// Deliver anything already queued before closing.
-			for {
-				select {
-				case m := <-sess.out:
-					add(m)
-					continue
-				default:
-				}
-				break
-			}
-			flush()
-			sess.conn.Close()
-			return
-		}
-	}
+// publish is the one place a relayed frame's stamps go, once its ack is on
+// the client's wire: the frame histograms, the session's stats and the
+// flight recorder.
+func (sess *proxySession) publish(f *serve.OutFrame, flushedNS int64) {
+	sp := &f.Span
+	sp.StampAt(flight.HopRouterAckRelay, flushedNS)
+	m := sess.r.m
+	m.frameLatency.Observe(sp.Between(flight.HopRouterRecv, flight.HopRouterAckRelay))
+	m.backendRTT.Observe(sp.Between(flight.HopRouterRelay, flight.HopRouterAckRecv))
+	sess.track.FrameAcked(flushedNS, f.Ack.Records, f.Ack.Executed, f.Ack.Misses,
+		sp.Between(flight.HopRouterRecv, flight.HopRouterRelay))
+	sp.Finish()
 }
 
 // readLoop parses client frames until Done, a protocol violation, or client
@@ -367,10 +273,10 @@ func (sess *proxySession) readLoop(fr *trace.FrameReader) {
 			}
 			// The journal takes over the frame's buffer reference.
 			jerr := sess.j.Append(seq, f.Payload, f.Buffer())
-			if jerr == nil && sess.spans != nil {
-				sp := sess.tracer.Start(seq)
-				sp.Stamp(flight.HopRouterRecv)
-				sess.spans[seq] = sp
+			if jerr == nil {
+				sp := sess.span(seq)
+				*sp = sess.tracer.Start(seq)
+				sp.StampAt(flight.HopRouterRecv, time.Now().UnixNano())
 			}
 			sess.mu.Unlock()
 			if jerr != nil {
@@ -555,11 +461,10 @@ func (sess *proxySession) pump(b *backend, bc *serve.Client) pumpResult {
 					// First send only: a failover replay keeps the original
 					// relay stamp, so the span's relay→ack gap covers the
 					// whole outage rather than the last attempt.
-					if sess.spans != nil {
-						sess.mu.Lock()
-						sess.spans[next].Stamp(flight.HopRouterRelay)
-						sess.mu.Unlock()
-					}
+					relayNS := time.Now().UnixNano()
+					sess.mu.Lock()
+					sess.span(next).StampAt(flight.HopRouterRelay, relayNS)
+					sess.mu.Unlock()
 				}
 				err := bc.WriteFrame(serve.FrameRecords, payload)
 				if err == nil {
@@ -618,18 +523,16 @@ recv:
 			case <-sem:
 			default:
 			}
+			// The first ack for seq is the one past the relayed watermark
+			// (a backend acks in order; a replay re-acks what was relayed).
+			// It takes the frame's span out of the table.
+			first := seq > sess.relayedThrough.Load()
 			sess.mu.Lock()
 			evFrames, evBytes := sess.j.Ack(seq)
 			jmax := sess.j.Max()
-			var sp *flight.Span
-			if sess.spans != nil {
-				if sp = sess.spans[seq]; sp != nil {
-					delete(sess.spans, seq)
-					sp.Stamp(flight.HopRouterAckRecv)
-					if relayNS := sp.HopNS(flight.HopRouterRelay); relayNS > 0 {
-						r.m.backendRTT.Observe(time.Duration(sp.HopNS(flight.HopRouterAckRecv) - relayNS))
-					}
-				}
+			var sp flight.Span
+			if first {
+				sp = *sess.span(seq)
 			}
 			sess.mu.Unlock()
 			if evFrames > 0 {
@@ -639,16 +542,16 @@ recv:
 				// Evicting acknowledged prefix forfeits lossless failover.
 				sess.track.SetReplayable(false)
 			}
-			if seq > sess.relayedThrough.Load() {
+			if first {
+				sp.StampAt(flight.HopRouterAckRecv, time.Now().UnixNano())
 				// The ack payload relays as-is; its buffer reference moves
-				// to the client writer, and the span rides along for its
-				// ack-relay stamp.
-				if !sess.relay(serve.FrameAck, f.Payload, f.Buffer(), sp, false) {
+				// to the client writer, which publishes the span after the
+				// flush.
+				if !sess.relay(serve.OutFrame{Type: serve.FrameAck, Payload: f.Payload, Buf: f.Buffer(), Ack: ack, Span: sp}) {
 					result = pumpTerminal
 					break recv
 				}
 				sess.relayedThrough.Store(seq)
-				sess.track.AckRelayed(time.Now().UnixNano(), ack.Records, ack.Executed, ack.Misses)
 				if jmax >= seq {
 					sess.track.SetInflight(int32(jmax - seq))
 				}
@@ -661,7 +564,7 @@ recv:
 			// identifies replay-duplicate event frames.
 			seq, n := binary.Uvarint(f.Payload)
 			if n > 0 && seq > sess.relayedThrough.Load() {
-				if !sess.relay(serve.FrameEvents, f.Payload, f.Buffer(), nil, false) {
+				if !sess.relay(serve.OutFrame{Type: serve.FrameEvents, Payload: f.Payload, Buf: f.Buffer()}) {
 					result = pumpTerminal
 					break recv
 				}
@@ -691,7 +594,7 @@ recv:
 				ReplayedFrames: int(sess.replayed.Load()),
 			}
 			payload, _ := json.Marshal(sum)
-			sess.relay(serve.FrameSummary, payload, nil, nil, true)
+			sess.relay(serve.OutFrame{Type: serve.FrameSummary, Payload: payload, Final: true})
 			result = pumpTerminal
 			break recv
 		case serve.FrameError:
@@ -704,7 +607,7 @@ recv:
 			// Deterministic rejection — a replay would fail identically, so
 			// relay the backend's verdict as the session's final frame.
 			sess.markDropped()
-			sess.relay(serve.FrameError, f.Payload, f.Buffer(), nil, true)
+			sess.relay(serve.OutFrame{Type: serve.FrameError, Payload: f.Payload, Buf: f.Buffer(), Final: true})
 			result = pumpTerminal
 			break recv
 		default:

@@ -7,9 +7,13 @@
 //
 // Design constraints, inherited from the telemetry layer (PRs 3-4):
 //
-//   - Nil is disabled. A nil *Recorder, nil *Tracer, and nil *Span are all
-//     valid no-op values; every method is nil-safe, and the disabled path
-//     allocates nothing (asserted by TestSpanRecordZeroAllocs).
+//   - A span is a value, and nil is disabled. Tracer.Start returns the
+//     span by value, so stamping allocates nothing; a nil *Recorder or nil
+//     *Tracer yields spans whose Finish publishes nowhere. The serving
+//     daemons stamp every frame whether tracing is on or off and derive
+//     their frame histograms from the stamps, so the only cost of tracing
+//     on is Finish's copy into the ring (TestSpanRecordZeroAllocs,
+//     BenchmarkSpanFinish).
 //   - No locks on the stamping path. A span is owned by exactly one
 //     goroutine at a time and handed off with the frame it describes
 //     (reader → shard queue → worker → writer in serve; reader → journal →
@@ -130,59 +134,37 @@ type Span struct {
 	r   *Recorder
 }
 
-// Stamp records hop h at the current wall clock. Nil-safe.
-func (s *Span) Stamp(h Hop) {
-	if s != nil {
-		s.rec.Hops[h] = time.Now().UnixNano()
-	}
+// StampAt records hop h at unix-ns time unixNS, a clock reading the caller
+// took (one reading may serve a whole flushed batch).
+func (s *Span) StampAt(h Hop, unixNS int64) { s.rec.Hops[h] = unixNS }
+
+// Between returns the time from hop from to hop to.
+func (s *Span) Between(from, to Hop) time.Duration {
+	return time.Duration(s.rec.Hops[to] - s.rec.Hops[from])
 }
 
-// StampAt records hop h at an explicit unix-ns time (used when one clock
-// read serves a whole flushed batch). Nil-safe.
-func (s *Span) StampAt(h Hop, unixNS int64) {
-	if s != nil {
-		s.rec.Hops[h] = unixNS
-	}
-}
+// SetRecords annotates the span with the frame's record count.
+func (s *Span) SetRecords(n int) { s.rec.Records = n }
 
-// HopNS returns hop h's stamp, 0 if unstamped or on the nil span.
-func (s *Span) HopNS(h Hop) int64 {
-	if s == nil {
-		return 0
-	}
-	return s.rec.Hops[h]
-}
+// Finish copies the span into its recorder's ring and runs the slow-frame
+// check; a span from the nil Tracer has no recorder, and Finish does
+// nothing.
+func (s *Span) Finish() { s.r.publish(&s.rec) }
 
-// SetRecords annotates the span with the frame's record count. Nil-safe.
-func (s *Span) SetRecords(n int) {
-	if s != nil {
-		s.rec.Records = n
-	}
-}
-
-// Finish publishes the span into its recorder's ring and runs the slow-frame
-// check. The span must not be touched afterwards. Nil-safe.
-func (s *Span) Finish() {
-	if s != nil {
-		s.r.publish(&s.rec)
-	}
-}
-
-// Tracer mints spans for one session. The nil Tracer returns nil spans, so a
-// disabled recorder costs one nil check per frame and zero allocations.
+// Tracer mints spans for one session. The nil Tracer is the disabled one.
 type Tracer struct {
 	r       *Recorder
 	traceID string
 	session uint64
 }
 
-// Start begins a span for frame seq. Allocates one Span (the per-frame cost
-// of enabled tracing); returns nil on the nil Tracer.
-func (t *Tracer) Start(seq uint64) *Span {
+// Start begins the span of frame seq. It allocates nothing; on the nil
+// Tracer the span has no identity and no recorder.
+func (t *Tracer) Start(seq uint64) Span {
 	if t == nil {
-		return nil
+		return Span{}
 	}
-	return &Span{
+	return Span{
 		rec: SpanRecord{TraceID: t.traceID, Session: t.session, Seq: seq},
 		r:   t.r,
 	}
@@ -287,7 +269,7 @@ func (r *Recorder) NextTraceID() string {
 }
 
 // publish appends a finished span to the ring and applies the slow-frame
-// SLO check. Called via Span.Finish.
+// SLO check. Called via Span.Finish; a no-op on the nil recorder.
 func (r *Recorder) publish(rec *SpanRecord) {
 	if r == nil {
 		return

@@ -34,8 +34,12 @@ func TestSpanLifecycle(t *testing.T) {
 		t.Fatal("enabled recorder returned nil tracer")
 	}
 	sp := tr.Start(7)
-	sp.Stamp(HopServerRecv)
-	sp.StampAt(HopServerPredict, sp.HopNS(HopServerRecv)+1000)
+	now := time.Now().UnixNano()
+	sp.StampAt(HopServerRecv, now)
+	sp.StampAt(HopServerPredict, now+1000)
+	if d := sp.Between(HopServerRecv, HopServerPredict); d != 1000 {
+		t.Errorf("Between = %v, want 1µs", d)
+	}
 	sp.SetRecords(2048)
 	sp.Finish()
 
@@ -47,7 +51,7 @@ func TestSpanLifecycle(t *testing.T) {
 	if got.TraceID != "t1" || got.Session != 42 || got.Seq != 7 || got.Records != 2048 {
 		t.Errorf("span identity = %+v", got)
 	}
-	if got.Hops[HopServerRecv] == 0 || got.Hops[HopServerPredict] != got.Hops[HopServerRecv]+1000 {
+	if got.Hops[HopServerRecv] != now || got.Hops[HopServerPredict] != now+1000 {
 		t.Errorf("hop stamps = %v", got.Hops)
 	}
 	if got.Hops[HopRouterRecv] != 0 {
@@ -63,7 +67,7 @@ func TestRingWrapsOldestFirst(t *testing.T) {
 	tr := r.Tracer("t", 1)
 	for seq := uint64(1); seq <= 10; seq++ {
 		sp := tr.Start(seq)
-		sp.Stamp(HopServerRecv)
+		sp.StampAt(HopServerRecv, time.Now().UnixNano())
 		sp.Finish()
 	}
 	spans := r.Spans()
@@ -80,21 +84,63 @@ func TestRingWrapsOldestFirst(t *testing.T) {
 	}
 }
 
-// TestSpanRecordZeroAllocs is the disabled-path contract: with tracing off —
-// nil recorder, nil tracer, nil span — the whole per-frame span ceremony
-// costs zero allocations.
+// TestSpanRecordZeroAllocs is the per-frame span contract: Start, the hop
+// stamps and Finish allocate nothing, with tracing off (nil recorder, whose
+// Tracer is free too) and on (Finish copies the span into a live ring). The
+// span crosses a channel between Start and Finish, as it rides a frame's
+// hand-offs in the daemons.
 func TestSpanRecordZeroAllocs(t *testing.T) {
-	var nilRec *Recorder
-	if n := testing.AllocsPerRun(1000, func() {
-		tr := nilRec.Tracer("id", 1)
-		sp := tr.Start(9)
-		sp.Stamp(HopServerRecv)
+	frame := func(tr *Tracer, hand chan Span) {
+		hand <- tr.Start(9)
+		sp := <-hand
+		sp.StampAt(HopServerRecv, 100)
 		sp.StampAt(HopServerEnqueue, 123)
 		sp.SetRecords(100)
-		_ = sp.HopNS(HopServerRecv)
 		sp.Finish()
-	}); n != 0 {
-		t.Errorf("nil-recorder span path allocates %v/op", n)
+	}
+	t.Run("nil recorder", func(t *testing.T) {
+		var nilRec *Recorder
+		hand := make(chan Span, 1)
+		if n := testing.AllocsPerRun(1000, func() {
+			frame(nilRec.Tracer("id", 1), hand)
+		}); n != 0 {
+			t.Errorf("nil-recorder span path allocates %v/op", n)
+		}
+	})
+	t.Run("enabled recorder", func(t *testing.T) {
+		tr := NewRecorder(Options{Service: "test", Capacity: 64}).Tracer("id", 1)
+		hand := make(chan Span, 1)
+		if n := testing.AllocsPerRun(1000, func() {
+			frame(tr, hand)
+		}); n != 0 {
+			t.Errorf("enabled-recorder span path allocates %v/op", n)
+		}
+	})
+}
+
+// BenchmarkSpanFinish is the bottom-up cost of tracing a frame: the serving
+// daemons stamp every frame either way, so tracing on differs from off only
+// by Finish's copy into the ring. Each op is one frame's span: Start, the
+// five server-side hop stamps and Finish.
+func BenchmarkSpanFinish(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		rec  *Recorder
+	}{
+		{"nil", nil},
+		{"enabled", NewRecorder(Options{Service: "bench"})},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			tr := bc.rec.Tracer("bench", 1)
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				sp := tr.Start(uint64(i))
+				for h := HopServerRecv; h <= HopServerAckWrite; h++ {
+					sp.StampAt(h, int64(i))
+				}
+				sp.Finish()
+			}
+		})
 	}
 }
 
@@ -118,8 +164,9 @@ func TestRecorderConcurrentRace(t *testing.T) {
 				seq++
 				tr := r.Tracer("race", session)
 				sp := tr.Start(seq)
-				sp.Stamp(HopServerRecv)
-				sp.Stamp(HopServerPredict)
+				now := time.Now().UnixNano()
+				sp.StampAt(HopServerRecv, now)
+				sp.StampAt(HopServerPredict, now+1)
 				sp.Finish()
 			}
 		}(uint64(g))
@@ -208,8 +255,9 @@ func TestDumpHandlerJSON(t *testing.T) {
 	r := NewRecorder(Options{Service: "ibpserved", Capacity: 8})
 	tr := r.Tracer("t9", 3)
 	sp := tr.Start(1)
-	sp.Stamp(HopServerRecv)
-	sp.Stamp(HopServerPredict)
+	now := time.Now().UnixNano()
+	sp.StampAt(HopServerRecv, now)
+	sp.StampAt(HopServerPredict, now+1)
 	sp.SetRecords(512)
 	sp.Finish()
 

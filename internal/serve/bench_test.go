@@ -18,7 +18,7 @@ func BenchmarkServeLoopback(b *testing.B) {
 		b.Fatal(err)
 	}
 	tr := wl.MustGenerate(20000)
-	srv, err := New(Config{Predictor: defaultFlags(), Shards: 2, Window: 8})
+	srv, err := New(Config{Predictor: defaultFlags(), Shards: 2, Limits: Limits{Window: 8}})
 	if err != nil {
 		b.Fatal(err)
 	}

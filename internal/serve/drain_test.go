@@ -19,7 +19,7 @@ func TestServeGracefulDrainLosesNoAckedFrame(t *testing.T) {
 		warmup = 32
 		frame  = 100
 	)
-	srv, addr := startServer(t, Config{Shards: 2, Window: 2})
+	srv, addr := startServer(t, Config{Shards: 2, Limits: Limits{Window: 2}})
 	tr := benchTrace(t, "gcc", 5000)
 	// A long stream: 300 frames of 100 records, paced by the ack callback so
 	// the drain lands mid-flight with plenty of runway on both sides.
@@ -124,7 +124,7 @@ func TestServeShutdownIdle(t *testing.T) {
 // TestServeForcedShutdown checks the hard-stop path: an already-expired
 // context cuts sessions without waiting.
 func TestServeForcedShutdown(t *testing.T) {
-	srv, addr := startServer(t, Config{Window: 1})
+	srv, addr := startServer(t, Config{Limits: Limits{Window: 1}})
 	c, err := Dial(addr, Hello{Benchmark: "gcc"}, DialOptions{Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)

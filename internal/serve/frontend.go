@@ -34,20 +34,55 @@ type FrontEnd struct {
 	conns sync.WaitGroup // connection goroutines, and those Go started
 }
 
+// Limits bound a daemon's client side, the same way on ibpserved and
+// ibprouter. ClientDefaults fills the zero ones.
+type Limits struct {
+	// Window caps the frame window a Hello may request (default 8).
+	Window int
+	// MaxFramePayload bounds a frame's payload bytes (default 1 MiB);
+	// MaxFrameRecords bounds a records frame's record count (default 8192).
+	MaxFramePayload int
+	MaxFrameRecords int
+	// ReadTimeout bounds the wait for the next client frame, the preamble
+	// and Hello included; WriteTimeout bounds each flush to the client
+	// (default 30s each).
+	ReadTimeout  time.Duration
+	WriteTimeout time.Duration
+}
+
+// ClientDefaults fills the unset limits and a nil logger with the defaults
+// ibpserved and ibprouter share. Each owner applies it while filling its
+// own Config, which stays the one copy of these settings.
+func ClientDefaults(l Limits, log *slog.Logger) (Limits, *slog.Logger) {
+	if l.Window <= 0 {
+		l.Window = 8
+	}
+	if l.MaxFramePayload <= 0 {
+		l.MaxFramePayload = 1 << 20
+	}
+	if l.MaxFrameRecords <= 0 {
+		l.MaxFrameRecords = 8192
+	}
+	if l.ReadTimeout <= 0 {
+		l.ReadTimeout = 30 * time.Second
+	}
+	if l.WriteTimeout <= 0 {
+		l.WriteTimeout = 30 * time.Second
+	}
+	if log == nil {
+		log = slog.New(slog.DiscardHandler)
+	}
+	return l, log
+}
+
 // FrontEndConfig parameterizes a FrontEnd. The owner applies its own
-// defaults first: every field is used as given.
+// defaults first (ClientDefaults among them): every field is used as given.
 type FrontEndConfig struct {
 	// Predictor is the default for a Hello without its own; Policy is the
 	// tuner policy of a Hello without its own.
 	Predictor cli.PredictorFlags
 	Policy    tuner.Policy
-	// Window caps the frame window a Hello may request; MaxFramePayload
-	// bounds the handshake frame; ReadTimeout bounds the preamble and
-	// Hello reads, WriteTimeout a rejection's write.
-	Window          int
-	MaxFramePayload int
-	ReadTimeout     time.Duration
-	WriteTimeout    time.Duration
+	Limits
 	// Pool backs the connection's frame reader, which Open inherits.
 	Pool *trace.BufferPool
 	// Flight mints a trace ID for a Hello without one; nil mints none.
@@ -97,6 +132,21 @@ func NewFrontEnd(cfg FrontEndConfig) (*FrontEnd, error) {
 // Sessions returns the live-session registry behind the /sessions
 // introspection endpoints (sessiontrack.Mount).
 func (fe *FrontEnd) Sessions() *sessiontrack.Registry { return fe.cfg.Sessions }
+
+// AckHello encodes the HelloAck that opens session id on h: the granted
+// window and events, the resolved predictor, the frame limits, and traceID
+// as the echoed trace ID.
+func (fe *FrontEnd) AckHello(h Handshake, id uint64, traceID string) []byte {
+	return marshalJSON(HelloAck{
+		Session:         id,
+		Predictor:       h.Pred.Name(),
+		Window:          h.Window,
+		MaxFramePayload: fe.cfg.MaxFramePayload,
+		MaxFrameRecords: fe.cfg.MaxFrameRecords,
+		Events:          h.Hello.Events,
+		TraceID:         traceID,
+	})
+}
 
 // Addr returns the listener address ("" before Serve).
 func (fe *FrontEnd) Addr() string {

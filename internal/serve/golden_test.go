@@ -20,7 +20,7 @@ import (
 func TestServeGoldenEquivalence(t *testing.T) {
 	const n = 4000
 	// The record cap admits a whole trace as one frame.
-	_, addr := startServer(t, Config{Shards: 4, Window: 4, MaxFrameRecords: 1 << 20, MaxFramePayload: 8 << 20})
+	_, addr := startServer(t, Config{Shards: 4, Limits: Limits{Window: 4, MaxFrameRecords: 1 << 20, MaxFramePayload: 8 << 20}})
 
 	for _, cfg := range workload.Suite() {
 		tr := cfg.MustGenerate(n)

@@ -44,7 +44,7 @@ func TestOversizeFramesBypassPool(t *testing.T) {
 	poolMisses := reg.Counter("serve_pool_misses")
 	// A window of one keeps one frame in flight, so a pool that recycled
 	// oversize buffers would hand the previous frame's buffer to the next.
-	limits := Config{Shards: 2, Window: 1, MaxFrameRecords: frame, MaxFramePayload: 4 << 20}
+	limits := Config{Shards: 2, Limits: Limits{Window: 1, MaxFrameRecords: frame, MaxFramePayload: 4 << 20}}
 
 	stream := func(addr string) Summary {
 		t.Helper()

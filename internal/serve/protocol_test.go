@@ -182,7 +182,7 @@ func TestServeFaultInjectedStreams(t *testing.T) {
 	// The server must survive a bit flip at any position and a truncation at
 	// any length: frame checksums catch payload damage, limits catch length
 	// damage, and either way the session dies cleanly.
-	_, addr := startServer(t, Config{ReadTimeout: 2 * time.Second, WriteTimeout: 2 * time.Second})
+	_, addr := startServer(t, Config{Limits: Limits{ReadTimeout: 2 * time.Second, WriteTimeout: 2 * time.Second}})
 	clean := cleanClientStream(t)
 
 	for off := 0; off < len(clean); off += 5 {

@@ -147,7 +147,7 @@ func TestServeRollingAcksAreConsistent(t *testing.T) {
 }
 
 func TestServeConcurrentSessions(t *testing.T) {
-	_, addr := startServer(t, Config{Shards: 3, Window: 4})
+	_, addr := startServer(t, Config{Shards: 3, Limits: Limits{Window: 4}})
 	benches := []string{"gcc", "perl", "xlisp", "eqn", "idl", "go"}
 	type result struct {
 		name string

@@ -6,7 +6,6 @@ import (
 	"net"
 	"runtime"
 	"sync"
-	"time"
 
 	"github.com/oocsb/ibp/internal/cli"
 	"github.com/oocsb/ibp/internal/core"
@@ -33,25 +32,17 @@ type Config struct {
 	// the session readers feeding it, pushing backpressure into the TCP
 	// stream. Defaults to 64.
 	QueueDepth int
-	// Window is the per-session frame window: the most records frames a
-	// client may keep unacknowledged. Defaults to 8.
-	Window int
-	// MaxFramePayload bounds a frame's payload bytes; MaxFrameRecords
-	// bounds a records frame's record count. Defaults: 1 MiB, 8192.
-	MaxFramePayload int
-	MaxFrameRecords int
-	// ReadTimeout bounds the wait for the next client frame; WriteTimeout
-	// bounds each response flush. Defaults: 30s each.
-	ReadTimeout  time.Duration
-	WriteTimeout time.Duration
+	// Limits bound the client side: the frame window, frame sizes and the
+	// read and write timeouts, the same on ibpserved and ibprouter.
+	Limits
 	// Tag labels this instance in the session introspection plane (the
 	// /sessions view's tag field); usually the daemon's -tag flag.
 	Tag string
 	// Log receives structured session lifecycle events; nil discards them.
 	Log *slog.Logger
 	// Flight, when non-nil, records per-frame hop spans into a bounded ring
-	// (the flight recorder) and enables slow-frame SLO logging. Nil disables
-	// tracing entirely: the per-frame cost is one nil check, no allocations.
+	// (the flight recorder) and enables slow-frame SLO logging. Frames are
+	// stamped either way; nil only skips the ring.
 	Flight *flight.Recorder
 	// Tuner, when non-nil, attaches the per-session adaptation plane: each
 	// non-events session gets a policy state machine that can hot-swap its
@@ -68,24 +59,7 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
-	if c.Window <= 0 {
-		c.Window = 8
-	}
-	if c.MaxFramePayload <= 0 {
-		c.MaxFramePayload = 1 << 20
-	}
-	if c.MaxFrameRecords <= 0 {
-		c.MaxFrameRecords = 8192
-	}
-	if c.ReadTimeout <= 0 {
-		c.ReadTimeout = 30 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 30 * time.Second
-	}
-	if c.Log == nil {
-		c.Log = slog.New(slog.DiscardHandler)
-	}
+	c.Limits, c.Log = ClientDefaults(c.Limits, c.Log)
 	return c
 }
 
@@ -119,14 +93,13 @@ type Server struct {
 // the borrowed frame payload (backed by buf when pooled); whoever consumes
 // the job — the worker, or the drain paths around it — releases buf.
 type job struct {
-	sess   *session
-	seq    uint64
-	chunk  []byte           // record chunk, seq already peeled off
-	buf    *trace.PooledBuf // backing pooled buffer; nil for sentinels
-	recvNS int64            // unix ns the reader pulled the frame off the wire
-	span   *flight.Span     // frame span; nil when tracing is off
-	done   bool             // client sent Done
-	drain  bool             // server drain ended the stream
+	sess  *session
+	seq   uint64
+	chunk []byte           // record chunk, seq already peeled off
+	buf   *trace.PooledBuf // backing pooled buffer; nil for sentinels
+	span  flight.Span      // the frame's stamps, receive on
+	done  bool             // client sent Done
+	drain bool             // server drain ended the stream
 }
 
 // shard is one predictor worker and its bounded queue. All jobs of a session
@@ -148,17 +121,14 @@ func New(cfg Config) (*Server, error) {
 		hardStop: make(chan struct{}),
 	}
 	fe, err := NewFrontEnd(FrontEndConfig{
-		Predictor:       cfg.Predictor,
-		Policy:          cfg.Tuner.DefaultPolicy(),
-		Window:          cfg.Window,
-		MaxFramePayload: cfg.MaxFramePayload,
-		ReadTimeout:     cfg.ReadTimeout,
-		WriteTimeout:    cfg.WriteTimeout,
-		Pool:            s.pool,
-		Flight:          cfg.Flight,
-		Log:             cfg.Log,
-		Sessions:        s.track,
-		Open:            s.open,
+		Predictor: cfg.Predictor,
+		Policy:    cfg.Tuner.DefaultPolicy(),
+		Limits:    cfg.Limits,
+		Pool:      s.pool,
+		Flight:    cfg.Flight,
+		Log:       cfg.Log,
+		Sessions:  s.track,
+		Open:      s.open,
 		// A cut unblocks readers waiting on a full shard queue.
 		OnCut:  func() { s.stopOnce.Do(func() { close(s.hardStop) }) },
 		OnStop: s.stopWorkers,
@@ -246,7 +216,7 @@ func (s *Server) shardFor(pc uint32) *shard {
 	return s.shards[h%uint32(len(s.shards))]
 }
 
-// open registers an accepted session, starts its writer, answers the
+// open registers an accepted session, starts its writer, queues the
 // HelloAck, and runs the session's frame reader on the connection's
 // goroutine.
 func (s *Server) open(conn net.Conn, fr *trace.FrameReader, h Handshake) {
@@ -285,16 +255,18 @@ func (s *Server) open(conn net.Conn, fr *trace.FrameReader, h Handshake) {
 	s.m.sessionsTotal.Inc()
 	s.m.sessionsActive.Add(1)
 
-	s.Go(sess.writeLoop)
-	sess.send(outMsg{typ: FrameHelloAck, payload: marshalJSON(HelloAck{
-		Session:         sess.id,
-		Predictor:       sess.predName,
-		Window:          h.Window,
-		MaxFramePayload: s.cfg.MaxFramePayload,
-		MaxFrameRecords: s.cfg.MaxFrameRecords,
-		Events:          sess.events,
-		TraceID:         sess.tracer.TraceID(),
-	})})
+	w := &Writer{
+		Conn:      conn,
+		Out:       sess.out,
+		Stop:      sess.stop,
+		Timeout:   s.cfg.WriteTimeout,
+		Publish:   sess.publish,
+		Exit:      sess.writerExit,
+		BatchSize: s.m.ackBatchSize,
+		FlushTime: s.m.ackFlush,
+	}
+	s.Go(w.Run)
+	sess.send(OutFrame{Type: FrameHelloAck, Payload: s.AckHello(h, sess.id, sess.tracer.TraceID())})
 	s.cfg.Log.Info("session open", "session", sess.id, "benchmark", h.Hello.Benchmark,
 		"predictor", sess.predName, "events", sess.events, "window", h.Window)
 	sess.readLoop(fr)

@@ -18,22 +18,6 @@ import (
 	"github.com/oocsb/ibp/internal/tuner"
 )
 
-// outMsg is one frame queued for a session's writer goroutine. buf, when
-// non-nil, is the pooled buffer backing payload; the writer (or whoever
-// drops the message) releases it once the bytes are on the wire.
-type outMsg struct {
-	typ     uint64
-	payload []byte
-	buf     *trace.PooledBuf
-	// span, when non-nil, is the frame span riding with an ack: the writer
-	// stamps its ack-write hop after the flush that carried it and then
-	// publishes it to the flight recorder.
-	span *flight.Span
-	// final closes the connection after this frame flushes (the last frame
-	// of a session: Summary or Error).
-	final bool
-}
-
 // session is one client connection's state. The reader goroutine (the
 // connection's own, after the FrontEnd handshake) decodes frames and feeds
 // the session's shard; the shard worker owns the predictor and the
@@ -48,12 +32,13 @@ type session struct {
 	predName string
 	window   int
 	events   bool
-	// tracer mints a flight span per records frame; nil when tracing is off
-	// (the zero-cost path). Set before the reader starts, read-only after.
+	// tracer mints each records frame's span, its one stamp set; nil when
+	// tracing is off, and the stamps are taken all the same. Set before the
+	// reader starts, read-only after.
 	tracer *flight.Tracer
 	// track is the session's stats entry in the introspection registry,
-	// updated once per frame from the clock reads the frame path already
-	// takes. Set before the reader starts, read-only after.
+	// updated once per frame from the frame's stamps. Set before the reader
+	// starts, read-only after.
 	track *sessiontrack.Session
 
 	// reader-owned
@@ -64,7 +49,7 @@ type session struct {
 	inflight atomic.Int32
 	dead     atomic.Bool
 	draining atomic.Bool
-	out      chan outMsg
+	out      chan OutFrame
 	stop     chan struct{}
 	stopOnce sync.Once
 
@@ -98,7 +83,7 @@ func newSession(s *Server, conn net.Conn, pred core.Predictor, hello Hello, wind
 		// drains continuously, so the channel only fills when the client
 		// stops reading — which send turns into a shed session rather than
 		// a stalled shard.
-		out:  make(chan outMsg, 2*window+8),
+		out:  make(chan OutFrame, 2*window+8),
 		stop: make(chan struct{}),
 	}
 	if sess.events {
@@ -111,18 +96,18 @@ func newSession(s *Server, conn net.Conn, pred core.Predictor, hello Hello, wind
 // workers must not stall on one slow client). A full queue means the client
 // stopped consuming acks faster than the window allows: the session is shed.
 // A message that does not make it to the writer has its buffer released here.
-func (sess *session) send(m outMsg) bool {
+func (sess *session) send(m OutFrame) bool {
 	if sess.dead.Load() {
 		// The writer may already be gone; do not strand a pooled buffer in
 		// the queue.
-		m.buf.Release()
+		m.Buf.Release()
 		return false
 	}
 	select {
 	case sess.out <- m:
 		return true
 	default:
-		m.buf.Release()
+		m.Buf.Release()
 		sess.fail(CodeOverload, "response queue overflow: client not consuming acks")
 		return false
 	}
@@ -140,7 +125,7 @@ func (sess *session) fail(code, msg string) {
 	// Best effort: tell the client why. If the writer is gone or the queue
 	// is full the close alone has to do.
 	select {
-	case sess.out <- outMsg{typ: FrameError, payload: marshalJSON(&WireError{Code: code, Msg: msg}), final: true}:
+	case sess.out <- OutFrame{Type: FrameError, Payload: marshalJSON(&WireError{Code: code, Msg: msg}), Final: true}:
 	default:
 		sess.stopOnce.Do(func() { close(sess.stop) })
 	}
@@ -171,80 +156,27 @@ func (sess *session) Kill()  { sess.hardClose() }
 // verb forces a tuner decision at the session's next frame boundary.
 func (sess *session) Retune() bool { return sess.tun.Retune() }
 
-// writeLoop is the session's writer goroutine: it owns conn's write side.
-// Every wakeup gathers all queued frames into one FrameBatcher flush — a
-// single (vectored, when payloads are spliced) write per wakeup instead of
-// one buffered write+flush per frame.
-func (sess *session) writeLoop() {
-	var fb trace.FrameBatcher
-	// Release anything still queued when the writer exits; the dead flag is
-	// set on every exit path first, so send drops (and releases) later
-	// messages itself.
-	defer func() {
-		for {
-			select {
-			case m := <-sess.out:
-				m.buf.Release()
-			default:
-				return
-			}
-		}
-	}()
-	var spans []*flight.Span // acks in the current batch, for post-flush stamping
-	for {
-		select {
-		case m := <-sess.out:
-			final := m.final
-			fb.Add(m.typ, m.payload, m.buf)
-			if m.span != nil {
-				spans = append(spans, m.span)
-			}
-			// Batch everything already queued into one write.
-			for !final {
-				select {
-				case n := <-sess.out:
-					fb.Add(n.typ, n.payload, n.buf)
-					if n.span != nil {
-						spans = append(spans, n.span)
-					}
-					final = n.final
-				default:
-					goto flush
-				}
-			}
-		flush:
-			sess.srv.m.ackBatchSize.Set(float64(fb.Frames()))
-			// One clock read on each side of the flush: the one before arms
-			// the write deadline and starts serve_ack_flush, the one after
-			// ends it and stamps every ack of the batch (they all hit the
-			// wire in the same writev).
-			start := time.Now()
-			sess.conn.SetWriteDeadline(start.Add(sess.srv.cfg.WriteTimeout))
-			if err := fb.Flush(sess.conn); err != nil {
-				sess.fail(CodeOverload, fmt.Sprintf("write: %v", err))
-				sess.conn.Close()
-				return
-			}
-			end := time.Now()
-			sess.srv.m.ackFlush.Observe(end.Sub(start))
-			if len(spans) > 0 {
-				now := end.UnixNano()
-				for i, sp := range spans {
-					sp.StampAt(flight.HopServerAckWrite, now)
-					sp.Finish()
-					spans[i] = nil
-				}
-				spans = spans[:0]
-			}
-			if final {
-				sess.conn.Close()
-				return
-			}
-		case <-sess.stop:
-			sess.dead.Store(true)
-			sess.conn.Close()
-			return
-		}
+// publish is the one place a frame's stamps go, once its ack is on the
+// wire: the frame histograms, the session's stats and the flight recorder.
+// A frame whose ack never flushes (the session shed, killed or cut first)
+// counts in serve_frames_total but reaches none of them.
+func (sess *session) publish(f *OutFrame, flushedNS int64) {
+	sp := &f.Span
+	sp.StampAt(flight.HopServerAckWrite, flushedNS)
+	wait := sp.Between(flight.HopServerRecv, flight.HopServerDequeue)
+	m := sess.srv.m
+	m.queueWait.Observe(wait)
+	m.predictTime.Observe(sp.Between(flight.HopServerDequeue, flight.HopServerPredict))
+	m.frameLatency.Observe(sp.Between(flight.HopServerRecv, flight.HopServerPredict))
+	sess.track.FrameAcked(flushedNS, f.Ack.Records, f.Ack.Executed, f.Ack.Misses, wait)
+	sp.Finish()
+}
+
+// writerExit sheds the session when a flush failed; a Final frame or a stop
+// has already settled it.
+func (sess *session) writerExit(err error) {
+	if err != nil {
+		sess.fail(CodeOverload, fmt.Sprintf("write: %v", err))
 	}
 }
 
@@ -313,15 +245,14 @@ func (sess *session) readLoop(fr *trace.FrameReader) {
 				sess.shard = s.shardFor(pc)
 			}
 			// One clock read per frame (amortized over its ~thousands of
-			// records) feeds the queue-wait/latency histograms and, when
-			// tracing is on, the span's receive stamp.
+			// records) is both its receive and its enqueue stamp, so a
+			// blocked (backpressured) enqueue shows up in the
+			// enqueue→dequeue gap, where it belongs.
+			j := job{sess: sess, seq: seq, chunk: chunk, buf: f.Buffer(), span: sess.tracer.Start(seq)}
 			recvNS := time.Now().UnixNano()
-			sp := sess.tracer.Start(seq)
-			sp.StampAt(flight.HopServerRecv, recvNS)
-			// Stamped before enqueue so a blocked (backpressured) enqueue
-			// shows up in the enqueue→dequeue gap, where it belongs.
-			sp.Stamp(flight.HopServerEnqueue)
-			if !s.enqueue(sess.shard, job{sess: sess, seq: seq, chunk: chunk, buf: f.Buffer(), recvNS: recvNS, span: sp}) {
+			j.span.StampAt(flight.HopServerRecv, recvNS)
+			j.span.StampAt(flight.HopServerEnqueue, recvNS)
+			if !s.enqueue(sess.shard, j) {
 				// Hard stop; enqueue released the buffer. Take the session
 				// off the books — no worker will ever summarize it.
 				sess.hardClose()
@@ -373,9 +304,7 @@ func (sess *session) processFrame(j job) {
 	}()
 	s := sess.srv
 	m := s.m
-	startNS := time.Now().UnixNano()
-	j.span.StampAt(flight.HopServerDequeue, startNS)
-	m.queueWait.Observe(time.Duration(startNS - j.recvNS))
+	j.span.StampAt(flight.HopServerDequeue, time.Now().UnixNano())
 	before := sess.kern.Result()
 	nrecs, err := runChunk(sess.kern, chunk, s.cfg.MaxFrameRecords)
 	if err != nil {
@@ -389,19 +318,14 @@ func (sess *session) processFrame(j job) {
 	executed, misses := res.Executed-before.Executed, res.Misses-before.Misses
 	sess.frames++
 	sess.records += nrecs
-	doneNS := time.Now().UnixNano()
-	j.span.StampAt(flight.HopServerPredict, doneNS)
+	j.span.StampAt(flight.HopServerPredict, time.Now().UnixNano())
 	j.span.SetRecords(nrecs)
-	// Session introspection rides the clock reads this path already takes:
-	// one stats update per frame, zero allocations. The (allocating) table
-	// stats refresh is amortized to every 16th frame — the predictor is
-	// worker-owned, so only this goroutine may read it.
-	sess.track.FrameProcessed(doneNS, nrecs, executed, misses, time.Duration(startNS-j.recvNS))
+	// The (allocating) table stats refresh is amortized to every 16th
+	// frame — the predictor is worker-owned, so only this goroutine may
+	// read it.
 	if sess.frames&0xf == 0 {
 		sess.updateTables()
 	}
-	m.predictTime.Observe(time.Duration(doneNS - startNS))
-	m.frameLatency.Observe(time.Duration(doneNS - j.recvNS))
 	m.frames.Inc()
 	m.records.Add(uint64(nrecs))
 	m.misses.Add(uint64(misses))
@@ -419,7 +343,7 @@ func (sess *session) processFrame(j job) {
 		eb := s.pool.Get(16*len(sess.evs) + 2*binary.MaxVarintLen64)
 		payload := appendEvents(eb.Bytes()[:0], seq, sess.evs)
 		sess.evs = sess.evs[:0] // keep the grown buffer for the next frame
-		if !sess.send(outMsg{typ: FrameEvents, payload: payload, buf: eb}) {
+		if !sess.send(OutFrame{Type: FrameEvents, Payload: payload, Buf: eb}) {
 			return
 		}
 	}
@@ -427,9 +351,9 @@ func (sess *session) processFrame(j job) {
 	sess.track.AddInflight(-1)
 	ab := s.pool.Get(ackPayloadMax)
 	payload := appendAck(ab.Bytes()[:0], ack)
-	// The span rides the ack to the writer, which stamps the ack-write hop
-	// post-flush and publishes it; a shed message simply drops the span.
-	if sess.send(outMsg{typ: FrameAck, payload: payload, buf: ab, span: j.span}) {
+	// The span rides the ack to the writer, which publishes it after the
+	// flush; a shed message simply drops the span.
+	if sess.send(OutFrame{Type: FrameAck, Payload: payload, Buf: ab, Ack: ack, Span: j.span}) {
 		m.acks.Inc()
 	}
 	// The frame boundary is the tuner's only legal act point; the ack above
@@ -505,5 +429,5 @@ func (sess *session) emitSummary(drained bool) {
 		"executed", sum.Executed, "misses", sum.Misses, "missRate", sum.MissRate,
 		"drained", drained)
 	sess.srv.unregister(sess)
-	sess.send(outMsg{typ: FrameSummary, payload: marshalJSON(sum), final: true})
+	sess.send(OutFrame{Type: FrameSummary, Payload: marshalJSON(sum), Final: true})
 }

@@ -25,7 +25,7 @@ func tunedServer(t *testing.T, spec string) (*Server, string) {
 	}
 	return startServer(t, Config{
 		Shards: 2,
-		Window: 4,
+		Limits: Limits{Window: 4},
 		Tuner:  tuner.New(tuner.Options{Policy: policy}),
 	})
 }
@@ -124,7 +124,7 @@ func TestTunerHistoryCapStopsTuning(t *testing.T) {
 	}
 	_, addr := startServer(t, Config{
 		Shards: 2,
-		Window: 4,
+		Limits: Limits{Window: 4},
 		Tuner:  tuner.New(tuner.Options{Policy: policy, Telemetry: reg}),
 	})
 	overflows, swaps := reg.Counter("tuner_history_overflow_total"), reg.Counter("tuner_swaps_total")

@@ -36,10 +36,10 @@ func newTestPlane(t *testing.T) (*httptest.Server, *Registry, *telemetry.Registr
 		t.Fatal(err)
 	}
 	now := time.Now().UnixNano()
-	a.FrameProcessed(now, 1000, 900, 45, time.Millisecond)
+	a.FrameAcked(now, 1000, 900, 45, time.Millisecond)
 	a.UpdateTables([]table.Stats{{Kind: "assoc4", Capacity: 1024, Inserts: 60}})
 	b.SetBackend("127.0.0.1:9670")
-	b.AckRelayed(now, 500, 400, 80)
+	b.FrameAcked(now, 500, 400, 80, 0)
 	b.JournalDelta(2048)
 
 	tel := telemetry.New()
@@ -49,7 +49,7 @@ func newTestPlane(t *testing.T) (*httptest.Server, *Registry, *telemetry.Registr
 	tr := rec.Tracer(rec.NextTraceID(), a.ID())
 	sp := tr.Start(1)
 	sp.SetRecords(1000)
-	sp.Stamp(flight.Hop(0))
+	sp.StampAt(flight.Hop(0), now)
 	sp.Finish()
 
 	mux := http.NewServeMux()
@@ -383,7 +383,7 @@ func TestStreamSurvivesSessionChurn(t *testing.T) {
 			if err != nil {
 				return
 			}
-			s.FrameProcessed(time.Now().UnixNano(), 10, 10, 1, 0)
+			s.FrameAcked(time.Now().UnixNano(), 10, 10, 1, 0)
 			reg.Unregister(s)
 		}
 	}()

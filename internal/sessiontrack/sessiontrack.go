@@ -142,7 +142,7 @@ func (b *winBucket) roll(e int64) {
 
 // Session is one tracked session's stats block. All update methods are
 // nil-safe no-ops and never allocate; they are called from the serving hot
-// paths (once per processed frame or relayed ack, not per record).
+// paths (once per acknowledged frame, not per record).
 type Session struct {
 	id   uint64
 	reg  *Registry
@@ -345,10 +345,12 @@ func (s *Session) SetReplayable(ok bool) {
 	}
 }
 
-// FrameProcessed records one processed records frame (serve side): the
-// frame's record/executed/miss deltas and its shard queue wait. nowNS is the
-// caller's existing clock reading — tracking adds no clock read of its own.
-func (s *Session) FrameProcessed(nowNS int64, records, executed, misses int, queueWait time.Duration) {
+// FrameAcked records one records frame whose ack reached the client: its
+// record/executed/miss counts and its wait, which on a serve session is the
+// shard queue wait (receive to worker pickup) and on a proxy session the
+// time from receive to first relay. nowNS is the clock reading the caller
+// took for the ack's flush — tracking adds no clock read of its own.
+func (s *Session) FrameAcked(nowNS int64, records, executed, misses int, wait time.Duration) {
 	if s == nil {
 		return
 	}
@@ -356,7 +358,7 @@ func (s *Session) FrameProcessed(nowNS int64, records, executed, misses int, que
 	s.records.Add(uint64(records))
 	s.executed.Add(uint64(executed))
 	s.misses.Add(uint64(misses))
-	s.waitNS.Add(int64(queueWait))
+	s.waitNS.Add(int64(wait))
 	s.waitN.Add(1)
 	s.lastNS.Store(nowNS)
 	e := nowNS / s.reg.bucketNS
@@ -365,28 +367,8 @@ func (s *Session) FrameProcessed(nowNS int64, records, executed, misses int, que
 	b.records.Add(int64(records))
 	b.executed.Add(int64(executed))
 	b.misses.Add(int64(misses))
-	b.waitNS.Add(int64(queueWait))
+	b.waitNS.Add(int64(wait))
 	b.waitN.Add(1)
-}
-
-// AckRelayed records one relayed ack (router side): the acknowledged
-// frame's decoded per-frame counts, giving the proxy session the same
-// per-window miss/throughput lens as a backend session.
-func (s *Session) AckRelayed(nowNS int64, records, executed, misses int) {
-	if s == nil {
-		return
-	}
-	s.frames.Add(1)
-	s.records.Add(uint64(records))
-	s.executed.Add(uint64(executed))
-	s.misses.Add(uint64(misses))
-	s.lastNS.Store(nowNS)
-	e := nowNS / s.reg.bucketNS
-	b := &s.buckets[e%winBuckets]
-	b.roll(e)
-	b.records.Add(int64(records))
-	b.executed.Add(int64(executed))
-	b.misses.Add(int64(misses))
 }
 
 // UpdateTables refreshes the live predictor table stats (serve sessions;

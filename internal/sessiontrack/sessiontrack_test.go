@@ -109,7 +109,7 @@ func TestProxyStateAndJournalAccounting(t *testing.T) {
 	}
 }
 
-// TestWindowRatesDeterministic drives FrameProcessed with explicit clock
+// TestWindowRatesDeterministic drives FrameAcked with explicit clock
 // readings so the sliding window's rates are exact.
 func TestWindowRatesDeterministic(t *testing.T) {
 	r := NewRegistry(Options{Bucket: time.Second})
@@ -119,7 +119,7 @@ func TestWindowRatesDeterministic(t *testing.T) {
 	// 4 frames over 2 seconds: 1000 records each, half executed, 10% missed.
 	for i := int64(0); i < 4; i++ {
 		now := base + i*int64(500*time.Millisecond)
-		s.FrameProcessed(now, 1000, 500, 50, 2*time.Millisecond)
+		s.FrameAcked(now, 1000, 500, 50, 2*time.Millisecond)
 	}
 	nowNS := base + 2*int64(time.Second) // just past the last frame
 	snap := s.snapshotAt(nowNS)
@@ -153,7 +153,7 @@ func TestWindowRatesDeterministic(t *testing.T) {
 		t.Fatalf("stale window not empty: %+v", w)
 	}
 	// …but the ring reuses buckets: a new frame rolls the stale epoch.
-	s.FrameProcessed(later, 100, 100, 1, 0)
+	s.FrameAcked(later, 100, 100, 1, 0)
 	w = s.windowAt(later + 1)
 	if w.Records != 100 || w.Misses != 1 {
 		t.Fatalf("bucket not rolled: %+v", w)
@@ -186,8 +186,8 @@ func TestViewSortAndShape(t *testing.T) {
 	b, _ := r.Register(&fakeConn{}, Meta{Benchmark: "two"})
 	now := time.Now().UnixNano()
 	// b is busier and missier than a.
-	a.FrameProcessed(now, 100, 100, 1, time.Millisecond)
-	b.FrameProcessed(now, 1000, 1000, 500, 10*time.Millisecond)
+	a.FrameAcked(now, 100, 100, 1, time.Millisecond)
+	b.FrameAcked(now, 1000, 1000, 500, 10*time.Millisecond)
 
 	v, err := r.View(context.Background())
 	if err != nil {
@@ -234,8 +234,7 @@ func TestConcurrentRegistryUse(t *testing.T) {
 				}
 				for j := 0; j < 50; j++ {
 					now := time.Now().UnixNano()
-					s.FrameProcessed(now, 10, 10, 1, time.Microsecond)
-					s.AckRelayed(now, 10, 10, 1)
+					s.FrameAcked(now, 10, 10, 1, time.Microsecond)
 					s.JournalDelta(64)
 					s.SetBackend("b")
 					s.SetInflight(int32(j))
@@ -282,8 +281,7 @@ func TestSessionUpdateZeroAllocs(t *testing.T) {
 	s, _ := r.Register(&fakeConn{}, Meta{Kind: KindServe})
 	now := time.Now().UnixNano()
 	allocs := testing.AllocsPerRun(1000, func() {
-		s.FrameProcessed(now, 100, 100, 5, time.Microsecond)
-		s.AckRelayed(now, 100, 100, 5)
+		s.FrameAcked(now, 100, 100, 5, time.Microsecond)
 		s.AddInflight(1)
 		s.AddInflight(-1)
 		s.JournalDelta(128)
@@ -305,8 +303,7 @@ func TestNilSessionTrackZeroAllocs(t *testing.T) {
 	}
 	now := time.Now().UnixNano()
 	allocs := testing.AllocsPerRun(1000, func() {
-		s.FrameProcessed(now, 100, 100, 5, time.Microsecond)
-		s.AckRelayed(now, 100, 100, 5)
+		s.FrameAcked(now, 100, 100, 5, time.Microsecond)
 		s.AddInflight(1)
 		s.SetInflight(0)
 		s.JournalDelta(128)

@@ -19,8 +19,9 @@ type WindowStats struct {
 	Misses        int64   `json:"misses"`
 	MissRate      float64 `json:"missRate"`
 	RecordsPerSec float64 `json:"recordsPerSec"`
-	// QueueWaitAvgUS is the mean shard-queue wait per frame in the window,
-	// microseconds (serve sessions only).
+	// QueueWaitAvgUS is the mean wait per frame in the window, microseconds:
+	// shard-queue wait on a serve session, receive to first relay on a proxy
+	// session.
 	QueueWaitAvgUS float64 `json:"queueWaitAvgUs"`
 }
 
