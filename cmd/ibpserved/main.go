@@ -33,13 +33,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		cfg         serve.Config
 		tunerOn     bool
 		tunerPolicy string
-		tunerMax    int
 	)
 	fs := flag.NewFlagSet("ibpserved", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	d.Register(fs, "127.0.0.1:9670")
-	fs.IntVar(&cfg.Shards, "shards", 0, "predictor worker shards (0 = GOMAXPROCS)")
-	fs.IntVar(&cfg.QueueDepth, "queue", 0, "per-shard frame queue depth (0 = default)")
+	fs.IntVar(&cfg.Shards, "shards", 0, "max sessions predicting at once (0 = GOMAXPROCS)")
 	fs.IntVar(&cfg.Window, "window", 0, "max unacknowledged frames per session (0 = default)")
 	fs.IntVar(&cfg.MaxFrameRecords, "maxrecords", 0, "max records per frame (0 = default)")
 	fs.IntVar(&cfg.MaxFramePayload, "maxpayload", 0, "max frame payload bytes (0 = default)")
@@ -48,7 +46,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs.StringVar(&cfg.Tag, "tag", "", "instance label for logs and the run summary (useful under a cluster router)")
 	fs.BoolVar(&tunerOn, "tuner", false, "enable the per-session predictor auto-tuner")
 	fs.StringVar(&tunerPolicy, "tunerpolicy", "", "default tuner policy, semicolon-separated k=v (e.g. \"interval=512;miss=0.10;target=ittage:8,512,2\"; empty = built-in defaults)")
-	fs.IntVar(&tunerMax, "tunermax", 0, "max concurrently tuned sessions (0 = no cap)")
 	cfg.Predictor.Register(fs)
 	if err := cli.ParseFlags(fs, args); err != nil {
 		return err
@@ -65,11 +62,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("-tunerpolicy: %w", err)
 		}
-		cfg.Tuner = tuner.New(tuner.Options{
-			Policy:      policy,
-			MaxSessions: tunerMax,
-			Telemetry:   d.Telemetry,
-		})
+		cfg.Tuner = tuner.New(tuner.Options{Policy: policy, Telemetry: d.Telemetry})
 		d.Log.Info("tuner on", "policy", policy.String())
 	} else if tunerPolicy != "" {
 		return errors.New("-tunerpolicy requires -tuner")

@@ -279,7 +279,7 @@ func (r *Router) open(conn net.Conn, fr *trace.FrameReader, h serve.Handshake) {
 	r.Go(w.Run)
 	r.Go(sess.forward)
 
-	sess.relay(serve.OutFrame{Type: serve.FrameHelloAck, Payload: r.AckHello(h, sess.id, h.TraceID)})
+	sess.relay(serve.OutFrame{Type: serve.FrameHelloAck, Payload: r.AckHello(h, sess.id)})
 	r.log.Info("session open", "session", sess.id, "benchmark", hello.Benchmark,
 		"predictor", h.Pred.Name(), "window", h.Window)
 	sess.readLoop(fr)

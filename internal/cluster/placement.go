@@ -7,12 +7,10 @@ import (
 	"slices"
 )
 
-// Placement lifts the serve package's FNV-1a shard pinning one level up:
-// inside one ibpserved process a session is pinned to a shard by the FNV-1a
-// hash of its first record's PC, and across the cluster it is placed by
-// rendezvous (highest-random-weight) hashing of that same hash. Every backend
-// scores the session and the candidates are the backends in descending
-// score, so the order depends only on the membership and the PC:
+// Placement places a session by rendezvous (highest-random-weight) hashing
+// of the FNV-1a hash of its first record's PC. Every backend scores the
+// session and the candidates are the backends in descending score, so the
+// order depends only on the membership and the PC:
 //
 //   - every router derives the same order, whatever order -backends lists;
 //   - the first candidate owns the session and the rest are its failover
@@ -27,8 +25,7 @@ const (
 	fnvPrime32  = 16777619
 )
 
-// hashPC mixes a PC exactly like serve's shard pinning: FNV-1a over its four
-// little-endian bytes.
+// hashPC mixes a PC: FNV-1a over its four little-endian bytes.
 func hashPC(pc uint32) uint32 {
 	h := uint32(fnvOffset32)
 	for i := 0; i < 4; i++ {

@@ -98,10 +98,10 @@ func TestRingSpread(t *testing.T) {
 }
 
 // TestRingMatchesServeSharding: hashPC is FNV-1a over the PC's four
-// little-endian bytes, the hash serve pins sessions to shards with. Known
-// values pin it, the address score and one walk, so a quiet change cannot
-// slip by (it would silently re-place every session in a mixed-version
-// fleet).
+// little-endian bytes. Known values pin it, the address score and one walk,
+// so a quiet change cannot slip by (it would silently re-place every session
+// in a mixed-version fleet). The name predates serve dropping its own
+// FNV-1a shard pinning.
 func TestRingMatchesServeSharding(t *testing.T) {
 	for _, pc := range []uint32{0, 1, 0xdeadbeef, 0xffffffff} {
 		h := fnv.New32a()

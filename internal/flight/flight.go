@@ -170,14 +170,6 @@ func (t *Tracer) Start(seq uint64) Span {
 	}
 }
 
-// TraceID returns the tracer's trace ID ("" on nil).
-func (t *Tracer) TraceID() string {
-	if t == nil {
-		return ""
-	}
-	return t.traceID
-}
-
 // Options configures a Recorder.
 type Options struct {
 	// Service names this process in dumps and fused timelines

@@ -8,7 +8,7 @@ import (
 )
 
 // BenchmarkServeLoopback measures end-to-end serve throughput over a loopback
-// TCP connection: framing, checksums, shard hand-off, prediction, and the
+// TCP connection: framing, checksums, the predictor slot, prediction, and the
 // ack stream, reported as records/s. It is a `go test -bench -cpuprofile`
 // entry point for the serve path; the repo's throughput numbers come from
 // bench/ (the stream and churn workloads).

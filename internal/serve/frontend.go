@@ -95,9 +95,10 @@ type FrontEndConfig struct {
 	// Open takes over an accepted handshake on the connection's goroutine.
 	// It owns conn from then on, and fr is positioned after the Hello.
 	Open func(conn net.Conn, fr *trace.FrameReader, h Handshake)
-	// OnCut runs when a stop gives up on draining (Close, or Shutdown's ctx
-	// ending), before the live sessions are killed. OnStop runs once every
-	// connection goroutine has exited. Both may run more than once.
+	// OnCut, when set, runs when a stop gives up on draining (Close, or
+	// Shutdown's ctx ending), before the live sessions are killed. OnStop,
+	// when set, runs once every connection goroutine has exited. Both may
+	// run more than once.
 	OnCut  func()
 	OnStop func()
 }
@@ -134,9 +135,9 @@ func NewFrontEnd(cfg FrontEndConfig) (*FrontEnd, error) {
 func (fe *FrontEnd) Sessions() *sessiontrack.Registry { return fe.cfg.Sessions }
 
 // AckHello encodes the HelloAck that opens session id on h: the granted
-// window and events, the resolved predictor, the frame limits, and traceID
-// as the echoed trace ID.
-func (fe *FrontEnd) AckHello(h Handshake, id uint64, traceID string) []byte {
+// window and events, the resolved predictor, the frame limits, and the
+// handshake's trace ID.
+func (fe *FrontEnd) AckHello(h Handshake, id uint64) []byte {
 	return marshalJSON(HelloAck{
 		Session:         id,
 		Predictor:       h.Pred.Name(),
@@ -144,7 +145,7 @@ func (fe *FrontEnd) AckHello(h Handshake, id uint64, traceID string) []byte {
 		MaxFramePayload: fe.cfg.MaxFramePayload,
 		MaxFrameRecords: fe.cfg.MaxFrameRecords,
 		Events:          h.Hello.Events,
-		TraceID:         traceID,
+		TraceID:         h.TraceID,
 	})
 }
 
@@ -248,7 +249,7 @@ func (fe *FrontEnd) Shutdown(ctx context.Context) error {
 		fe.cut(live)
 		<-done
 	}
-	fe.cfg.OnStop()
+	fe.stopped()
 	return err
 }
 
@@ -257,8 +258,14 @@ func (fe *FrontEnd) Shutdown(ctx context.Context) error {
 func (fe *FrontEnd) Close() error {
 	fe.cut(fe.stopAccepting())
 	fe.conns.Wait()
-	fe.cfg.OnStop()
+	fe.stopped()
 	return nil
+}
+
+func (fe *FrontEnd) stopped() {
+	if fe.cfg.OnStop != nil {
+		fe.cfg.OnStop()
+	}
 }
 
 // stopAccepting closes the listener and returns the live sessions the
@@ -274,7 +281,9 @@ func (fe *FrontEnd) stopAccepting() []*sessiontrack.Session {
 }
 
 func (fe *FrontEnd) cut(live []*sessiontrack.Session) {
-	fe.cfg.OnCut()
+	if fe.cfg.OnCut != nil {
+		fe.cfg.OnCut()
+	}
 	for _, sess := range live {
 		sess.Kill()
 	}

@@ -27,8 +27,8 @@ func waitGaugeZero(t *testing.T, g *telemetry.Gauge, what string) {
 // TestSessionsActiveGaugeBalances drives every session exit path —
 // clean completion, client abandonment mid-stream, rejected handshake,
 // graceful drain, and hard close — and asserts serve_sessions_active
-// returns to zero after each. Guards the leak where an enqueue failure on
-// the done/drain sentinel path dropped the session without unregistering.
+// returns to zero after each. Guards the leak where a session ended on a
+// path that never unregistered it.
 func TestSessionsActiveGaugeBalances(t *testing.T) {
 	reg := telemetry.Enable(nil)
 	gauge := reg.Gauge("serve_sessions_active")

@@ -15,7 +15,6 @@ type metrics struct {
 	acks            *telemetry.Counter // serve_acks_total
 	misses          *telemetry.Counter // serve_misses_total
 	panics          *telemetry.Counter // serve_panics_total
-	queueDepth      *telemetry.Gauge   // serve_shard_queue_depth
 	poolHits        *telemetry.Counter // serve_pool_hits
 	poolMisses      *telemetry.Counter // serve_pool_misses
 	ackBatchSize    *telemetry.Gauge   // serve_ack_batch_size
@@ -23,7 +22,7 @@ type metrics struct {
 	// Hot-path latency histograms (log-bucketed, quantile-bearing); one
 	// Observe per frame or flush, zero allocations either way.
 	frameLatency *telemetry.Histogram // serve_frame_latency: read → ack queued
-	queueWait    *telemetry.Histogram // serve_frame_queue_wait: read → shard dequeue
+	queueWait    *telemetry.Histogram // serve_frame_queue_wait: read → predictor slot taken
 	predictTime  *telemetry.Histogram // serve_frame_predict: predictor walk per frame
 	ackFlush     *telemetry.Histogram // serve_ack_flush: one vectored writer flush
 }
@@ -40,7 +39,6 @@ func newMetrics(r *telemetry.Registry) *metrics {
 		acks:            r.Counter("serve_acks_total"),
 		misses:          r.Counter("serve_misses_total"),
 		panics:          r.Counter("serve_panics_total"),
-		queueDepth:      r.Gauge("serve_shard_queue_depth"),
 		poolHits:        r.Counter("serve_pool_hits"),
 		poolMisses:      r.Counter("serve_pool_misses"),
 		ackBatchSize:    r.Gauge("serve_ack_batch_size"),

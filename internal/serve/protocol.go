@@ -1,9 +1,9 @@
 // Package serve is the network face of the reproduction: a long-running TCP
 // service (cmd/ibpserved) that accepts streamed branch-trace frames,
-// demultiplexes them into per-session predictor state, shards sessions
-// across N predictor workers, and streams back per-frame prediction outcomes
-// with rolling miss-rate summaries — the paper's predictors packaged as a
-// serving component instead of a batch simulator.
+// runs each session's frames, in order, through that session's own
+// predictor on the session's connection goroutine, and streams back per-frame
+// prediction outcomes with rolling miss-rate summaries — the paper's
+// predictors packaged as a serving component instead of a batch simulator.
 //
 // The wire format reuses the IBPT v2 trace encoding end to end: every
 // message is a length-framed, CRC32-checksummed frame (trace.FrameWriter /
@@ -207,7 +207,7 @@ const (
 	CodeBadFrame  = "bad-frame"  // framing, checksum, or decode violation
 	CodeBadHello  = "bad-hello"  // unusable session-open request
 	CodeBadSeq    = "bad-seq"    // records frame out of order
-	CodeOverLimit = "over-limit" // frame or window limit exceeded
+	CodeOverLimit = "over-limit" // frame window exceeded (ibprouter)
 	CodePredictor = "predictor"  // predictor construction or runtime failure
 	CodeOverload  = "overload"   // server shed the session under load
 )
@@ -356,8 +356,8 @@ func appendRecordsFrame(buf []byte, seq uint64, recs trace.Trace) []byte {
 
 // splitRecordsFrame peels the sequence number off a FrameRecords payload,
 // returning the record chunk that follows it. It does not validate the chunk
-// — the server's reader calls this to route the frame, and the shard worker
-// iterating the chunk in place is where decode errors surface.
+// — the server's reader calls this to check the frame's order, and its
+// in-place iteration of the chunk is where decode errors surface.
 func splitRecordsFrame(payload []byte) (seq uint64, chunk []byte, err error) {
 	seq, n := binary.Uvarint(payload)
 	if n <= 0 {

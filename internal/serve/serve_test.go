@@ -321,13 +321,13 @@ func TestServeRejectsOutOfOrderFrames(t *testing.T) {
 }
 
 func TestServeSessionPanicIsolation(t *testing.T) {
-	// Two sessions share the single shard; the first one's predictor is
-	// swapped for a panicking stub. The panic must drop only that session —
-	// the shard worker has to keep serving its sibling.
+	// Two sessions share the single predictor slot; the panicker's predictor
+	// is swapped for a panicking stub. The panic must drop only that session
+	// and hand the slot back, so its sibling is still served.
 	srv, addr := startServer(t, Config{Shards: 1, Log: slog.New(slog.DiscardHandler)})
 	tr := benchTrace(t, "xlisp", 500)
 
-	// Victim session first: it will share the only shard with the panicker.
+	// Victim session first: it will share the only slot with the panicker.
 	victim, err := Dial(addr, Hello{Benchmark: "victim"}, DialOptions{Timeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
@@ -341,7 +341,7 @@ func TestServeSessionPanicIsolation(t *testing.T) {
 	defer panicker.Close()
 	// Reach into the server and replace the panicker session's predictor
 	// with one that blows up mid-frame. Neither session is streaming yet, so
-	// the shard worker cannot be touching the predictor.
+	// its reader cannot be touching the predictor.
 	for _, e := range srv.track.Live() {
 		if sess, ok := e.Conn().(*session); ok && sess.hello.Benchmark == "panicker" {
 			sess.kern = sim.NewKernel(panicPredictor{}, sim.Options{})
@@ -357,7 +357,7 @@ func TestServeSessionPanicIsolation(t *testing.T) {
 		}
 	}
 
-	// The shard that hosted the panic must still serve the victim.
+	// The slot the panic held must still serve the victim.
 	sum, err := victim.Stream(tr, 100, nil)
 	if err != nil {
 		t.Fatalf("victim session failed after sibling panic: %v", err)
@@ -380,6 +380,77 @@ func (panicPredictor) Predict(pc uint32) (uint32, bool) {
 	panic("injected predictor failure")
 }
 func (panicPredictor) Update(pc, target uint32) {}
+
+// TestServeNoHeadOfLineBlocking: a session whose predictor stalls must not
+// hold up a sibling. Both sessions stream the same trace, so pinning sessions
+// to workers by first PC would put them on one worker; with Shards: 2 the
+// stalled session holds one predictor slot and its sibling predicts in the
+// other.
+func TestServeNoHeadOfLineBlocking(t *testing.T) {
+	srv, addr := startServer(t, Config{Shards: 2})
+	tr := benchTrace(t, "xlisp", 500)
+	opts := DialOptions{Timeout: 3 * time.Second}
+
+	stalled, err := Dial(addr, Hello{Benchmark: "stalled"}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	free, err := Dial(addr, Hello{Benchmark: "free"}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer free.Close()
+	// Neither session is streaming yet, so no reader is touching its
+	// predictor while the stalled one's is swapped.
+	stall := blockingPredictor{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	for _, e := range srv.track.Live() {
+		if sess, ok := e.Conn().(*session); ok && sess.hello.Benchmark == "stalled" {
+			sess.kern = sim.NewKernel(stall, sim.Options{})
+		}
+	}
+	stalledErr := make(chan error, 1)
+	go func() {
+		_, err := stalled.Stream(tr, 100, nil)
+		stalledErr <- err
+	}()
+	<-stall.entered // the stalled session now holds its slot
+
+	sum, err := free.Stream(tr, 100, nil)
+	close(stall.release)
+	if err != nil {
+		t.Fatalf("session behind a stalled sibling: %v", err)
+	}
+	pred, err := defaultFlags().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sim.Run(pred, tr, sim.Options{})
+	if sum.Executed != want.Executed || sum.Misses != want.Misses || sum.NoPrediction != want.NoPrediction {
+		t.Fatalf("summary %+v != local sim %+v", sum, want)
+	}
+	if err := <-stalledErr; err != nil {
+		t.Fatalf("stalled session after its release: %v", err)
+	}
+}
+
+// blockingPredictor stalls in Predict until release is closed, signalling
+// entered the first time it blocks.
+type blockingPredictor struct {
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (blockingPredictor) Name() string { return "blocking-stub" }
+func (p blockingPredictor) Predict(pc uint32) (uint32, bool) {
+	select {
+	case p.entered <- struct{}{}:
+	default:
+	}
+	<-p.release
+	return 0, false
+}
+func (blockingPredictor) Update(pc, target uint32) {}
 
 func TestServeDialRetryBackoff(t *testing.T) {
 	// Reserve an address with no listener: the first dial attempts fail,

@@ -5,7 +5,6 @@ import (
 	"log/slog"
 	"net"
 	"runtime"
-	"sync"
 
 	"github.com/oocsb/ibp/internal/cli"
 	"github.com/oocsb/ibp/internal/core"
@@ -22,16 +21,12 @@ type Config struct {
 	// Predictor is the server's default predictor configuration; a session
 	// Hello may override it per session.
 	Predictor cli.PredictorFlags
-	// Shards is the number of predictor worker goroutines. Sessions are
-	// pinned to one shard (chosen by PC hash of the session's first record)
-	// so a session's records are processed in order — the property that
-	// keeps server-side miss counts bit-identical to a local sim.Run.
+	// Shards caps how many sessions predict at once. Each session runs its
+	// predictor on its own connection goroutine, one frame at a time and in
+	// order — the property that keeps server-side miss counts bit-identical
+	// to a local sim.Run — holding one of Shards slots while it predicts.
 	// Defaults to GOMAXPROCS.
 	Shards int
-	// QueueDepth is each shard's bounded frame queue. A full queue blocks
-	// the session readers feeding it, pushing backpressure into the TCP
-	// stream. Defaults to 64.
-	QueueDepth int
 	// Limits bound the client side: the frame window, frame sizes and the
 	// read and write timeouts, the same on ibpserved and ibprouter.
 	Limits
@@ -56,17 +51,14 @@ func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = runtime.GOMAXPROCS(0)
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
-	}
 	c.Limits, c.Log = ClientDefaults(c.Limits, c.Log)
 	return c
 }
 
-// Server is a sharded streaming prediction service. Create with New, run
-// with Serve/ListenAndServe, stop with Shutdown (graceful drain) or Close;
-// all of those come with the embedded FrontEnd, which Server shares with
-// the cluster router.
+// Server is a streaming prediction service. Create with New, run with
+// Serve/ListenAndServe, stop with Shutdown (graceful drain) or Close; all
+// of those come with the embedded FrontEnd, which Server shares with the
+// cluster router.
 type Server struct {
 	*FrontEnd
 
@@ -74,51 +66,26 @@ type Server struct {
 	m    *metrics
 	pool *trace.BufferPool // frame payload buffers, shared by all readers
 
-	shards  []*shard
-	shardWG sync.WaitGroup
+	// slots holds one token per session predicting a frame; its capacity
+	// is Config.Shards.
+	slots chan struct{}
 
 	// track is the session-lifecycle core: it owns session id allocation,
 	// the live set, the drain handshake, and every per-session stat the
 	// introspection plane serves. The router's proxy sessions use the same
 	// registry type — one session-management core.
 	track *sessiontrack.Registry
-
-	hardStop    chan struct{} // closed when a stop cuts the sessions
-	stopOnce    sync.Once
-	workersOnce sync.Once
 }
 
-// job is one unit of shard work: a records frame to simulate, or a
-// done/drain sentinel asking for the session's final summary. The chunk is
-// the borrowed frame payload (backed by buf when pooled); whoever consumes
-// the job — the worker, or the drain paths around it — releases buf.
-type job struct {
-	sess  *session
-	seq   uint64
-	chunk []byte           // record chunk, seq already peeled off
-	buf   *trace.PooledBuf // backing pooled buffer; nil for sentinels
-	span  flight.Span      // the frame's stamps, receive on
-	done  bool             // client sent Done
-	drain bool             // server drain ended the stream
-}
-
-// shard is one predictor worker and its bounded queue. All jobs of a session
-// land on the same shard in arrival order.
-type shard struct {
-	id    int
-	queue chan job
-}
-
-// New validates the configuration and returns a Server with its shard
-// workers running (idle until sessions arrive).
+// New validates the configuration and returns an idle Server.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:      cfg,
-		m:        newMetrics(telemetry.Default()),
-		pool:     trace.NewBufferPool(),
-		track:    sessiontrack.NewRegistry(sessiontrack.Options{Service: "ibpserved", Tag: cfg.Tag}),
-		hardStop: make(chan struct{}),
+		cfg:   cfg,
+		m:     newMetrics(telemetry.Default()),
+		pool:  trace.NewBufferPool(),
+		slots: make(chan struct{}, cfg.Shards),
+		track: sessiontrack.NewRegistry(sessiontrack.Options{Service: "ibpserved", Tag: cfg.Tag}),
 	}
 	fe, err := NewFrontEnd(FrontEndConfig{
 		Predictor: cfg.Predictor,
@@ -129,96 +96,18 @@ func New(cfg Config) (*Server, error) {
 		Log:       cfg.Log,
 		Sessions:  s.track,
 		Open:      s.open,
-		// A cut unblocks readers waiting on a full shard queue.
-		OnCut:  func() { s.stopOnce.Do(func() { close(s.hardStop) }) },
-		OnStop: s.stopWorkers,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	s.FrontEnd = fe
 	s.pool.OnStats(func() { s.m.poolHits.Inc() }, func() { s.m.poolMisses.Inc() })
-	s.shards = make([]*shard, cfg.Shards)
-	for i := range s.shards {
-		sh := &shard{id: i, queue: make(chan job, cfg.QueueDepth)}
-		s.shards[i] = sh
-		s.shardWG.Add(1)
-		go func() {
-			defer s.shardWG.Done()
-			sh.run(s)
-		}()
-	}
 	return s, nil
 }
 
-// stopWorkers closes the shard queues (all producers have exited by now) and
-// waits for the workers. Safe to reach from both Shutdown and Close.
-func (s *Server) stopWorkers() {
-	s.workersOnce.Do(func() {
-		for _, sh := range s.shards {
-			close(sh.queue)
-		}
-	})
-	s.shardWG.Wait()
-}
-
-// run is a shard worker: it owns the predictor state of every session pinned
-// to this shard and processes their frames in arrival order. A predictor
-// panic kills the offending session only — the recover sits inside
-// session.processFrame, mirroring the sim engine's lane isolation.
-func (sh *shard) run(s *Server) {
-	for j := range sh.queue {
-		s.m.queueDepth.Add(-1)
-		sess := j.sess
-		switch {
-		case sess.dead.Load():
-			// Session already failed; its queued work is void.
-			j.buf.Release()
-		case j.done:
-			sess.emitSummary(false)
-		case j.drain:
-			sess.emitSummary(true)
-		default:
-			sess.processFrame(j)
-		}
-	}
-}
-
-// enqueue places a job on the shard's bounded queue, blocking (and thereby
-// backpressuring the session's TCP reader) while the queue is full. It
-// aborts only on a hard server stop, releasing the job's buffer — once
-// enqueued, ownership is the worker's.
-func (s *Server) enqueue(sh *shard, j job) bool {
-	select {
-	case sh.queue <- j:
-		s.m.queueDepth.Add(1)
-		return true
-	case <-s.hardStop:
-		j.buf.Release()
-		return false
-	}
-}
-
-// shardFor pins a new session to a shard by FNV-1a hash of its first
-// record's PC. Pinning is per-session — records of one session must hit one
-// predictor in order, or global-history state (and the bit-identical
-// equivalence with sim.Run) would be destroyed.
-func (s *Server) shardFor(pc uint32) *shard {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < 4; i++ {
-		h ^= pc >> (8 * i) & 0xff
-		h *= prime32
-	}
-	return s.shards[h%uint32(len(s.shards))]
-}
-
 // open registers an accepted session, starts its writer, queues the
-// HelloAck, and runs the session's frame reader on the connection's
-// goroutine.
+// HelloAck, and runs the session — its reads and its predictions — on the
+// connection's goroutine.
 func (s *Server) open(conn net.Conn, fr *trace.FrameReader, h Handshake) {
 	sess := newSession(s, conn, h.Pred, h.Hello, h.Window)
 	meta := sessiontrack.Meta{
@@ -266,10 +155,15 @@ func (s *Server) open(conn net.Conn, fr *trace.FrameReader, h Handshake) {
 		FlushTime: s.m.ackFlush,
 	}
 	s.Go(w.Run)
-	sess.send(OutFrame{Type: FrameHelloAck, Payload: s.AckHello(h, sess.id, sess.tracer.TraceID())})
+	sess.send(OutFrame{Type: FrameHelloAck, Payload: s.AckHello(h, sess.id)})
 	s.cfg.Log.Info("session open", "session", sess.id, "benchmark", h.Hello.Benchmark,
 		"predictor", sess.predName, "events", sess.events, "window", h.Window)
 	sess.readLoop(fr)
+	// The reader was the tuner history's only user, so it goes now, however
+	// the session ended.
+	if sess.hist != nil {
+		sess.hist.Release()
+	}
 }
 
 // unregister removes the session from the live set. The registry's

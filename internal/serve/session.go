@@ -18,11 +18,10 @@ import (
 	"github.com/oocsb/ibp/internal/tuner"
 )
 
-// session is one client connection's state. The reader goroutine (the
-// connection's own, after the FrontEnd handshake) decodes frames and feeds
-// the session's shard; the shard worker owns the predictor and the
-// accounting; the writer goroutine owns the connection's write side. The
-// worker-owned fields are never touched by the other two goroutines.
+// session is one client connection's state. The connection's own goroutine,
+// after the FrontEnd handshake, reads each frame and runs it through the
+// predictor before it reads the next, so it owns the predictor and the
+// accounting; the writer goroutine owns the connection's write side.
 type session struct {
 	id   uint64
 	srv  *Server
@@ -30,7 +29,6 @@ type session struct {
 
 	hello    Hello
 	predName string
-	window   int
 	events   bool
 	// tracer mints each records frame's span, its one stamp set; nil when
 	// tracing is off, and the stamps are taken all the same. Set before the
@@ -41,20 +39,17 @@ type session struct {
 	// starts, read-only after.
 	track *sessiontrack.Session
 
-	// reader-owned
-	nextSeq uint64
-	shard   *shard
-
 	// shared
-	inflight atomic.Int32
 	dead     atomic.Bool
 	draining atomic.Bool
 	out      chan OutFrame
 	stop     chan struct{}
 	stopOnce sync.Once
 
-	// worker-owned: the prediction kernel (predictor and sim accounting),
-	// and evs, the kernel's event output for the frame in progress.
+	// reader-owned: the last frame seq, the prediction kernel (predictor
+	// and sim accounting), and evs, the kernel's event output for the frame
+	// in progress.
+	nextSeq uint64
 	kern    *sim.Kernel
 	frames  int
 	records int
@@ -64,7 +59,7 @@ type session struct {
 	// fed by kern as its miss observer. hist (non-nil exactly when tun is)
 	// retains the session's processed record chunks in their pooled frame
 	// buffers for the swap replay, within the policy's histmax budget.
-	// Worker-owned like the kernel, so a hot swap needs no locks.
+	// Reader-owned like the kernel, so a hot swap needs no locks.
 	tun  *tuner.SessionTuner
 	hist *trace.FrameLog
 }
@@ -76,13 +71,12 @@ func newSession(s *Server, conn net.Conn, pred core.Predictor, hello Hello, wind
 		hello:    hello,
 		kern:     sim.NewKernel(pred, sim.Options{Warmup: hello.Warmup}),
 		predName: pred.Name(),
-		window:   window,
 		events:   hello.Events,
 		// Each processed frame queues at most two messages (events + ack);
 		// the handshake and final summary ride in the slack. The writer
 		// drains continuously, so the channel only fills when the client
 		// stops reading — which send turns into a shed session rather than
-		// a stalled shard.
+		// a reader stalled holding a predictor slot.
 		out:  make(chan OutFrame, 2*window+8),
 		stop: make(chan struct{}),
 	}
@@ -92,8 +86,8 @@ func newSession(s *Server, conn net.Conn, pred core.Predictor, hello Hello, wind
 	return sess
 }
 
-// send queues a frame for the writer without ever blocking the caller (shard
-// workers must not stall on one slow client). A full queue means the client
+// send queues a frame for the writer without ever blocking the caller (a
+// reader must not stall on its own slow client). A full queue means the client
 // stopped consuming acks faster than the window allows: the session is shed.
 // A message that does not make it to the writer has its buffer released here.
 func (sess *session) send(m OutFrame) bool {
@@ -131,26 +125,22 @@ func (sess *session) fail(code, msg string) {
 	}
 }
 
-// beginDrain marks the session draining and kicks its reader off the socket
-// (an immediate read deadline); the reader then queues the drain sentinel
-// behind any frames already accepted, so everything acknowledged — or about
-// to be — lands in the final summary.
-func (sess *session) beginDrain() {
+// Drain implements sessiontrack.Conn's graceful drain: it marks the session
+// draining and kicks its reader off the socket (an immediate read deadline).
+// The reader has already predicted every frame it read, so it writes the
+// final summary at once, and everything acknowledged lands in it.
+func (sess *session) Drain() {
 	sess.draining.Store(true)
 	sess.conn.SetReadDeadline(time.Now())
 }
 
-// hardClose cuts the session without ceremony (forced shutdown).
-func (sess *session) hardClose() {
+// Kill implements sessiontrack.Conn's hard close (forced shutdown): the
+// session is cut without ceremony.
+func (sess *session) Kill() {
 	sess.dead.Store(true)
 	sess.srv.unregister(sess)
 	sess.stopOnce.Do(func() { close(sess.stop) })
 }
-
-// Drain and Kill implement sessiontrack.Conn: the registry's drain
-// handshake maps onto the session's graceful drain and hard close.
-func (sess *session) Drain() { sess.beginDrain() }
-func (sess *session) Kill()  { sess.hardClose() }
 
 // Retune implements sessiontrack.Retuner: the /sessions/{id}/retune admin
 // verb forces a tuner decision at the session's next frame boundary.
@@ -180,8 +170,8 @@ func (sess *session) writerExit(err error) {
 	}
 }
 
-// readLoop decodes client frames until Done, drain, or failure, feeding the
-// session's shard. It owns nextSeq and the shard assignment.
+// readLoop reads client frames and predicts each before it reads the next,
+// until Done, drain, or failure; then it writes the Summary.
 func (sess *session) readLoop(fr *trace.FrameReader) {
 	s := sess.srv
 	for {
@@ -192,7 +182,7 @@ func (sess *session) readLoop(fr *trace.FrameReader) {
 			break
 		}
 		sess.conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
-		// Re-check after arming the deadline: beginDrain sets the draining
+		// Re-check after arming the deadline: Drain sets the draining
 		// flag before it sets its immediate deadline, so whichever deadline
 		// write lands last, either this check breaks or the read times out
 		// at once — the reader can never sleep a full ReadTimeout into a
@@ -217,9 +207,8 @@ func (sess *session) readLoop(fr *trace.FrameReader) {
 		}
 		switch f.Type {
 		case FrameRecords:
-			// The reader only peels the sequence number and (for shard
-			// pinning) peeks the first PC; the chunk itself is validated by
-			// the worker while it iterates the borrowed payload in place.
+			// The reader peels the sequence number; processFrame validates
+			// the chunk while it iterates the borrowed payload in place.
 			seq, chunk, err := splitRecordsFrame(f.Payload)
 			if err != nil {
 				f.Release()
@@ -232,44 +221,10 @@ func (sess *session) readLoop(fr *trace.FrameReader) {
 				return
 			}
 			sess.nextSeq = seq
-			sess.track.AddInflight(1)
-			if int(sess.inflight.Add(1)) > sess.window+1 {
-				// +1 of slack: the client legitimately sends the next frame
-				// the instant an ack is on the wire.
-				f.Release()
-				sess.fail(CodeOverLimit, fmt.Sprintf("window overflow: %d frames in flight, window %d", sess.inflight.Load(), sess.window))
-				return
-			}
-			if sess.shard == nil {
-				pc, _ := trace.PeekFirstPC(chunk)
-				sess.shard = s.shardFor(pc)
-			}
-			// One clock read per frame (amortized over its ~thousands of
-			// records) is both its receive and its enqueue stamp, so a
-			// blocked (backpressured) enqueue shows up in the
-			// enqueue→dequeue gap, where it belongs.
-			j := job{sess: sess, seq: seq, chunk: chunk, buf: f.Buffer(), span: sess.tracer.Start(seq)}
-			recvNS := time.Now().UnixNano()
-			j.span.StampAt(flight.HopServerRecv, recvNS)
-			j.span.StampAt(flight.HopServerEnqueue, recvNS)
-			if !s.enqueue(sess.shard, j) {
-				// Hard stop; enqueue released the buffer. Take the session
-				// off the books — no worker will ever summarize it.
-				sess.hardClose()
-				return
-			}
+			sess.processFrame(seq, chunk, f.Buffer())
 		case FrameDone:
 			f.Release()
-			if sess.shard == nil {
-				// No records ever arrived; summarize from any shard.
-				sess.shard = s.shardFor(0)
-			}
-			if !s.enqueue(sess.shard, job{sess: sess, done: true}) {
-				// Hard stop swallowed the sentinel: emitSummary will never
-				// run, so close here or the session stays registered and
-				// serve_sessions_active never comes back down.
-				sess.hardClose()
-			}
+			sess.emitSummary(false)
 			return
 		default:
 			// Unknown-but-checksummed client frame: skip it, mirroring the
@@ -277,34 +232,34 @@ func (sess *session) readLoop(fr *trace.FrameReader) {
 			f.Release()
 		}
 	}
-	// Drain path: everything already queued will be processed; the sentinel
-	// asks the worker to summarize after it.
-	if sess.shard == nil {
-		sess.shard = s.shardFor(0)
-	}
-	if !s.enqueue(sess.shard, job{sess: sess, drain: true}) {
-		// Shed during the drain race (hard stop beat the sentinel): no
-		// summary is coming, so the session must take itself off the books.
-		sess.hardClose()
-	}
+	sess.emitSummary(true)
 }
 
 // processFrame runs the session kernel (DESIGN.md §5b) straight off a
-// RecordIter over the borrowed chunk, then queues the (events and) ack frames
-// from pooled payload buffers and releases the chunk's buffer. A predictor
-// panic is confined to this session, like a sim lane's.
-func (sess *session) processFrame(j job) {
-	seq, chunk, buf := j.seq, j.chunk, j.buf
+// RecordIter over the borrowed chunk while holding a predictor slot, then
+// queues the (events and) ack frames from pooled payload buffers and
+// releases the chunk's buffer. A predictor panic is confined to this
+// session, like a sim lane's.
+func (sess *session) processFrame(seq uint64, chunk []byte, buf *trace.PooledBuf) {
+	s := sess.srv
+	m := s.m
+	// One clock read per frame (amortized over its ~thousands of records)
+	// is both its receive and its enqueue stamp; the dequeue stamp is taken
+	// with the slot, so the wait for a slot is the enqueue→dequeue gap.
+	sp := sess.tracer.Start(seq)
+	recvNS := time.Now().UnixNano()
+	sp.StampAt(flight.HopServerRecv, recvNS)
+	sp.StampAt(flight.HopServerEnqueue, recvNS)
+	s.slots <- struct{}{}
+	defer func() { <-s.slots }()
 	defer buf.Release()
 	defer func() {
 		if r := recover(); r != nil {
-			sess.srv.m.panics.Inc()
+			m.panics.Inc()
 			sess.fail(CodePredictor, fmt.Sprintf("predictor panicked: %v\n%s", r, debug.Stack()))
 		}
 	}()
-	s := sess.srv
-	m := s.m
-	j.span.StampAt(flight.HopServerDequeue, time.Now().UnixNano())
+	sp.StampAt(flight.HopServerDequeue, time.Now().UnixNano())
 	before := sess.kern.Result()
 	nrecs, err := runChunk(sess.kern, chunk, s.cfg.MaxFrameRecords)
 	if err != nil {
@@ -318,10 +273,10 @@ func (sess *session) processFrame(j job) {
 	executed, misses := res.Executed-before.Executed, res.Misses-before.Misses
 	sess.frames++
 	sess.records += nrecs
-	j.span.StampAt(flight.HopServerPredict, time.Now().UnixNano())
-	j.span.SetRecords(nrecs)
+	sp.StampAt(flight.HopServerPredict, time.Now().UnixNano())
+	sp.SetRecords(nrecs)
 	// The (allocating) table stats refresh is amortized to every 16th
-	// frame — the predictor is worker-owned, so only this goroutine may
+	// frame — the predictor is reader-owned, so only this goroutine may
 	// read it.
 	if sess.frames&0xf == 0 {
 		sess.updateTables()
@@ -347,13 +302,11 @@ func (sess *session) processFrame(j job) {
 			return
 		}
 	}
-	sess.inflight.Add(-1)
-	sess.track.AddInflight(-1)
 	ab := s.pool.Get(ackPayloadMax)
 	payload := appendAck(ab.Bytes()[:0], ack)
 	// The span rides the ack to the writer, which publishes it after the
 	// flush; a shed message simply drops the span.
-	if sess.send(OutFrame{Type: FrameAck, Payload: payload, Buf: ab, Ack: ack, Span: j.span}) {
+	if sess.send(OutFrame{Type: FrameAck, Payload: payload, Buf: ab, Ack: ack, Span: sp}) {
 		m.acks.Inc()
 	}
 	// The frame boundary is the tuner's only legal act point; the ack above
@@ -399,16 +352,11 @@ func (sess *session) updateTables() {
 const ackPayloadMax = 7 * binary.MaxVarintLen64
 
 // emitSummary finishes the session: the final Summary frame reflects every
-// frame the worker processed (every acknowledged frame in particular), then
+// frame the reader processed (every acknowledged frame in particular), then
 // the writer closes the connection.
 func (sess *session) emitSummary(drained bool) {
 	if drained {
 		sess.srv.m.drains.Inc()
-	}
-	// The Done/drain job is the last the worker runs for this session, so
-	// its retained tuner history can be released here, on the owning worker.
-	if sess.hist != nil {
-		sess.hist.Release()
 	}
 	res := sess.kern.Result()
 	sum := Summary{

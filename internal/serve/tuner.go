@@ -7,7 +7,7 @@ import (
 )
 
 // tunerFrameEnd is the act side of the adaptation plane, run at every frame
-// boundary of a tuned session (worker goroutine, after the frame's ack is
+// boundary of a tuned session (the session's reader, after the frame's ack is
 // queued): retain the frame for replay, let the policy vote, and apply any
 // decision as a hot swap.
 //

@@ -299,15 +299,8 @@ func (s *Session) SetBackend(addr string) {
 	s.backend.Store(p)
 }
 
-// AddInflight tracks frame window occupancy (+1 on accept, -1 on ack).
-func (s *Session) AddInflight(d int32) {
-	if s != nil {
-		s.inflight.Add(d)
-	}
-}
-
-// SetInflight overwrites the occupancy estimate (the router derives it from
-// the seq/ack watermark distance rather than counting).
+// SetInflight sets the frame window occupancy (the router derives it from
+// the seq/ack watermark distance; a serve session leaves it at 0).
 func (s *Session) SetInflight(n int32) {
 	if s != nil {
 		s.inflight.Store(n)

@@ -282,8 +282,7 @@ func TestSessionUpdateZeroAllocs(t *testing.T) {
 	now := time.Now().UnixNano()
 	allocs := testing.AllocsPerRun(1000, func() {
 		s.FrameAcked(now, 100, 100, 5, time.Microsecond)
-		s.AddInflight(1)
-		s.AddInflight(-1)
+		s.SetInflight(1)
 		s.JournalDelta(128)
 		s.SetState(StateActive)
 	})
@@ -304,7 +303,6 @@ func TestNilSessionTrackZeroAllocs(t *testing.T) {
 	now := time.Now().UnixNano()
 	allocs := testing.AllocsPerRun(1000, func() {
 		s.FrameAcked(now, 100, 100, 5, time.Microsecond)
-		s.AddInflight(1)
 		s.SetInflight(0)
 		s.JournalDelta(128)
 		s.SetState(StateActive)

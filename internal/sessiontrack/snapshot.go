@@ -20,8 +20,8 @@ type WindowStats struct {
 	MissRate      float64 `json:"missRate"`
 	RecordsPerSec float64 `json:"recordsPerSec"`
 	// QueueWaitAvgUS is the mean wait per frame in the window, microseconds:
-	// shard-queue wait on a serve session, receive to first relay on a proxy
-	// session.
+	// the wait for a predictor slot on a serve session, receive to first
+	// relay on a proxy session.
 	QueueWaitAvgUS float64 `json:"queueWaitAvgUs"`
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 )
 
@@ -69,8 +70,13 @@ func (f *Frame) Copy() []byte { return append([]byte(nil), f.Payload...) }
 
 // FrameWriter emits checksummed frames onto a stream. It buffers; callers
 // decide flush points (a network writer flushes after each response batch).
+// The v2 file writer frames its sections through it too.
 type FrameWriter struct {
 	bw *bufio.Writer
+	// Header and checksum scratch: locals would escape through
+	// bufio.Writer.Write and cost two allocations per frame.
+	hdr [2 * binary.MaxVarintLen64]byte
+	crc [4]byte
 }
 
 // NewFrameWriter returns a FrameWriter over w. The 64 KiB buffer lets a
@@ -79,9 +85,22 @@ func NewFrameWriter(w io.Writer) *FrameWriter {
 	return &FrameWriter{bw: bufio.NewWriterSize(w, 64<<10)}
 }
 
-// WriteFrame appends one frame to the stream buffer.
+// WriteFrame appends one frame to the stream buffer: varint header,
+// payload, CRC32 trailer.
 func (fw *FrameWriter) WriteFrame(typ uint64, payload []byte) error {
-	return writeSection(fw.bw, typ, payload)
+	n := binary.PutUvarint(fw.hdr[:], typ)
+	n += binary.PutUvarint(fw.hdr[n:], uint64(len(payload)))
+	sum := crc32.ChecksumIEEE(fw.hdr[:n])
+	sum = crc32.Update(sum, crc32.IEEETable, payload)
+	if _, err := fw.bw.Write(fw.hdr[:n]); err != nil {
+		return err
+	}
+	if _, err := fw.bw.Write(payload); err != nil {
+		return err
+	}
+	binary.LittleEndian.PutUint32(fw.crc[:], sum)
+	_, err := fw.bw.Write(fw.crc[:])
+	return err
 }
 
 // Flush writes any buffered frames to the underlying stream.

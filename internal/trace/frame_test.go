@@ -126,3 +126,21 @@ func TestRecordsPayloadRoundTrip(t *testing.T) {
 		t.Fatal("truncated payload accepted")
 	}
 }
+
+// TestFrameWriterZeroAllocs pins the frame write path at zero allocations
+// per frame: every records frame a serve client sends, and every frame the
+// router forwards to a backend, goes through it.
+func TestFrameWriterZeroAllocs(t *testing.T) {
+	fw := NewFrameWriter(io.Discard)
+	for _, size := range []int{40, 10 << 10} {
+		payload := make([]byte, size)
+		write := func() {
+			if err := fw.WriteFrame(17, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if avg := testing.AllocsPerRun(200, write); avg != 0 {
+			t.Fatalf("writing a %d-byte frame allocates %.1f times, want 0", size, avg)
+		}
+	}
+}

@@ -89,39 +89,19 @@ func corrupt(records int, offset int64, detail string, err error) error {
 // errChecksum is the cause recorded when a section's CRC32 does not match.
 var errChecksum = errors.New("checksum mismatch")
 
-// writeSection frames one section: varint header, payload, CRC32 trailer.
-func writeSection(bw *bufio.Writer, typ uint64, payload []byte) error {
-	var hdr [2 * binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], typ)
-	n += binary.PutUvarint(hdr[n:], uint64(len(payload)))
-	sum := crc32.ChecksumIEEE(hdr[:n])
-	sum = crc32.Update(sum, crc32.IEEETable, payload)
-	if _, err := bw.Write(hdr[:n]); err != nil {
-		return err
-	}
-	if _, err := bw.Write(payload); err != nil {
-		return err
-	}
-	var cb [4]byte
-	binary.LittleEndian.PutUint32(cb[:], sum)
-	_, err := bw.Write(cb[:])
-	return err
-}
-
 // writeV2 encodes the trace in the v2 sectioned format.
 func writeV2(w io.Writer, t Trace) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magic); err != nil {
+	fw := NewFrameWriter(w)
+	if _, err := fw.bw.WriteString(magic); err != nil {
 		return err
 	}
-	var vbuf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(vbuf[:], version2)
-	if _, err := bw.Write(vbuf[:n]); err != nil {
+	n := binary.PutUvarint(fw.hdr[:], version2)
+	if _, err := fw.bw.Write(fw.hdr[:n]); err != nil {
 		return err
 	}
 	payload := make([]byte, 0, chunkRecords*maxRecord/8)
 	payload = binary.AppendUvarint(payload, uint64(len(t)))
-	if err := writeSection(bw, secCount, payload); err != nil {
+	if err := fw.WriteFrame(secCount, payload); err != nil {
 		return err
 	}
 	for start := 0; start < len(t); start += chunkRecords {
@@ -132,14 +112,14 @@ func writeV2(w io.Writer, t Trace) error {
 			payload = putRecord(payload, r, prevPC, prevTgt)
 			prevPC, prevTgt = r.PC, r.Target
 		}
-		if err := writeSection(bw, secRecords, payload); err != nil {
+		if err := fw.WriteFrame(secRecords, payload); err != nil {
 			return err
 		}
 	}
-	if err := writeSection(bw, secEnd, nil); err != nil {
+	if err := fw.WriteFrame(secEnd, nil); err != nil {
 		return err
 	}
-	return bw.Flush()
+	return fw.Flush()
 }
 
 // sectionScanner reads framed sections while tracking byte offsets and the

@@ -327,7 +327,7 @@ func (it *RecordIter) Err() error { return it.err }
 
 // PeekFirstPC returns the PC of the chunk's first record without validating
 // the rest of the payload, and ok=false for an empty or unparsable chunk. It
-// is the shard/placement key peek: pinning wants one field, not a decode.
+// is the router's placement key peek: placing wants one field, not a decode.
 func PeekFirstPC(payload []byte) (pc uint32, ok bool) {
 	it := RecordIter{p: payload}
 	n, ok := it.uvarint()

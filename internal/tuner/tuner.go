@@ -30,14 +30,12 @@ type Decision struct {
 	Reason string
 }
 
-// Tuner is the process-level adaptation plane: the default policy, the
-// concurrent-tuned-sessions capacity gate, and the tuner_* telemetry.
-// nil is disabled: Session returns nil and every method no-ops.
+// Tuner is the process-level adaptation plane: the default policy and the
+// tuner_* telemetry. nil is disabled: Session returns nil and every method
+// no-ops.
 type Tuner struct {
-	def         Policy
-	maxSessions int64
-	tunedNow    atomic.Int64
-	m           metrics
+	def Policy
+	m   metrics
 }
 
 // Options configures a Tuner.
@@ -45,10 +43,6 @@ type Options struct {
 	// Policy is the process default, overridable per session via
 	// Hello.TunerPolicy.
 	Policy Policy
-	// MaxSessions caps concurrently tuned sessions (a best-effort capacity
-	// guard on replay-history memory, decided at session open; it does not
-	// participate in the determinism contract). <= 0 means no cap.
-	MaxSessions int
 	// Telemetry resolves the tuner_* handles; nil disables them.
 	Telemetry *telemetry.Registry
 }
@@ -57,7 +51,6 @@ type Options struct {
 // when telemetry is off.
 type metrics struct {
 	sessions      *telemetry.Counter // tuner_sessions_total
-	rejected      *telemetry.Counter // tuner_sessions_rejected_total
 	swaps         *telemetry.Counter // tuner_swaps_total
 	escalations   *telemetry.Counter // tuner_escalations_total
 	deescalations *telemetry.Counter // tuner_deescalations_total
@@ -74,11 +67,9 @@ func New(o Options) *Tuner {
 	}
 	r := o.Telemetry
 	return &Tuner{
-		def:         o.Policy,
-		maxSessions: int64(o.MaxSessions),
+		def: o.Policy,
 		m: metrics{
 			sessions:      r.Counter("tuner_sessions_total"),
-			rejected:      r.Counter("tuner_sessions_rejected_total"),
 			swaps:         r.Counter("tuner_swaps_total"),
 			escalations:   r.Counter("tuner_escalations_total"),
 			deescalations: r.Counter("tuner_deescalations_total"),
@@ -101,20 +92,10 @@ func (t *Tuner) DefaultPolicy() Policy {
 // Session attaches a tuner to one serve session. base is the session's
 // opening predictor config (the de-escalation target); track is its
 // sessiontrack entry, which receives the miss-class sketch and swap counts.
-// Returns nil — tune nothing — on the nil Tuner or when the process
-// capacity gate is full (counted in tuner_sessions_rejected_total).
+// Returns nil — tune nothing — on the nil Tuner.
 func (t *Tuner) Session(p Policy, base cli.PredictorFlags, track *sessiontrack.Session) *SessionTuner {
 	if t == nil {
 		return nil
-	}
-	if t.maxSessions > 0 {
-		if t.tunedNow.Add(1) > t.maxSessions {
-			t.tunedNow.Add(-1)
-			t.m.rejected.Inc()
-			return nil
-		}
-	} else {
-		t.tunedNow.Add(1)
 	}
 	t.m.sessions.Inc()
 	t.m.active.Add(1)
@@ -129,8 +110,8 @@ func (t *Tuner) Session(p Policy, base cli.PredictorFlags, track *sessiontrack.S
 }
 
 // SessionTuner is one session's observe→decide state. It is owned by the
-// session's shard worker: ObserveMiss and FrameEnd are called only from
-// the worker goroutine and never allocate; Retune (the only cross-goroutine
+// goroutine running the session's predictor: ObserveMiss and FrameEnd are
+// called only from it and never allocate; Retune (the only cross-goroutine
 // entry) is a single atomic store. All methods are nil-safe no-ops.
 type SessionTuner struct {
 	t     *Tuner
@@ -351,13 +332,12 @@ func (st *SessionTuner) HistoryOverflow() {
 // layer uses it to stop retaining history.
 func (st *SessionTuner) Stopped() bool { return st == nil || st.stopped.Load() }
 
-// Close releases the session's slot in the process capacity gate. Safe from
-// any exit path (idempotent, nil-safe); the worker may still be mid-frame,
-// so it only touches the capacity accounting, never the decision state.
+// Close takes the session off tuner_sessions_active. Safe from any exit
+// path (idempotent, nil-safe); the session's reader may still be mid-frame,
+// so it never touches the decision state.
 func (st *SessionTuner) Close() {
 	if st == nil || !st.closed.CompareAndSwap(false, true) {
 		return
 	}
-	st.t.tunedNow.Add(-1)
 	st.t.m.active.Add(-1)
 }

@@ -3,6 +3,8 @@ package tuner
 import (
 	"strings"
 	"testing"
+
+	"github.com/oocsb/ibp/internal/telemetry"
 )
 
 func TestParsePolicyDefaults(t *testing.T) {
@@ -292,22 +294,33 @@ func TestTunerStoppedDropsSketch(t *testing.T) {
 	}
 }
 
-func TestTunerCapacityGate(t *testing.T) {
+// TestTunerSessionsActiveBalances checks that tuner_sessions_active counts
+// each tuned session once and that a repeated Close takes it off only once.
+func TestTunerSessionsActiveBalances(t *testing.T) {
 	p := testPolicy(t)
-	tun := New(Options{Policy: p, MaxSessions: 2})
+	reg := telemetry.New()
+	tun := New(Options{Policy: p, Telemetry: reg})
 	base, _ := PredictorFor("btb-2bc")
 	a := tun.Session(p, base, nil)
 	b := tun.Session(p, base, nil)
 	if a == nil || b == nil {
-		t.Fatal("sessions under the cap rejected")
+		t.Fatal("enabled tuner refused a session")
 	}
-	if c := tun.Session(p, base, nil); c != nil {
-		t.Fatal("session over the cap accepted")
+	active := reg.Gauge("tuner_sessions_active")
+	if got := active.Load(); got != 2 {
+		t.Fatalf("tuner_sessions_active = %v with two sessions, want 2", got)
 	}
 	a.Close()
 	a.Close() // idempotent
-	if d := tun.Session(p, base, nil); d == nil {
-		t.Fatal("slot not released by Close")
+	if got := active.Load(); got != 1 {
+		t.Fatalf("tuner_sessions_active = %v after closing one session twice, want 1", got)
+	}
+	b.Close()
+	if got := active.Load(); got != 0 {
+		t.Fatalf("tuner_sessions_active = %v after closing both, want 0", got)
+	}
+	if got := reg.Counter("tuner_sessions_total").Load(); got != 2 {
+		t.Fatalf("tuner_sessions_total = %v, want 2", got)
 	}
 }
 
