@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -135,4 +136,82 @@ func TestExperimentsHeadlineClaims(t *testing.T) {
 			t.Errorf("%q: EXPERIMENTS.md says %q, %s gives %q", c.claim, got, c.fromCSV, c.want)
 		}
 	}
+
+	// The per-experiment prose of fig11, fig17 and tableA1.
+	fig11, fig11cap := readResult(t, "fig11-0.csv"), readResult(t, "fig11-1.csv")
+	sizes := fig11.header[1:]
+	last := sizes[len(sizes)-1]
+	var sat []string
+	for p := 0; p <= 3; p++ {
+		row := fmt.Sprintf("p=%d", p)
+		// The smallest size from which the miss rate stays at its
+		// largest table's.
+		at := len(sizes) - 1
+		for at > 0 && fig11.cell(t, row, sizes[at-1]) == fig11.cell(t, row, last) {
+			at--
+		}
+		if c := fig11cap.cell(t, row, sizes[at]); c != 0 {
+			t.Errorf("fig11-1.csv: %s capacity misses %.4f at its saturation size %s, want 0", row, c, sizes[at])
+		}
+		n, err := strconv.Atoi(sizes[at])
+		if err != nil {
+			t.Fatal(err)
+		}
+		sat = append(sat, fmt.Sprintf("%s→%dK", row, n/1024))
+	}
+	bestRow := func(col string) string {
+		best := fig11.order[0]
+		for _, row := range fig11.order {
+			if fig11.cell(t, row, col) < fig11.cell(t, best, col) {
+				best = row
+			}
+		}
+		return strings.TrimPrefix(best, "p=")
+	}
+	fig17 := readResult(t, "fig17-0.csv")
+	peak, peakRow, peakCol := 0.0, "", ""
+	for _, row := range fig17.order {
+		for _, col := range fig17.header[1:] {
+			if i := slices.Index(fig17.header, col); fig17.rows[row][i] != "" && fig17.cell(t, row, col) > peak {
+				peak, peakRow, peakCol = fig17.cell(t, row, col), row, col
+			}
+		}
+	}
+	diag, ridge := fig17.cell(t, "p1=3", "p2=3"), fig17.cell(t, "p1=3", "p2=1")
+	hyb512, non512 := a1.cell(t, "512", "hyb-assoc2"), a1.cell(t, "512", "assoc2")
+	if diag >= ridge || hyb512 >= non512 {
+		t.Errorf("fig17/tableA1 no longer show the hybrid winning: (3,3) %.1f vs (3,1) %.1f, 512 %.2f vs %.2f", diag, ridge, hyb512, non512)
+	}
+	for _, c := range []struct {
+		section, want, fromCSV string
+	}{
+		{"Figure 11", "saturation at " + strings.Join(sat, ", "), "fig11-0.csv, p=0..3 saturation sizes"},
+		{"Figure 11", "goes to exactly 0.00 at saturation", "fig11-1.csv at the saturation sizes"},
+		{"Figure 11", fmt.Sprintf("best p grows %s→%s across sizes", bestRow(sizes[0]), bestRow(last)), "fig11-0.csv best row at 32 and 32768"},
+		{"Figure 17", fmt.Sprintf("peak %.1f%% at (%s, %s)", peak, peakRow, peakCol), "fig17-0.csv maximum"},
+		{"Figure 17", fmt.Sprintf("(3,3) %.1f vs (3,1) %.1f", diag, ridge), "fig17-0.csv p1=3"},
+		{"Figure 18", fmt.Sprintf("hyb-assoc2 %.2f < assoc2 %.2f at 512", hyb512, non512), "tableA1-0.csv 512"},
+		{"Figure 18", fmt.Sprintf("hyb-assoc4 %.2f < fullassoc %.2f at 4K", hyb4K, full4K), "tableA1-0.csv 4096"},
+		{"Figure 18", fmt.Sprintf("%.2f%% / %.2f%%", hyb1K, a1.cell(t, "8192", "hyb-assoc4")), "tableA1-0.csv hyb-assoc4 1024, 8192"},
+	} {
+		if text := prose(t, c.section); !strings.Contains(text, c.want) {
+			t.Errorf("EXPERIMENTS.md %s lacks %q, which %s gives", c.section, c.want, c.fromCSV)
+		}
+	}
+}
+
+// prose returns the text of EXPERIMENTS.md's "### <heading>" section with
+// its line breaks folded into spaces.
+func prose(t *testing.T, heading string) string {
+	t.Helper()
+	doc, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "\n### "+heading)
+	if !ok {
+		t.Fatalf("EXPERIMENTS.md has no section %q", heading)
+	}
+	section, _, _ = strings.Cut(section, "\n#")
+	return strings.Join(strings.Fields(section), " ")
 }

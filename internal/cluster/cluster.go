@@ -230,11 +230,16 @@ func (r *Router) open(conn net.Conn, fr *trace.FrameReader, h serve.Handshake) {
 	if hello.TunerPolicy == "" {
 		hello.TunerPolicy = r.cfg.TunerPolicy
 	}
+	// The session's context exists before Register makes the session
+	// visible, so a Kill or a forced drain arriving at once can cancel it.
+	ctx, cancel := context.WithCancel(r.ctx)
 	sess := &proxySession{
 		r:      r,
 		conn:   conn,
 		hello:  hello,
 		window: h.Window,
+		ctx:    ctx,
+		cancel: cancel,
 		j:      trace.NewFrameLog(r.cfg.JournalBytes),
 		// A frame's span lives from its receive to its first ack, and the
 		// reader refuses a frame more than window+1 past the last relayed
@@ -253,6 +258,7 @@ func (r *Router) open(conn net.Conn, fr *trace.FrameReader, h serve.Handshake) {
 		Window:    h.Window,
 	})
 	if err != nil { // draining: no new sessions
+		cancel()
 		conn.Close()
 		return
 	}
@@ -338,14 +344,14 @@ func (r *Router) connectSession(sess *proxySession, pc uint32, avoid *backend) (
 	for round := 0; round < failoverRounds; round++ {
 		cands := r.candidatesFor(pc)
 		for _, b := range cands {
-			if sess.isClosed() || r.ctx.Err() != nil {
+			if sess.ctx.Err() != nil {
 				return nil, nil, errSessionOver
 			}
 			if round == 0 && b == avoid && len(cands) > 1 {
 				continue
 			}
 			r.m.dials.Inc()
-			bc, err := serve.DialContext(r.ctx, b.addr, sess.hello, opts)
+			bc, err := serve.DialContext(sess.ctx, b.addr, sess.hello, opts)
 			if err != nil {
 				r.m.dialFailures.Inc()
 				var we *serve.WireError

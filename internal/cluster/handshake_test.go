@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -183,5 +184,106 @@ func TestRouterWindowOverflow(t *testing.T) {
 	}
 	if we.Code != serve.CodeOverLimit {
 		t.Fatalf("error %+v, want code %s", we, serve.CodeOverLimit)
+	}
+}
+
+// TestRouterDialEndsWithSession: a placement dial belongs to its session.
+// The router's only backend accepts TCP and never answers the Hello. A
+// window-2 session's first records frame sends the router dialing it; the
+// client then overruns the window, the session ends with over-limit, and
+// the backend must see the waiting connection close well before the dial's
+// own timeout, and no second dial.
+func TestRouterDialEndsWithSession(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := make(chan struct{}, 8) // one per dial; a second fails the test
+	closed := make(chan time.Time, 8)
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var held []net.Conn
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			held = append(held, c)
+			mu.Unlock()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				// A health probe connects and closes; a dial writes
+				// its preamble and Hello, then waits for an answer.
+				if _, err := c.Read(make([]byte, 1)); err != nil {
+					return
+				}
+				accepted <- struct{}{}
+				io.Copy(io.Discard, c) // returns when the router closes it
+				closed <- time.Now()
+			}()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		for _, c := range held {
+			c.Close()
+		}
+		mu.Unlock()
+		wg.Wait()
+	})
+	const dialTimeout = 5 * time.Second
+	_, routed := startRouter(t, []string{ln.Addr().String()}, func(c *Config) { c.DialTimeout = dialTimeout })
+
+	conn, err := net.DialTimeout("tcp", routed, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	records := func(seq uint64) func(*trace.FrameWriter) error {
+		return frame(serve.FrameRecords, trace.AppendRecords(binary.AppendUvarint(nil, seq), nil))
+	}
+	if _, err := conn.Write(clientBytes(t, helloFrame(t, serve.Hello{Benchmark: "gcc", Window: 2}), records(1))); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-accepted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the router never dialed the backend")
+	}
+	fw := trace.NewFrameWriter(conn)
+	for seq := uint64(2); seq <= 4; seq++ {
+		if err := records(seq)(fw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	fr := trace.NewFrameReader(conn, 1<<20)
+	for _, want := range []uint64{serve.FrameHelloAck, serve.FrameError} {
+		if f, err := fr.Next(); err != nil || f.Type != want {
+			t.Fatalf("answer: frame type %#x, err %v; want %#x", f.Type, err, want)
+		}
+	}
+	ended := time.Now()
+	select {
+	case at := <-closed:
+		if d := at.Sub(ended); d > dialTimeout/5 {
+			t.Errorf("the backend connection closed %v after its session ended", d)
+		}
+	case <-time.After(dialTimeout / 2):
+		t.Fatalf("the backend connection outlived its session by %v", dialTimeout/2)
+	}
+	select {
+	case <-accepted:
+		t.Error("the router dialed again for a session that had ended")
+	case <-time.After(500 * time.Millisecond):
 	}
 }

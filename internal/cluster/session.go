@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -57,6 +58,11 @@ type proxySession struct {
 	conn   net.Conn
 	hello  serve.Hello
 	window int // granted client window
+
+	// ctx ends with the session: close cancels it, and the placement
+	// dials run on it, so a dial waiting on a silent backend stops there.
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	// tracer mints each journaled frame's span, its one stamp set; nil when
 	// tracing is off, and the stamps are taken all the same.
@@ -120,11 +126,12 @@ func (sess *proxySession) isClosed() bool {
 }
 
 // close tears the session down: wakes the writer (which owns closing the
-// client connection), severs the live backend connection, and unregisters.
-// Idempotent; safe from any goroutine.
+// client connection), ends any placement dial, severs the live backend
+// connection, and unregisters. Idempotent; safe from any goroutine.
 func (sess *proxySession) close() {
 	sess.close1.Do(func() {
 		close(sess.closed)
+		sess.cancel()
 		sess.mu.Lock()
 		bc := sess.curConn
 		sess.mu.Unlock()

@@ -30,10 +30,11 @@ type Component interface {
 type Hybrid struct {
 	comps []Component
 	name  string
-	// levels holds the components as two-level predictors when every one
-	// is a distinct *TwoLevel, the precondition of the keyed step; nil
-	// otherwise.
-	levels []*TwoLevel
+	// tables holds the components that are keyed tables, and keyable
+	// whether every component is one and no two are the same instance:
+	// the hybrid's precondition for being Keyed.
+	tables  []KeyedTable
+	keyable bool
 
 	// Attribution recording (see core.Attributor); off by default. While
 	// enabled, Predict keeps every component's prediction in the
@@ -57,17 +58,19 @@ func NewHybrid(comps ...Component) (*Hybrid, error) {
 		return nil, fmt.Errorf("core: hybrid needs at least 2 components, got %d", len(comps))
 	}
 	names := make([]string, len(comps))
-	levels := make([]*TwoLevel, len(comps))
+	var tables []KeyedTable
+	keyable := true
 	for i, c := range comps {
 		names[i] = c.Name()
-		t, ok := c.(*TwoLevel)
-		if levels != nil && ok && !slices.Contains(levels[:i], t) {
-			levels[i] = t
-		} else {
-			levels = nil
+		t, ok := c.(KeyedTable)
+		if !ok || slices.Contains(tables, t) {
+			keyable = false
+		}
+		if ok {
+			tables = append(tables, t)
 		}
 	}
-	return &Hybrid{comps: comps, name: "hybrid(" + strings.Join(names, "+") + ")", levels: levels}, nil
+	return &Hybrid{comps: comps, name: "hybrid(" + strings.Join(names, "+") + ")", tables: tables, keyable: keyable}, nil
 }
 
 // MustHybrid is NewHybrid for statically-known component lists.
@@ -79,22 +82,37 @@ func MustHybrid(comps ...Component) *Hybrid {
 	return h
 }
 
-// vote is the metapredictor (§6.1): among the components that predict, the
-// highest confidence wins, and an earlier component wins a tie. Predict and
-// StepKeyed both choose through it.
-type vote struct {
-	target uint32
-	conf   int // the winner's confidence, -1 while no component predicts
-	comp   int // the winning component, -1 while no component predicts
+// rank orders predictions for the metapredictor (§6.1): no prediction ranks
+// 0, a prediction 256 plus its entry's confidence counter, so any
+// prediction beats none and a higher confidence beats a lower one.
+func rank(conf uint8, ok bool) uint16 {
+	if !ok {
+		return 0
+	}
+	return 256 + uint16(conf)
 }
 
-func newVote() vote { return vote{conf: -1, comp: -1} }
+// beats reports whether a prediction of rank r displaces the winner so far,
+// of rank w. Components offer in order, so an earlier one keeps a tie.
+// Predict's vote and Vote both choose by it.
+func beats(r, w uint16) bool { return r > w }
+
+// vote is the metapredictor (§6.1) as Predict runs it: among the components
+// that predict, the highest confidence wins, and an earlier component wins
+// a tie.
+type vote struct {
+	target uint32
+	rank   uint16 // the winner's rank, 0 while no component predicts
+	comp   int    // the winning component, -1 while no component predicts
+}
+
+func newVote() vote { return vote{comp: -1} }
 
 // offer returns the vote after component i casts its prediction;
 // components offer in order. A value, so the vote stays in registers.
 func (v vote) offer(i int, target uint32, conf uint8, ok bool) vote {
-	if ok && int(conf) > v.conf {
-		return vote{target: target, conf: int(conf), comp: i}
+	if r := rank(conf, ok); beats(r, v.rank) {
+		return vote{target: target, rank: r, comp: i}
 	}
 	return v
 }
@@ -117,7 +135,7 @@ func (h *Hybrid) Predict(pc uint32) (uint32, bool) {
 	h.att = AttribState{Component: int16(v.comp)}
 	h.attComp = nil
 	if v.comp >= 0 {
-		h.att.Conf = uint8(v.conf)
+		h.att.Conf = uint8(v.rank) // a prediction's rank is 256 plus its confidence
 		h.att.TableHit = true
 		if a, ok := h.comps[v.comp].(Attributor); ok {
 			h.attComp = a
@@ -126,32 +144,37 @@ func (h *Hybrid) Predict(pc uint32) (uint32, bool) {
 	return v.target, v.comp >= 0
 }
 
-// Histories implements Keyed: a hybrid is keyed when every component is a
-// distinct keyed TwoLevel, and attribution is off.
-func (h *Hybrid) Histories(dst []TableHistory) ([]TableHistory, bool) {
-	if h.levels == nil || h.attrib {
-		return dst, false
-	}
-	n := len(dst)
-	for _, t := range h.levels {
-		var ok bool
-		if dst, ok = t.Histories(dst); !ok {
-			return dst[:n], false
+// Tables implements Keyed: a hybrid's vote is over its components' answers.
+// It is keyed when every component is a distinct keyed table, and
+// attribution is off.
+func (h *Hybrid) Tables(dst []KeyedTable) ([]KeyedTable, bool) {
+	ok := h.keyable && !h.attrib
+	for _, t := range h.tables {
+		if _, keyed := t.KeyHistory(); !keyed {
+			ok = false
 		}
 	}
-	return dst, true
+	return append(dst, h.tables...), ok
 }
 
-// StepKeyed implements Keyed, keys[i] being component i's key. The
-// components' tables are disjoint, so each one predicts and trains in turn
-// and the vote sees the same predictions Predict would.
-func (h *Hybrid) StepKeyed(keys []uint64, target uint32) (uint32, bool) {
-	v := newVote()
-	for i, t := range h.levels {
-		pred, conf, ok := t.stepKeyed(keys[i], target)
-		v = v.offer(i, pred, conf, ok)
+// Vote returns the answer of a Keyed predictor whose tables answered
+// tapes[i][j] to branch j: the one its metapredictor picks, by the rank and
+// tie-break Predict's vote uses, or the one table's answer.
+func Vote(tapes [][]Answer, j int) Answer {
+	w := tapes[0][j]
+	for _, t := range tapes[1:] {
+		w = w.Offer(t[j])
 	}
-	return v.target, v.comp >= 0
+	return w
+}
+
+// Offer returns the vote's winner once a later table answers a, w being
+// the winner so far: a if its rank beats w's.
+func (w Answer) Offer(a Answer) Answer {
+	if beats(uint16(a>>1), uint16(w>>1)) {
+		return a
+	}
+	return w
 }
 
 // Update implements Predictor: every component resolves the branch. With
@@ -228,51 +251,38 @@ func (h *Hybrid) TableStats() []table.Stats {
 
 // NewDualPath builds the paper's canonical hybrid: two two-level components
 // with path lengths p1 and p2, equal table kind and size, 2-bit confidence
-// counters, and the §4–§5 default key construction. The p1 component wins
-// confidence ties.
+// counters, and the §4–§5 default key construction (DualPathConfig). The p1
+// component wins confidence ties.
 func NewDualPath(p1, p2 int, tableKind string, entries int) (*Hybrid, error) {
-	mk := func(p int) (*TwoLevel, error) {
-		return NewTwoLevel(Config{
-			PathLength: p,
-			Precision:  AutoPrecision,
-			Scheme:     defaultScheme(tableKind),
-			TableKind:  tableKind,
-			Entries:    entries,
-		})
-	}
-	a, err := mk(p1)
-	if err != nil {
-		return nil, err
-	}
-	b, err := mk(p2)
-	if err != nil {
-		return nil, err
-	}
-	return NewHybrid(a, b)
+	return NewDualPathSizes(p1, entries, p2, entries, tableKind)
 }
 
 // NewDualPathSizes is the §8.1 variant with unequal component sizes: the
 // short-path component adapts fast and needs few entries, so most of the
 // budget can go to the long-path component (or vice versa).
 func NewDualPathSizes(p1, entries1, p2, entries2 int, tableKind string) (*Hybrid, error) {
-	mk := func(p, entries int) (*TwoLevel, error) {
-		return NewTwoLevel(Config{
-			PathLength: p,
-			Precision:  AutoPrecision,
-			Scheme:     defaultScheme(tableKind),
-			TableKind:  tableKind,
-			Entries:    entries,
-		})
-	}
-	a, err := mk(p1, entries1)
+	a, err := NewTwoLevel(DualPathConfig(p1, tableKind, entries1))
 	if err != nil {
 		return nil, err
 	}
-	b, err := mk(p2, entries2)
+	b, err := NewTwoLevel(DualPathConfig(p2, tableKind, entries2))
 	if err != nil {
 		return nil, err
 	}
 	return NewHybrid(a, b)
+}
+
+// DualPathConfig is the configuration of one NewDualPath component: path
+// length p over a table of the given kind and size, with ⌊24/p⌋ bits per
+// target and the layout the paper uses for that table kind.
+func DualPathConfig(p int, tableKind string, entries int) Config {
+	return Config{
+		PathLength: p,
+		Precision:  AutoPrecision,
+		Scheme:     defaultScheme(tableKind),
+		TableKind:  tableKind,
+		Entries:    entries,
+	}
 }
 
 // defaultScheme picks the pattern layout the paper uses for each table

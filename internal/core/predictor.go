@@ -50,31 +50,66 @@ type CondObserver interface {
 	ReadsCond() bool
 }
 
-// TableHistory is the first level behind one target table of a Keyed
-// predictor: the spec the table's keys are built with and the global history
-// register they are built from.
+// TableHistory is the first level behind one keyed table: the spec the
+// table's keys are built with and the global history register they are
+// built from.
 type TableHistory struct {
 	Spec history.Spec
 	Reg  *history.Register
 }
 
-// Keyed is implemented by predictors whose target-table keys are a pure
-// function of the indirect-branch stream (§3.2, Figure 3): each table's key
-// for a branch is Spec.Key over one global register that every indirect
-// branch pushes its target into and nothing else touches. A caller driving
-// many such predictors over one trace can then compute each distinct
-// history's keys once and step only the second level of every predictor.
+// Answer is a keyed table's answer to one branch, as the metapredictor and
+// the accounting read it: above bit 0 the rank its prediction has in the
+// vote (0 for no prediction), and in bit 0 whether it predicted the
+// branch's resolved target.
+type Answer uint16
+
+// answer is the Answer of a prediction — PredictConf's pred, conf and ok —
+// for a branch resolved to target.
+func answer(pred uint32, conf uint8, ok bool, target uint32) Answer {
+	a := Answer(rank(conf, ok)) << 1
+	if ok && pred == target {
+		a |= 1
+	}
+	return a
+}
+
+// Predicted reports whether the table predicted a target at all.
+func (a Answer) Predicted() bool { return a>>1 != 0 }
+
+// Correct reports whether the table predicted the branch's resolved target.
+func (a Answer) Correct() bool { return a&1 != 0 }
+
+// KeyedTable is a target table whose keys are a pure function of the
+// indirect-branch stream (§3.2, Figure 3): each branch's key is Spec.Key
+// over one global register that every indirect branch pushes its target into
+// and nothing else touches. A caller driving many predictors over one trace
+// can then key each distinct history once per branch, step each distinct
+// table once per branch, and let every predictor that reads a table share
+// its answers.
+type KeyedTable interface {
+	// KeyHistory returns the table's first level and reports whether the
+	// table is keyed now. An instance stops qualifying while attribution
+	// is on.
+	KeyHistory() (TableHistory, bool)
+	// StepKeyed predicts and resolves a run of indirect branches in
+	// order, keys[j] being branch j's key under its pre-branch history and
+	// targets[j] its resolved target: out[j] receives the Answer of what
+	// PredictConf would have returned, then the table trains as Update
+	// would. It leaves the register alone; the caller pushes the targets
+	// into it, or into a copy it writes back.
+	StepKeyed(keys []uint64, targets []uint32, out []Answer)
+}
+
+// Keyed is implemented by predictors whose prediction is a vote over keyed
+// tables: a TwoLevel over its own table, a Hybrid over its components.
 type Keyed interface {
 	Predictor
-	// Histories appends the first level of each target table to dst, in
-	// a fixed table order, and reports whether the predictor is keyed
-	// now. An instance stops qualifying while attribution is on.
-	Histories(dst []TableHistory) ([]TableHistory, bool)
-	// StepKeyed predicts and resolves one indirect branch, keys[i] being
-	// table i's key under the pre-branch history: what Predict and then
-	// Update(pc, target) do to the tables. It leaves the registers alone;
-	// the caller pushes target into them, or into copies it writes back.
-	StepKeyed(keys []uint64, target uint32) (pred uint32, ok bool)
+	// Tables appends the keyed tables the predictor reads to dst, in the
+	// order its vote breaks ties, and reports whether the predictor is
+	// keyed now: whether its prediction is the one Vote picks from those
+	// tables' answers and Update trains each of them once.
+	Tables(dst []KeyedTable) ([]KeyedTable, bool)
 }
 
 // Resetter is implemented by predictors whose state can be cleared for

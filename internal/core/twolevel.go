@@ -132,6 +132,14 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
+// Keyed reports whether a TwoLevel of this configuration keys its table by a
+// pure function of the indirect-branch stream (see KeyedTable): compressed
+// keys over one global history that neither §3.3 variation feeds.
+func (cfg Config) Keyed() bool {
+	cfg = cfg.Defaults()
+	return cfg.TableKind != "exact" && cfg.HistShare >= 32 && !cfg.IncludeCond && !cfg.IncludeAddress
+}
+
 // HistorySpec returns the (defaulted) configuration's history pattern spec:
 // the first level that compressed-key mode builds its keys from.
 func (cfg Config) HistorySpec() history.Spec {
@@ -380,34 +388,30 @@ func (t *TwoLevel) train(e *table.Entry, found bool, target uint32) {
 	bumpConf(e, applyTarget(e, target, t.cfg.Update), t.max)
 }
 
-// Histories implements Keyed. A TwoLevel is keyed in compressed-key mode
-// with one global history that only indirect targets enter (neither §3.3
-// variation), while attribution is off.
-func (t *TwoLevel) Histories(dst []TableHistory) ([]TableHistory, bool) {
-	if t.tab == nil || t.hist.ShareBits() < 32 || t.cfg.IncludeCond || t.cfg.IncludeAddress || t.attrib {
-		return dst, false
-	}
-	return append(dst, TableHistory{Spec: t.spec, Reg: t.hist.Get(0)}), true
+// KeyHistory implements KeyedTable: a TwoLevel is keyed when its
+// configuration is (Config.Keyed) and attribution is off.
+func (t *TwoLevel) KeyHistory() (TableHistory, bool) {
+	return TableHistory{Spec: t.spec, Reg: t.hist.Get(0)}, t.cfg.Keyed() && !t.attrib
 }
 
-// StepKeyed implements Keyed.
-func (t *TwoLevel) StepKeyed(keys []uint64, target uint32) (uint32, bool) {
-	pred, _, ok := t.stepKeyed(keys[0], target)
-	return pred, ok
+// Tables implements Keyed: a TwoLevel's vote is its one table's answer.
+func (t *TwoLevel) Tables(dst []KeyedTable) ([]KeyedTable, bool) {
+	_, ok := t.KeyHistory()
+	return append(dst, t), ok
 }
 
-// stepKeyed is StepKeyed for the one table, also returning the predicting
-// entry's confidence for the hybrid's vote. One ProbeOrInsert walk serves
-// both the prediction and the update, as Predict's probe and Update's insert
-// on a miss would.
-func (t *TwoLevel) stepKeyed(key uint64, target uint32) (pred uint32, conf uint8, ok bool) {
-	t.memoValid = false // the walk may move the memoized entry
-	e, found := t.tab.ProbeOrInsert(key)
-	if found {
-		pred, conf, ok = e.Target, e.Conf, true
+// StepKeyed implements KeyedTable. One ProbeOrInsert walk per branch serves
+// both the prediction and the update, as Predict's probe and Update's
+// insert on a miss would.
+func (t *TwoLevel) StepKeyed(keys []uint64, targets []uint32, out []Answer) {
+	t.memoValid = false // the walks may move the memoized entry
+	out = out[:len(keys)]
+	targets = targets[:len(keys)]
+	for j, key := range keys {
+		e, found := t.tab.ProbeOrInsert(key)
+		out[j] = answer(e.Target, e.Conf, found, targets[j])
+		t.train(e, found, targets[j])
 	}
-	t.train(e, found, target)
-	return pred, conf, ok
 }
 
 // ObserveCond implements CondObserver for the §3.3 variation: when enabled,

@@ -58,19 +58,16 @@ func boundedConfig(p int, scheme bits.Scheme, kind string, entries int) core.Con
 }
 
 // avgsWithShadow runs each configuration over the suite with an unbounded
-// shadow twin — all configurations batched through shared trace passes — and
-// returns per-configuration (AVG misprediction %, AVG capacity-miss %).
+// shadow twin — all configurations batched through shared trace passes, and
+// the configurations of one history sharing one shadow table — and returns
+// per-configuration (AVG misprediction %, AVG capacity-miss %).
 func (c *Context) avgsWithShadow(cfgs []core.Config) (miss, capac []float64, err error) {
 	specs := make([]SweepSpec, len(cfgs))
 	for i, cfg := range cfgs {
-		cfg := cfg
-		shadowCfg := cfg
-		shadowCfg.TableKind = "unbounded"
-		shadowCfg.Entries = 0
-		specs[i] = SweepSpec{
-			Mk:       func() (core.Predictor, error) { return core.NewTwoLevel(cfg) },
-			MkShadow: func() (core.Predictor, error) { return core.NewTwoLevel(shadowCfg) },
-		}
+		shadow := cfg
+		shadow.TableKind = "unbounded"
+		shadow.Entries = 0
+		specs[i] = SweepSpec{Tables: []core.Config{cfg}, Shadow: &shadow}
 	}
 	res, err := c.SweepSpecs(specs, false)
 	if err != nil {

@@ -19,25 +19,16 @@ import (
 // one per call. Unlike the batched sweeps, a cell failure here is returned,
 // not degraded — a report over a broken cell should say so.
 func (c *Context) RunEvents(bench workload.Config, spec SweepSpec, sink *ptrace.EventSink) (sim.Result, error) {
-	if spec.Mk == nil {
-		return sim.Result{}, fmt.Errorf("experiment: RunEvents needs a predictor factory")
+	if err := spec.check(); err != nil {
+		return sim.Result{}, err
 	}
-	if spec.Opts.Shadow != nil {
-		return sim.Result{}, fmt.Errorf("experiment: set SweepSpec.MkShadow, not Opts.Shadow")
-	}
-	p, err := spec.Mk()
+	p, shadow, err := spec.build(core.NewTwoLevel)
 	if err != nil {
 		return sim.Result{}, fmt.Errorf("experiment: %s predictor: %w", bench.Name, err)
 	}
 	opts := spec.Opts
 	opts.Events = sink
-	if spec.MkShadow != nil {
-		shadow, err := spec.MkShadow()
-		if err != nil {
-			return sim.Result{}, fmt.Errorf("experiment: %s shadow: %w", bench.Name, err)
-		}
-		opts.Shadow = shadow
-	}
+	opts.Shadow = shadow
 	tr := c.Trace(bench)
 	res, err := sim.RunBatchEach(c.ctx, []core.Predictor{p}, tr, []sim.Options{opts})
 	if err != nil {

@@ -58,13 +58,13 @@ func TestRunEventsValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := c.RunEvents(bench, SweepSpec{}, nil); err == nil {
-		t.Error("nil Mk accepted")
+		t.Error("spec without Mk or Tables accepted")
 	}
 	spec := SweepSpec{
 		Mk:   func() (core.Predictor, error) { return core.NewBTB(nil, core.UpdateAlways), nil },
 		Opts: sim.Options{Shadow: core.NewBTB(nil, core.UpdateAlways)},
 	}
 	if _, err := c.RunEvents(bench, spec, nil); err == nil {
-		t.Error("Opts.Shadow accepted (must come from MkShadow)")
+		t.Error("Opts.Shadow accepted (must come from Shadow)")
 	}
 }

@@ -275,139 +275,361 @@ dispatch:
 	return firstErr
 }
 
-// SweepSpec describes one predictor lane of a batched sweep.
+// SweepSpec describes one predictor lane of a batched sweep: a two-level
+// lane by its tables' configurations (Tables, and Shadow), any other
+// predictor by a factory (Mk). Set exactly one of Tables and Mk.
 type SweepSpec struct {
-	// Mk constructs the lane's predictor; it must return a fresh instance
-	// per call (required).
+	// Tables are the configurations of a two-level lane's tables: one is a
+	// core.TwoLevel, several are a core.Hybrid over them in tie-break
+	// order, no two alike. A cell builds one TwoLevel per distinct
+	// Config.Defaults() and hands that instance to every keyed lane that
+	// uses it, as its predictor, a hybrid component or its shadow, so
+	// sim.RunBatchEach steps it once per branch.
+	Tables []core.Config
+	// Shadow, with Tables, is the configuration of the lane's unbounded
+	// shadow twin for capacity-miss attribution; nil for none.
+	Shadow *core.Config
+	// Mk constructs the predictor of a lane that Tables cannot describe;
+	// it must return a fresh instance per call.
 	Mk func() (core.Predictor, error)
-	// MkShadow, when non-nil, constructs the lane's unbounded shadow twin
-	// for capacity-miss attribution. A factory rather than an instance:
-	// every benchmark cell needs its own shadow, and a shadow must never
-	// be shared between lanes.
-	MkShadow func() (core.Predictor, error)
 	// Opts are the lane's simulation options. Opts.Shadow must be nil
-	// (shadows come from MkShadow).
+	// (a shadow comes from Shadow).
 	Opts sim.Options
 }
 
-// sweepChunk is how many configuration lanes share one batched trace pass.
-// Each sweep cell is (benchmark × chunk): small enough to keep cell failures
-// contained and memory bounded, large enough to amortize the per-pass trace
-// walk across many configurations.
-const sweepChunk = 16
+// tableSpec describes a lane by its tables' configurations.
+func tableSpec(cfgs ...core.Config) SweepSpec { return SweepSpec{Tables: cfgs} }
 
-// laneCache keeps one worker's predictors alive between cells of the same
-// chunk: consecutive cells differ only in the benchmark, so resetting the
-// predictors (bit-identical to fresh construction — tables reset by
+// dualPath describes core.NewDualPath(p1, p2, kind, entries) as a lane.
+func dualPath(p1, p2 int, kind string, entries int) SweepSpec {
+	return tableSpec(core.DualPathConfig(p1, kind, entries), core.DualPathConfig(p2, kind, entries))
+}
+
+// check reports a spec that no cell can build.
+func (s SweepSpec) check() error {
+	switch {
+	case s.Opts.Shadow != nil:
+		return errors.New("experiment: SweepSpec.Opts.Shadow must be nil; use Shadow")
+	case (s.Mk == nil) == (len(s.Tables) == 0):
+		return errors.New("experiment: a SweepSpec needs exactly one of Tables and Mk")
+	case s.Mk != nil && s.Shadow != nil:
+		return errors.New("experiment: SweepSpec.Shadow needs Tables")
+	}
+	for i, cfg := range s.Tables {
+		for _, prev := range s.Tables[:i] {
+			if prev.Defaults() == cfg.Defaults() {
+				return fmt.Errorf("experiment: SweepSpec.Tables repeats %s", cfg.Name())
+			}
+		}
+	}
+	return nil
+}
+
+// keyed reports whether the lane runs keyed in sim.RunBatchEach, and so
+// shares its tables with the other keyed lanes of its cell.
+func (s SweepSpec) keyed() bool {
+	if s.Mk != nil || !s.Opts.Keyable() {
+		return false
+	}
+	for _, cfg := range s.tables() {
+		if !cfg.Keyed() {
+			return false
+		}
+	}
+	return true
+}
+
+// tables returns the configurations of the lane's tables, its shadow's
+// included.
+func (s SweepSpec) tables() []core.Config {
+	if s.Shadow == nil {
+		return s.Tables
+	}
+	return append(slices.Clip(s.Tables), *s.Shadow)
+}
+
+// private is how many tables a cell builds for this lane alone: a lane
+// built by Mk counts as one, a keyed lane as none.
+func (s SweepSpec) private() int {
+	switch {
+	case s.Mk != nil:
+		return 1
+	case s.keyed():
+		return 0
+	}
+	return len(s.tables())
+}
+
+// build constructs the lane's predictor and shadow, taking each table from
+// table.
+func (s SweepSpec) build(table func(core.Config) (*core.TwoLevel, error)) (p, shadow core.Predictor, err error) {
+	if s.Mk != nil {
+		p, err = s.Mk()
+		return p, nil, err
+	}
+	comps := make([]core.Component, len(s.Tables))
+	for i, cfg := range s.Tables {
+		if comps[i], err = table(cfg); err != nil {
+			return nil, nil, err
+		}
+	}
+	if len(comps) == 1 {
+		p = comps[0]
+	} else if p, err = core.NewHybrid(comps...); err != nil {
+		return nil, nil, err
+	}
+	if s.Shadow != nil {
+		if shadow, err = table(*s.Shadow); err != nil {
+			return nil, nil, err
+		}
+	}
+	return p, shadow, nil
+}
+
+// cellTables is how many distinct tables a sweep cell steps at most, unless
+// one lane alone reads more; a lane built by Mk counts as one table. It
+// bounds a cell's tables and tapes, and keeps a grid in enough cells per
+// benchmark to spread over the workers.
+const cellTables = 16
+
+// planCells cuts the specs into cells, each one panic-isolated trace pass
+// per benchmark, and returns each cell's spec indices. A sharing group is
+// the keyed lanes closed under reading the same table configuration, with
+// the tables they read; every other lane is a group of its own. Groups are
+// packed whole in history-spec order (lanes built by Mk last, in the
+// caller's order), up to cellTables tables per cell. A larger group is cut
+// lane by lane, and each of its cells builds the tables its lanes read.
+func planCells(specs []SweepSpec) [][]int {
+	// Union the keyed lanes that read a common table.
+	root := make([]int, len(specs))
+	for i := range root {
+		root[i] = i
+	}
+	find := func(i int) int {
+		for root[i] != i {
+			root[i] = root[root[i]]
+			i = root[i]
+		}
+		return i
+	}
+	reader := make(map[core.Config]int)
+	for i, s := range specs {
+		if !s.keyed() {
+			continue
+		}
+		for _, cfg := range s.tables() {
+			if j, ok := reader[cfg.Defaults()]; ok {
+				root[find(i)] = find(j)
+			} else {
+				reader[cfg.Defaults()] = i
+			}
+		}
+	}
+
+	// shared holds the shared tables of the cell being packed, or of a
+	// group being sized; adds counts the tables lane i adds to it.
+	shared := make(map[core.Config]bool)
+	adds := func(i int) int {
+		s, n := specs[i], specs[i].private()
+		if s.keyed() {
+			for _, cfg := range s.tables() {
+				if !shared[cfg.Defaults()] {
+					shared[cfg.Defaults()] = true
+					n++
+				}
+			}
+		}
+		return n
+	}
+	type group struct {
+		lanes  []int
+		size   int          // the tables its lanes read
+		spec   history.Spec // the least history spec among them
+		tables bool         // false for a lane built by Mk
+	}
+	var groups []*group
+	byRoot := make(map[int]*group)
+	for i, s := range specs {
+		g := byRoot[find(i)]
+		if g == nil {
+			g = &group{}
+			byRoot[find(i)] = g
+			groups = append(groups, g)
+		}
+		g.lanes = append(g.lanes, i)
+		for _, cfg := range s.tables() {
+			if h := cfg.HistorySpec(); !g.tables || compareSpecs(h, g.spec) < 0 {
+				g.spec, g.tables = h, true
+			}
+		}
+	}
+	for _, g := range groups {
+		clear(shared)
+		for _, i := range g.lanes {
+			g.size += adds(i)
+		}
+	}
+	slices.SortStableFunc(groups, func(a, b *group) int {
+		switch {
+		case a.tables && b.tables:
+			return compareSpecs(a.spec, b.spec)
+		case a.tables:
+			return -1
+		case b.tables:
+			return 1
+		}
+		return 0
+	})
+
+	var cells [][]int
+	var cell []int
+	size := 0
+	clear(shared)
+	flush := func() {
+		if len(cell) > 0 {
+			cells, cell, size = append(cells, cell), nil, 0
+			clear(shared)
+		}
+	}
+	for _, g := range groups {
+		if size+g.size > cellTables {
+			flush()
+		}
+		for _, i := range g.lanes {
+			// Only a group larger than a cell gets here with a full
+			// cell, and the lane then starts the next one.
+			if n := adds(i); size+n <= cellTables || len(cell) == 0 {
+				size += n
+			} else {
+				flush()
+				size = adds(i)
+			}
+			cell = append(cell, i)
+		}
+	}
+	flush()
+	return cells
+}
+
+// compareSpecs orders history specs for planCells.
+func compareSpecs(x, y history.Spec) int {
+	return cmp.Or(
+		cmp.Compare(x.PathLength, y.PathLength),
+		cmp.Compare(x.Bits, y.Bits),
+		cmp.Compare(x.StartBit, y.StartBit),
+		cmp.Compare(x.Scheme, y.Scheme),
+		cmp.Compare(x.Op, y.Op),
+	)
+}
+
+// laneCache keeps one worker's predictors alive between the cells of one
+// plan cell: consecutive cells differ only in the benchmark, so resetting
+// the tables (bit-identical to fresh construction — tables reset by
 // generation bump, histories clear) avoids reallocating hundreds of
 // megabytes of tables across a grid sweep. The cache is dropped whenever a
 // lane misbehaves, since a panic can leave a predictor mid-mutation where
 // Reset's invariants no longer hold.
 type laneCache struct {
-	chunk      int
-	valid      bool
-	resettable bool
-	ps         []core.Predictor
-	shadows    []core.Predictor
+	cell        int
+	valid       bool
+	ps, shadows []core.Predictor
+	// resets holds every stateful instance once: each table, shared or
+	// not, and each predictor built by Mk. nil when one of them is not a
+	// core.Resetter, and the cache never hits.
+	resets []core.Resetter
 }
 
-// lanes returns predictors (and per-lane shadows) for the chunk's specs,
+// lanes returns the predictors (and shadows) of the plan cell's lanes,
 // reusing the cached set via Reset when possible.
-func (lc *laneCache) lanes(chunk int, specs []SweepSpec, sm sweepMetrics) (ps, shadows []core.Predictor, err error) {
-	if lc.valid && lc.resettable && lc.chunk == chunk {
+func (lc *laneCache) lanes(cell int, specs []SweepSpec, lanes []int, sm sweepMetrics) (ps, shadows []core.Predictor, err error) {
+	if lc.valid && lc.resets != nil && lc.cell == cell {
 		sm.laneHits.Inc()
-		for _, p := range lc.ps {
-			p.(core.Resetter).Reset()
-		}
-		for _, s := range lc.shadows {
-			if s != nil {
-				s.(core.Resetter).Reset()
-			}
+		for _, r := range lc.resets {
+			r.Reset()
 		}
 		return lc.ps, lc.shadows, nil
 	}
 	sm.laneMiss.Inc()
 	lc.valid = false
-	ps = make([]core.Predictor, len(specs))
-	shadows = make([]core.Predictor, len(specs))
+	ps = make([]core.Predictor, len(lanes))
+	shadows = make([]core.Predictor, len(lanes))
+	var resets []core.Resetter
 	resettable := true
-	for i, s := range specs {
-		if s.Opts.Shadow != nil {
-			return nil, nil, errors.New("experiment: SweepSpec.Opts.Shadow must be nil; use MkShadow")
+	fresh := func(cfg core.Config) (*core.TwoLevel, error) {
+		t, err := core.NewTwoLevel(cfg)
+		if err == nil {
+			resets = append(resets, t)
 		}
-		p, err := s.Mk()
-		if err != nil {
+		return t, err
+	}
+	tables := make(map[core.Config]*core.TwoLevel)
+	shared := func(cfg core.Config) (*core.TwoLevel, error) {
+		if t := tables[cfg.Defaults()]; t != nil {
+			return t, nil
+		}
+		t, err := fresh(cfg)
+		if err == nil {
+			tables[cfg.Defaults()] = t
+		}
+		return t, err
+	}
+	for k, i := range lanes {
+		s := specs[i]
+		table := fresh
+		if s.keyed() {
+			table = shared
+		}
+		if ps[k], shadows[k], err = s.build(table); err != nil {
 			return nil, nil, err
 		}
-		ps[i] = p
-		if _, ok := p.(core.Resetter); !ok {
-			resettable = false
-		}
-		if s.MkShadow != nil {
-			sh, err := s.MkShadow()
-			if err != nil {
-				return nil, nil, err
-			}
-			shadows[i] = sh
-			if _, ok := sh.(core.Resetter); !ok {
-				resettable = false
-			}
+		if s.Mk != nil {
+			r, ok := ps[k].(core.Resetter)
+			resettable = resettable && ok
+			resets = append(resets, r)
 		}
 	}
-	lc.chunk, lc.ps, lc.shadows = chunk, ps, shadows
-	lc.resettable, lc.valid = resettable, true
+	if !resettable {
+		resets = nil
+	}
+	lc.cell, lc.ps, lc.shadows, lc.resets, lc.valid = cell, ps, shadows, resets, true
 	return ps, shadows, nil
 }
 
 // SweepSpecs runs every spec over every benchmark and returns
-// res[spec][benchmark]. The specs are split into chunks of sweepChunk lanes;
-// each (benchmark × chunk) cell is one panic-isolated unit of the worker
-// pool, inside which sim.RunBatchEach drives the chunk's predictors over the
-// benchmark's trace in a single pass. full selects complete traces
-// (conditional records included) instead of indirect-only ones.
+// res[spec][benchmark]. planCells cuts the specs into cells; each
+// (benchmark × cell) pair is one panic-isolated unit of the worker pool,
+// inside which sim.RunBatchEach drives the cell's lanes over the
+// benchmark's trace in a single pass, stepping each shared table once per
+// branch. full selects complete traces (conditional records included)
+// instead of indirect-only ones.
 //
-// Failure handling follows Sweep's contract: predictor construction errors
-// abort the sweep; a failing cell (trace generation, a panicking lane)
-// degrades to recorded CellErrors while the other cells and lanes still
-// produce results; cancellation aborts.
+// Failure handling follows Sweep's contract: an invalid spec and predictor
+// construction errors abort the sweep; a failing cell (trace generation, a
+// panicking lane) degrades to recorded CellErrors while the other cells and
+// lanes still produce results; cancellation aborts.
 func (c *Context) SweepSpecs(specs []SweepSpec, full bool) ([]map[string]sim.Result, error) {
-	return c.sweepSpecs(specs, full, nil)
-}
-
-// sweepSpecs is SweepSpecs over specs given in run order: order[k] is the
-// caller's index of specs[k] (nil for the identity). Results and
-// degraded-cell errors use the caller's indices.
-func (c *Context) sweepSpecs(specs []SweepSpec, full bool, order []int) ([]map[string]sim.Result, error) {
-	caller := func(k int) int {
-		if order == nil {
-			return k
-		}
-		return order[k]
-	}
 	out := make([]map[string]sim.Result, len(specs))
-	for i := range out {
+	for i, s := range specs {
+		if err := s.check(); err != nil {
+			return nil, fmt.Errorf("spec %d: %w", i, err)
+		}
 		out[i] = make(map[string]sim.Result, len(c.Suite))
 	}
 	if len(specs) == 0 {
 		return out, nil
 	}
 	nb := len(c.Suite)
-	chunks := (len(specs) + sweepChunk - 1) / sweepChunk
+	cells := planCells(specs)
 	sm := newSweepMetrics(telemetry.Default())
-	c.prog.begin(nb*chunks, time.Now())
-	sm.queued.Add(uint64(nb * chunks))
+	c.prog.begin(nb*len(cells), time.Now())
+	sm.queued.Add(uint64(nb * len(cells)))
 	var mu sync.Mutex
 	pool := sync.Pool{New: func() any { return &laneCache{} }}
-	// Cells are ordered chunk-major so a worker's consecutive cells share a
-	// chunk and its laneCache keeps hitting.
-	err := forEach(c.ctx, nb*chunks, func(ci int) error {
-		chunk, bench := ci/nb, c.Suite[ci%nb]
-		lo := chunk * sweepChunk
-		hi := lo + sweepChunk
-		if hi > len(specs) {
-			hi = len(specs)
-		}
-		sub := specs[lo:hi]
+	// Work items are ordered cell-major so a worker's consecutive items
+	// share a cell and its laneCache keeps hitting.
+	err := forEach(c.ctx, nb*len(cells), func(ci int) error {
+		cell, bench := ci/nb, c.Suite[ci%nb]
+		lanes := cells[cell]
 		cache := pool.Get().(*laneCache)
 		defer pool.Put(cache)
 		sm.running.Add(1)
@@ -421,7 +643,7 @@ func (c *Context) sweepSpecs(specs []SweepSpec, full bool, order []int) ([]map[s
 		// Construction errors are deterministic configuration mistakes:
 		// every cell would fail identically, so they abort the sweep
 		// rather than degrade.
-		ps, shadows, err := cache.lanes(chunk, sub, sm)
+		ps, shadows, err := cache.lanes(cell, specs, lanes, sm)
 		if err != nil {
 			return fmt.Errorf("%s: %w", bench.Name, err)
 		}
@@ -429,7 +651,7 @@ func (c *Context) sweepSpecs(specs []SweepSpec, full bool, order []int) ([]map[s
 		// a panic or error here degrades to recorded error rows so the
 		// other cells still produce results. Within the cell, sim's own
 		// lane isolation keeps one misbehaving configuration from taking
-		// down the chunk. Cancellation stays fatal.
+		// down the rest. Cancellation stays fatal.
 		cellErr := protect(ci, func(int) error {
 			var tr trace.Trace
 			if full {
@@ -437,10 +659,10 @@ func (c *Context) sweepSpecs(specs []SweepSpec, full bool, order []int) ([]map[s
 			} else {
 				tr = c.Trace(bench)
 			}
-			lopts := make([]sim.Options, len(sub))
-			for i, s := range sub {
-				lopts[i] = s.Opts
-				lopts[i].Shadow = shadows[i]
+			lopts := make([]sim.Options, len(lanes))
+			for k, i := range lanes {
+				lopts[k] = specs[i].Opts
+				lopts[k].Shadow = shadows[k]
 			}
 			rs, err := sim.RunBatchEach(c.ctx, ps, tr, lopts)
 			var be *sim.BatchError
@@ -452,14 +674,14 @@ func (c *Context) sweepSpecs(specs []SweepSpec, full bool, order []int) ([]map[s
 				cache.valid = false // panicked lanes may violate Reset invariants
 				for _, le := range be.Lanes {
 					dead[le.Lane] = true
-					c.recordFailure(bench.Name, fmt.Errorf("config %d: %w", caller(lo+le.Lane), le.Err))
+					c.recordFailure(bench.Name, fmt.Errorf("config %d: %w", lanes[le.Lane], le.Err))
 				}
 			}
 			var executed, missed uint64
 			mu.Lock()
-			for i, r := range rs {
-				if !dead[i] {
-					out[caller(lo+i)][bench.Name] = r
+			for k, r := range rs {
+				if !dead[k] {
+					out[lanes[k]][bench.Name] = r
 					executed += uint64(r.Executed)
 					missed += uint64(r.Misses)
 				}
@@ -493,73 +715,45 @@ func rateMaps(res []map[string]sim.Result) []map[string]float64 {
 	return out
 }
 
-// SweepBatch simulates one predictor per (configuration, benchmark) pair —
-// mks[i] constructing fresh predictors for configuration i — in batched
-// single-pass trace walks, and returns per-benchmark misprediction rates in
-// percent for each configuration. It is the grid form of Sweep.
-func (c *Context) SweepBatch(mks []func() (core.Predictor, error)) ([]map[string]float64, error) {
-	specs := make([]SweepSpec, len(mks))
-	for i, mk := range mks {
-		specs[i] = SweepSpec{Mk: mk}
-	}
+// SweepBatch runs SweepSpecs over indirect-only traces and returns
+// per-benchmark misprediction rates in percent for each spec. It is the grid
+// form of Sweep.
+func (c *Context) SweepBatch(specs []SweepSpec) ([]map[string]float64, error) {
 	res, err := c.SweepSpecs(specs, false)
 	return rateMaps(res), err
 }
 
 // SweepBatchFull is SweepBatch over complete traces (conditional records
 // included), for predictors implementing core.CondObserver.
-func (c *Context) SweepBatchFull(mks []func() (core.Predictor, error)) ([]map[string]float64, error) {
-	specs := make([]SweepSpec, len(mks))
-	for i, mk := range mks {
-		specs[i] = SweepSpec{Mk: mk}
-	}
+func (c *Context) SweepBatchFull(specs []SweepSpec) ([]map[string]float64, error) {
 	res, err := c.SweepSpecs(specs, true)
 	return rateMaps(res), err
 }
 
-// SweepConfigs is SweepBatch over two-level predictor configurations. They
-// run ordered by history spec, so the lanes of one chunk share one or two
-// key tapes (see sim.RunBatchEach); the rates come back in cfgs order.
+// SweepConfigs is SweepBatch over one two-level table per configuration.
 func (c *Context) SweepConfigs(cfgs []core.Config) ([]map[string]float64, error) {
-	return c.sweepConfigs(cfgs, false)
+	return c.SweepBatch(configSpecs(cfgs))
 }
 
 // SweepConfigsFull is SweepConfigs over complete traces (conditional records
 // included).
 func (c *Context) SweepConfigsFull(cfgs []core.Config) ([]map[string]float64, error) {
-	return c.sweepConfigs(cfgs, true)
+	return c.SweepBatchFull(configSpecs(cfgs))
 }
 
-func (c *Context) sweepConfigs(cfgs []core.Config, full bool) ([]map[string]float64, error) {
-	keys := make([]history.Spec, len(cfgs))
-	order := make([]int, len(cfgs))
-	for i, cfg := range cfgs {
-		keys[i], order[i] = cfg.HistorySpec(), i
-	}
-	slices.SortStableFunc(order, func(a, b int) int {
-		x, y := keys[a], keys[b]
-		return cmp.Or(
-			cmp.Compare(x.PathLength, y.PathLength),
-			cmp.Compare(x.Bits, y.Bits),
-			cmp.Compare(x.StartBit, y.StartBit),
-			cmp.Compare(x.Scheme, y.Scheme),
-			cmp.Compare(x.Op, y.Op),
-		)
-	})
+func configSpecs(cfgs []core.Config) []SweepSpec {
 	specs := make([]SweepSpec, len(cfgs))
-	for k, i := range order {
-		cfg := cfgs[i]
-		specs[k] = SweepSpec{Mk: func() (core.Predictor, error) { return core.NewTwoLevel(cfg) }}
+	for i, cfg := range cfgs {
+		specs[i] = tableSpec(cfg)
 	}
-	res, err := c.sweepSpecs(specs, full, order)
-	return rateMaps(res), err
+	return specs
 }
 
 // Sweep simulates one predictor per benchmark (constructed by mk, which must
 // return a fresh predictor per call) and returns per-benchmark misprediction
 // rates in percent.
 func (c *Context) Sweep(mk func() (core.Predictor, error)) (map[string]float64, error) {
-	rates, err := c.SweepBatch([]func() (core.Predictor, error){mk})
+	rates, err := c.SweepBatch([]SweepSpec{{Mk: mk}})
 	return rates[0], err
 }
 

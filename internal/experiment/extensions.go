@@ -110,17 +110,15 @@ func runExtUneven(ctx *Context) ([]*stats.Table, error) {
 		{"long-heavy(3/4+1/4)", 3, 4},
 		{"short-heavy(1/4+3/4)", 1, 4},
 	}
-	var mks []func() (core.Predictor, error)
+	var specs []SweepSpec
 	for _, total := range totals {
 		for _, s := range rows {
 			e1 := roundPow2(total * s.num / s.den)
 			e2 := roundPow2(total - total*s.num/s.den)
-			mks = append(mks, func() (core.Predictor, error) {
-				return core.NewDualPathSizes(3, e1, 1, e2, "assoc4")
-			})
+			specs = append(specs, tableSpec(core.DualPathConfig(3, "assoc4", e1), core.DualPathConfig(1, "assoc4", e2)))
 		}
 	}
-	rates, err := ctx.SweepBatch(mks)
+	rates, err := ctx.SweepBatch(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -139,17 +137,16 @@ func runExtITTAGE(ctx *Context) ([]*stats.Table, error) {
 	// Budgets in total table entries (ittage: 5 banks + a 2x base).
 	bankSizes := []int{128, 512, 2048}
 	rows := []string{"ittage", "hybrid-3.1-assoc4", "2lev-p2-assoc4"}
-	var mks []func() (core.Predictor, error)
+	var specs []SweepSpec
 	for _, bankSize := range bankSizes {
 		total := 5*bankSize + 2*bankSize
-		cfg := boundedConfig(2, 2, "assoc4", roundPow2(total))
-		mks = append(mks,
-			func() (core.Predictor, error) { return core.NewITTAGE(5, bankSize, 1) },
-			hybridMk(1, 3, "assoc4", roundPow2(total/2)),
-			func() (core.Predictor, error) { return core.NewTwoLevel(cfg) },
+		specs = append(specs,
+			SweepSpec{Mk: func() (core.Predictor, error) { return core.NewITTAGE(5, bankSize, 1) }},
+			dualPath(1, 3, "assoc4", roundPow2(total/2)),
+			tableSpec(boundedConfig(2, 2, "assoc4", roundPow2(total))),
 		)
 	}
-	rates, err := ctx.SweepBatch(mks)
+	rates, err := ctx.SweepBatch(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -166,9 +163,9 @@ func runExtITTAGE(ctx *Context) ([]*stats.Table, error) {
 func runCost(ctx *Context) ([]*stats.Table, error) {
 	model := cost.Default4Wide()
 	t := stats.NewTable("§1 motivation: execution-time impact (BTB → hybrid 3.1 assoc4/2048)", "benchmark")
-	pair, err := ctx.SweepBatch([]func() (core.Predictor, error){
-		func() (core.Predictor, error) { return core.NewBTB(nil, core.UpdateTwoMiss), nil },
-		hybridMk(1, 3, "assoc4", 1024),
+	pair, err := ctx.SweepBatch([]SweepSpec{
+		{Mk: func() (core.Predictor, error) { return core.NewBTB(nil, core.UpdateTwoMiss), nil }},
+		dualPath(1, 3, "assoc4", 1024),
 	})
 	if err != nil {
 		return nil, err

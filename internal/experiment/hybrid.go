@@ -67,39 +67,30 @@ func init() {
 	})
 }
 
-// hybridMk constructs dual-path hybrids for batched sweeps.
-func hybridMk(p1, p2 int, kind string, componentEntries int) func() (core.Predictor, error) {
-	return func() (core.Predictor, error) {
-		return core.NewDualPath(p1, p2, kind, componentEntries)
-	}
-}
-
 func runFig17(ctx *Context) ([]*stats.Table, error) {
 	var tables []*stats.Table
 	for _, compSize := range []int{2048, 8192} {
 		t := stats.NewTable(
 			fmt.Sprintf("Figure 17: AVG prediction hit rates, hybrid assoc4, component size %d", compSize),
 			"p1")
-		// The whole path-length combination matrix runs as one batch.
+		// The whole path-length combination matrix runs as one batch,
+		// whose 78 hybrids read 13 distinct component tables.
 		type cell struct{ p1, p2 int }
 		var cells []cell
-		var mks []func() (core.Predictor, error)
+		var specs []SweepSpec
 		for p1 := 0; p1 <= 12; p1++ {
 			for p2 := 0; p2 <= p1; p2++ {
 				cells = append(cells, cell{p1, p2})
 				if p1 == p2 {
 					// Diagonal: the paper shows the non-hybrid
 					// predictor of twice the component size.
-					cfg := boundedConfig(p1, bits.Reverse, "assoc4", 2*compSize)
-					mks = append(mks, func() (core.Predictor, error) {
-						return core.NewTwoLevel(cfg)
-					})
+					specs = append(specs, tableSpec(boundedConfig(p1, bits.Reverse, "assoc4", 2*compSize)))
 				} else {
-					mks = append(mks, hybridMk(p1, p2, "assoc4", compSize))
+					specs = append(specs, dualPath(p1, p2, "assoc4", compSize))
 				}
 			}
 		}
-		rates, err := ctx.SweepBatch(mks)
+		rates, err := ctx.SweepBatch(specs)
 		if err != nil {
 			return nil, err
 		}
@@ -182,16 +173,19 @@ func (c *Context) computeAppendix(a *appendix) error {
 		}
 	}
 	// The full grid — every (size, family, path length) candidate, hybrid
-	// and non-hybrid — runs as one batch. Candidates are recorded in the
-	// same order they are enumerated, so best-cell tie-breaking (first
-	// strict improvement wins) matches the sequential computation.
+	// and non-hybrid — runs as one batch. A hybrid of total size S reads
+	// the tables of the non-hybrids of size S/2, and btb-fullassoc is
+	// fullassoc at p=0, so the 1,694 lanes read 575 distinct tables.
+	// Candidates are recorded in the same order they are enumerated, so
+	// best-cell tie-breaking (first strict improvement wins) matches the
+	// sequential computation.
 	type candidate struct {
 		family string
 		size   int
 		p1, p2 int
 	}
 	var cands []candidate
-	var mks []func() (core.Predictor, error)
+	var specs []SweepSpec
 	for _, size := range appendixSizes {
 		for _, fam := range nonHybridFamilies {
 			maxP := 8
@@ -199,11 +193,8 @@ func (c *Context) computeAppendix(a *appendix) error {
 				maxP = 0
 			}
 			for p := 0; p <= maxP; p++ {
-				cfg := boundedConfig(p, bits.Reverse, fam.kind, size)
 				cands = append(cands, candidate{fam.family, size, p, -1})
-				mks = append(mks, func() (core.Predictor, error) {
-					return core.NewTwoLevel(cfg)
-				})
+				specs = append(specs, tableSpec(boundedConfig(p, bits.Reverse, fam.kind, size)))
 			}
 		}
 		for _, fam := range hybridFamilies {
@@ -213,11 +204,11 @@ func (c *Context) computeAppendix(a *appendix) error {
 			}
 			for _, pair := range hybridPairs() {
 				cands = append(cands, candidate{fam.family, size, pair[0], pair[1]})
-				mks = append(mks, hybridMk(pair[0], pair[1], fam.kind, comp))
+				specs = append(specs, dualPath(pair[0], pair[1], fam.kind, comp))
 			}
 		}
 	}
-	rates, err := c.SweepBatch(mks)
+	rates, err := c.SweepBatch(specs)
 	if err != nil {
 		return err
 	}
@@ -299,14 +290,14 @@ func runAppendix(ctx *Context) ([]*stats.Table, error) {
 // variants per budget column, as used by the §6–§8 comparison experiments —
 // and fills the table with AVG rates.
 func pairSweep(ctx *Context, t *stats.Table, sizes []int,
-	rows [2]string, mk func(which, size int) func() (core.Predictor, error)) ([]*stats.Table, error) {
-	var mks []func() (core.Predictor, error)
+	rows [2]string, spec func(which, size int) SweepSpec) ([]*stats.Table, error) {
+	var specs []SweepSpec
 	for _, size := range sizes {
 		for which := 0; which < 2; which++ {
-			mks = append(mks, mk(which, size))
+			specs = append(specs, spec(which, size))
 		}
 	}
-	rates, err := ctx.SweepBatch(mks)
+	rates, err := ctx.SweepBatch(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -323,12 +314,12 @@ func pairSweep(ctx *Context, t *stats.Table, sizes []int,
 func runAblMeta(ctx *Context) ([]*stats.Table, error) {
 	t := stats.NewTable("§6.1 ablation: metaprediction (AVG, hybrid p=3.1 assoc4)", "selector")
 	return pairSweep(ctx, t, []int{512, 2048, 8192}, [2]string{"confidence", "bpst"},
-		func(which, size int) func() (core.Predictor, error) {
+		func(which, size int) SweepSpec {
 			comp := size / 2
 			if which == 0 {
-				return hybridMk(1, 3, "assoc4", comp)
+				return dualPath(1, 3, "assoc4", comp)
 			}
-			return func() (core.Predictor, error) {
+			return SweepSpec{Mk: func() (core.Predictor, error) {
 				mk := func(p int) (*core.TwoLevel, error) {
 					return core.NewTwoLevel(boundedConfig(p, bits.Reverse, "assoc4", comp))
 				}
@@ -341,56 +332,50 @@ func runAblMeta(ctx *Context) ([]*stats.Table, error) {
 					return nil, err
 				}
 				return core.NewBPSTHybrid(a, b, 1024)
-			}
+			}}
 		})
 }
 
 func runExtPPM(ctx *Context) ([]*stats.Table, error) {
 	t := stats.NewTable("§7 extension: PPM cascade vs confidence hybrid (AVG, p=3&1)", "predictor")
 	return pairSweep(ctx, t, []int{512, 2048, 8192}, [2]string{"hybrid", "ppm-cascade"},
-		func(which, size int) func() (core.Predictor, error) {
+		func(which, size int) SweepSpec {
 			comp := size / 2
 			if which == 0 {
-				return hybridMk(1, 3, "assoc4", comp)
+				return dualPath(1, 3, "assoc4", comp)
 			}
-			return func() (core.Predictor, error) {
+			return SweepSpec{Mk: func() (core.Predictor, error) {
 				return core.NewCascade([]int{3, 1}, "assoc4", comp)
-			}
+			}}
 		})
 }
 
 func runExtShared(ctx *Context) ([]*stats.Table, error) {
 	t := stats.NewTable("§8.1 extension: shared-table hybrid (AVG, p=3.1 assoc4)", "predictor")
 	return pairSweep(ctx, t, []int{512, 2048, 8192}, [2]string{"split-tables", "shared-table"},
-		func(which, size int) func() (core.Predictor, error) {
+		func(which, size int) SweepSpec {
 			if which == 0 {
-				return hybridMk(1, 3, "assoc4", size/2)
+				return dualPath(1, 3, "assoc4", size/2)
 			}
-			return func() (core.Predictor, error) {
+			return SweepSpec{Mk: func() (core.Predictor, error) {
 				return core.NewSharedHybrid(3, 1, "assoc4", size)
-			}
+			}}
 		})
 }
 
 func runExt3Comp(ctx *Context) ([]*stats.Table, error) {
 	t := stats.NewTable("§8.1 extension: three-component hybrids (AVG, assoc4)", "predictor")
 	return pairSweep(ctx, t, []int{1536, 6144, 24576}, [2]string{"two-comp(3.1)", "three-comp(7.3.1)"},
-		func(which, total int) func() (core.Predictor, error) {
+		func(which, total int) SweepSpec {
 			if which == 0 {
-				return hybridMk(1, 3, "assoc4", roundPow2(total/2))
+				return dualPath(1, 3, "assoc4", roundPow2(total/2))
 			}
 			comp3 := roundPow2(total / 3)
-			return func() (core.Predictor, error) {
-				comps := make([]core.Component, 0, 3)
-				for _, p := range []int{1, 3, 7} {
-					c, err := core.NewTwoLevel(boundedConfig(p, bits.Reverse, "assoc4", comp3))
-					if err != nil {
-						return nil, err
-					}
-					comps = append(comps, c)
-				}
-				return core.NewHybrid(comps...)
-			}
+			return tableSpec(
+				boundedConfig(1, bits.Reverse, "assoc4", comp3),
+				boundedConfig(3, bits.Reverse, "assoc4", comp3),
+				boundedConfig(7, bits.Reverse, "assoc4", comp3),
+			)
 		})
 }
 

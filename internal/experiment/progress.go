@@ -30,7 +30,7 @@ func (p *progress) begin(n int, now time.Time) {
 }
 
 // ProgressSnapshot is a point-in-time reading of a run's sweep progress.
-// Cells are (benchmark × configuration-chunk) work units of the batched
+// Cells are the (benchmark × cell of lanes) work units of the batched
 // sweeps; hand-rolled experiment loops don't contribute, so the totals cover
 // the grid sweeps that dominate a full run.
 type ProgressSnapshot struct {

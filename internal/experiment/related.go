@@ -48,24 +48,23 @@ func runRelTCache(ctx *Context) ([]*stats.Table, error) {
 	// Chang et al.'s gshare(9) pattern history target cache; the first
 	// level sees conditional outcomes, so it needs full traces and batches
 	// separately from the indirect-only path-based predictors.
-	var tcMks, pathMks []func() (core.Predictor, error)
+	var tcaches, paths []SweepSpec
 	for _, size := range sizes {
-		tcMks = append(tcMks, func() (core.Predictor, error) {
+		tcaches = append(tcaches, SweepSpec{Mk: func() (core.Predictor, error) {
 			return core.NewTargetCache(9, "tagless", size)
-		})
+		}})
 		// The paper's comparable non-hybrid (p=3, tagless) and best
 		// hybrid configurations (§7 discussion).
-		cfg := boundedConfig(3, bits.Reverse, "tagless", size)
-		pathMks = append(pathMks,
-			func() (core.Predictor, error) { return core.NewTwoLevel(cfg) },
-			hybridMk(1, 3, "assoc4", size/2),
+		paths = append(paths,
+			tableSpec(boundedConfig(3, bits.Reverse, "tagless", size)),
+			dualPath(1, 3, "assoc4", size/2),
 		)
 	}
-	tcache, err := ctx.SweepBatchFull(tcMks)
+	tcache, err := ctx.SweepBatchFull(tcaches)
 	if err != nil {
 		return nil, err
 	}
-	path, err := ctx.SweepBatch(pathMks)
+	path, err := ctx.SweepBatch(paths)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -52,8 +53,8 @@ func TestTraceSingleFlight(t *testing.T) {
 	}
 }
 
-// sweepGrid is a configuration grid wide enough to span multiple sweepChunk
-// chunks, mixing table kinds so lanes are genuinely heterogeneous.
+// sweepGrid is a configuration grid wide enough to span several sweep cells,
+// mixing table kinds so lanes are genuinely heterogeneous.
 func sweepGrid() []core.Config {
 	var cfgs []core.Config
 	kinds := []string{"tagless", "assoc2", "fullassoc"}
@@ -62,12 +63,12 @@ func sweepGrid() []core.Config {
 			cfgs = append(cfgs, boundedConfig(p, 0, kind, 256))
 		}
 	}
-	return cfgs // 18 configs > sweepChunk
+	return cfgs // 18 tables > cellTables
 }
 
 // TestSweepBatchMatchesSequential is the golden guarantee behind every
 // batched experiment: running a grid of configurations through SweepConfigs
-// (chunked lanes, shared trace passes, predictor reuse via Reset) must give
+// (cells of lanes, shared trace passes, predictor reuse via Reset) must give
 // exactly the rates of running each configuration alone.
 func TestSweepBatchMatchesSequential(t *testing.T) {
 	if testing.Short() {
@@ -129,15 +130,19 @@ func TestSweepConfigsKeepsCallerOrder(t *testing.T) {
 		}
 	}
 
-	// Run order [1 0 2] with the middle run lane (caller index 0) dying.
-	ok := func() (core.Predictor, error) { return core.NewBTB(nil, core.UpdateTwoMiss), nil }
+	// Run order [2 0 1] (tables in spec order, then the Mk lane) with the
+	// last run lane (caller index 1) dying.
 	dies := func() (core.Predictor, error) { return &panicOnUpdate{}, nil }
-	res, err := ctx.sweepSpecs([]SweepSpec{{Mk: ok}, {Mk: dies}, {Mk: ok}}, false, []int{1, 0, 2})
+	specs := []SweepSpec{tableSpec(cfgs[2]), {Mk: dies}, tableSpec(cfgs[5])}
+	if got := planCells(specs); len(got) != 1 || !slices.Equal(got[0], []int{2, 0, 1}) {
+		t.Fatalf("planCells = %v, want [[2 0 1]]", got)
+	}
+	res, err := ctx.SweepSpecs(specs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res[0]) != 0 || len(res[1]) != len(ctx.Suite) || len(res[2]) != len(ctx.Suite) {
-		t.Errorf("results by caller index hold %d, %d, %d benchmarks; want 0, %d, %d",
+	if len(res[0]) != len(ctx.Suite) || len(res[1]) != 0 || len(res[2]) != len(ctx.Suite) {
+		t.Errorf("results by caller index hold %d, %d, %d benchmarks; want %d, 0, %d",
 			len(res[0]), len(res[1]), len(res[2]), len(ctx.Suite), len(ctx.Suite))
 	}
 	fails := ctx.TakeFailures()
@@ -145,8 +150,8 @@ func TestSweepConfigsKeepsCallerOrder(t *testing.T) {
 		t.Fatalf("%d degraded cells, want %d", len(fails), len(ctx.Suite))
 	}
 	for _, f := range fails {
-		if !strings.HasPrefix(f.Err.Error(), "config 0:") {
-			t.Errorf("%s: %v does not name caller config 0", f.Bench, f.Err)
+		if !strings.HasPrefix(f.Err.Error(), "config 1:") {
+			t.Errorf("%s: %v does not name caller config 1", f.Bench, f.Err)
 		}
 	}
 }
@@ -167,12 +172,10 @@ func TestSweepSpecsShadowMatchesSolo(t *testing.T) {
 	shadowCfg := cfg
 	shadowCfg.TableKind = "unbounded"
 	shadowCfg.Entries = 0
-	spec := SweepSpec{
-		Mk:       func() (core.Predictor, error) { return core.NewTwoLevel(cfg) },
-		MkShadow: func() (core.Predictor, error) { return core.NewTwoLevel(shadowCfg) },
-	}
-	// Two copies of the same spec in one batch: both lanes must agree with
-	// each other (no cross-lane contamination) and with a solo run.
+	spec := SweepSpec{Tables: []core.Config{cfg}, Shadow: &shadowCfg}
+	// Two copies of the same spec in one batch read one table and one
+	// shadow: both lanes must agree with each other (the shared tables
+	// step once per branch) and with a solo run.
 	batch, err := ctx.SweepSpecs([]SweepSpec{spec, spec}, false)
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +203,7 @@ func TestSweepSpecsShadowMatchesSolo(t *testing.T) {
 }
 
 // TestSweepSpecsRejectsInlineShadow pins the API contract: shadows must come
-// from MkShadow so each lane × benchmark cell gets a private instance.
+// from SweepSpec.Shadow, so each cell builds its own instance.
 func TestSweepSpecsRejectsInlineShadow(t *testing.T) {
 	ctx := tinyContext(t)
 	sh, err := core.NewTwoLevel(core.Config{TableKind: "unbounded"})
@@ -213,5 +216,117 @@ func TestSweepSpecsRejectsInlineShadow(t *testing.T) {
 	}
 	if _, err := ctx.SweepSpecs([]SweepSpec{spec}, false); err == nil {
 		t.Fatal("inline Opts.Shadow accepted")
+	}
+}
+
+// cellTableCount is how many tables a planned cell builds: one per distinct
+// configuration its keyed lanes read, and the private ones of the rest.
+func cellTableCount(specs []SweepSpec, cell []int) int {
+	shared := make(map[core.Config]bool)
+	n := 0
+	for _, i := range cell {
+		n += specs[i].private()
+		if specs[i].keyed() {
+			for _, cfg := range specs[i].tables() {
+				shared[cfg.Defaults()] = true
+			}
+		}
+	}
+	return n + len(shared)
+}
+
+// TestPlanCells pins how a sweep is cut into cells: a fig17 matrix's 91
+// lanes read 26 distinct tables and build each once; a sharing group larger
+// than a cell is cut so no cell exceeds cellTables; lanes that take
+// Kernel.Run share nothing; and lanes built by Mk run last, in the caller's
+// order.
+func TestPlanCells(t *testing.T) {
+	var fig17 []SweepSpec
+	for p1 := 0; p1 <= 12; p1++ {
+		for p2 := 0; p2 <= p1; p2++ {
+			if p1 == p2 {
+				fig17 = append(fig17, tableSpec(boundedConfig(p1, bits.Reverse, "assoc4", 4096)))
+			} else {
+				fig17 = append(fig17, dualPath(p1, p2, "assoc4", 2048))
+			}
+		}
+	}
+	var chain []SweepSpec // hybrids (p, p+1) link 20 tables into one group
+	for p := 0; p < 19; p++ {
+		chain = append(chain, dualPath(p, p+1, "tagless", 64))
+	}
+	private := []SweepSpec{tableSpec(boundedConfig(2, bits.Reverse, "assoc2", 256)),
+		tableSpec(boundedConfig(2, bits.Reverse, "assoc2", 256))}
+	for i := range private {
+		private[i].Opts.Sites = true
+	}
+	mk := func() (core.Predictor, error) { return core.NewBTB(nil, core.UpdateTwoMiss), nil }
+	mixed := []SweepSpec{{Mk: mk}, tableSpec(boundedConfig(3, bits.Reverse, "tagless", 64)), {Mk: mk}}
+
+	for _, tc := range []struct {
+		name   string
+		specs  []SweepSpec
+		tables int // built over all cells
+	}{
+		{"fig17", fig17, 26},
+		{"chain", chain, 20},
+		{"private", private, 2},
+		{"mixed", mixed, 3},
+	} {
+		cells := planCells(tc.specs)
+		var seen []int
+		tables := 0
+		for _, cell := range cells {
+			n := cellTableCount(tc.specs, cell)
+			if n > cellTables {
+				t.Errorf("%s: cell %v builds %d tables, more than %d", tc.name, cell, n, cellTables)
+			}
+			tables += n
+			seen = append(seen, cell...)
+		}
+		slices.Sort(seen)
+		if len(seen) != len(tc.specs) || slices.Compact(seen)[len(seen)-1] != len(tc.specs)-1 {
+			t.Errorf("%s: cells %v do not cover each lane once", tc.name, cells)
+		}
+		switch {
+		case tc.name == "chain" && tables <= tc.tables:
+			t.Errorf("chain: %d tables over %d cells; a 20-table group must be cut", tables, len(cells))
+		case tc.name != "chain" && tables != tc.tables:
+			t.Errorf("%s: cells %v build %d tables, want %d", tc.name, cells, tables, tc.tables)
+		}
+	}
+	if got := planCells(mixed); !slices.Equal(got[len(got)-1][1:], []int{0, 2}) {
+		t.Errorf("mixed: cells %v, want the Mk lanes 0 and 2 last", got)
+	}
+}
+
+// TestSharedTablesKeepBranchCounts pins the work a sweep reports: sharing
+// tables leaves every lane's counted branches alone, so fig11 and fig17
+// still execute lanes × indirect branches, summed over the suite.
+func TestSharedTablesKeepBranchCounts(t *testing.T) {
+	ctx := tinyContext(t)
+	var branches uint64
+	for _, cfg := range ctx.Suite {
+		for _, r := range ctx.Trace(cfg) {
+			if r.Kind.Indirect() {
+				branches++
+			}
+		}
+	}
+	for _, e := range []struct {
+		id    string
+		lanes uint64
+	}{{"fig11", 9 * 11}, {"fig17", 2 * 91}} {
+		exp, err := ByID(e.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := ctx.Progress().Executed
+		if _, err := exp.Run(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := ctx.Progress().Executed-before, e.lanes*branches; got != want {
+			t.Errorf("%s executed %d branches, want %d lanes × %d", e.id, got, e.lanes, branches)
+		}
 	}
 }

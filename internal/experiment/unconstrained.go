@@ -99,12 +99,12 @@ func runFig2(ctx *Context) ([]*stats.Table, error) {
 		col  string
 		rule core.UpdateRule
 	}{{"btb", core.UpdateAlways}, {"btb-2bc", core.UpdateTwoMiss}}
-	mks := make([]func() (core.Predictor, error), len(rules))
+	specs := make([]SweepSpec, len(rules))
 	for i, r := range rules {
 		rule := r.rule
-		mks[i] = func() (core.Predictor, error) { return core.NewBTB(nil, rule), nil }
+		specs[i] = SweepSpec{Mk: func() (core.Predictor, error) { return core.NewBTB(nil, rule), nil }}
 	}
-	rates, err := ctx.SweepBatch(mks)
+	rates, err := ctx.SweepBatch(specs)
 	if err != nil {
 		return nil, err
 	}

@@ -106,13 +106,45 @@ func (r *Register) Push(target uint32) {
 	if len(r.buf) == 0 {
 		return
 	}
+	r.pushRing(target)
+	if r.track {
+		r.pat = r.next(r.pat, target)
+	}
+}
+
+// pushRing records target in the ring, leaving the tracked pattern alone.
+func (r *Register) pushRing(target uint32) {
 	r.head--
 	if r.head < 0 {
 		r.head = len(r.buf) - 1
 	}
 	r.buf[r.head] = target
-	if r.track {
-		r.pushPattern(target)
+}
+
+// KeyRun keys a run of indirect branches under s and records their targets,
+// as a predictor's probes and updates would: keys[j] is s.Key of the branch
+// at pcs[j] under the history before it, and targets[j] is then pushed.
+// scratch serves a spec the register does not track (see Spec.Pattern). A
+// tracked pattern moves in a local for the whole run, and the ring then
+// takes the run's last p targets: the register ends holding what pushing
+// every target would have left.
+func (r *Register) KeyRun(s Spec, pcs, targets []uint32, keys []uint64, scratch []uint32) {
+	keys, targets = keys[:len(pcs)], targets[:len(pcs)]
+	if !r.Tracks(s) {
+		for j, pc := range pcs {
+			keys[j] = s.Fold(s.Pattern(r, scratch), pc)
+			r.Push(targets[j])
+		}
+		return
+	}
+	pat := r.pat
+	for j, pc := range pcs {
+		keys[j] = s.Fold(pat, pc)
+		pat = r.next(pat, targets[j])
+	}
+	r.pat = pat
+	for _, t := range targets[max(len(targets)-len(r.buf), 0):] {
+		r.pushRing(t)
 	}
 }
 
@@ -163,7 +195,7 @@ func (r *Register) Track(s Spec) {
 func (r *Register) rebuildPattern() {
 	r.pat = 0
 	for i := len(r.buf) - 1; i >= 0; i-- {
-		r.pushPattern(r.Recent(i))
+		r.pat = r.next(r.pat, r.Recent(i))
 	}
 }
 
@@ -211,24 +243,25 @@ func (r *Register) Tracks(s Spec) bool {
 // when Tracks(spec) holds.
 func (r *Register) TrackedPattern() uint32 { return r.pat }
 
-// pushPattern folds the new target into the maintained pattern. A push moves
+// next returns the tracked pattern pat after a push of target. A push moves
 // every recorded target one position deeper in the history, which moves each
 // target's column of pattern bits by exactly one (dropping the oldest), so
 // the pattern updates with one masked shift plus the incoming target's
 // deposit — equivalent to reassembling via bits.Assemble but p times cheaper.
-func (r *Register) pushPattern(target uint32) {
+func (r *Register) next(pat, target uint32) uint32 {
 	t := bits.Field(target, r.start, r.b)
 	switch r.scheme {
 	case bits.Concat:
 		// Most recent target occupies the low b bits; older ones shift up.
-		r.pat = (r.pat<<uint(r.b) | t) & r.patMask
+		return (pat<<uint(r.b) | t) & r.patMask
 	case bits.Straight:
 		// Youngest target sits in column 0 of each b-bit round.
-		r.pat = (r.pat&^r.colClear)<<1 | r.deposit.of(t)
+		return (pat&^r.colClear)<<1 | r.deposit.of(t)
 	case bits.Reverse:
 		// Youngest target sits in column p-1 of each round.
-		r.pat = (r.pat&^r.colClear)>>1 | r.deposit.of(t)
+		return (pat&^r.colClear)>>1 | r.deposit.of(t)
 	}
+	return pat
 }
 
 // Targets appends the register contents to dst, most recent target first,

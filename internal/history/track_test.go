@@ -228,3 +228,46 @@ func TestRegisterEqualAndCopyFrom(t *testing.T) {
 		}
 	}
 }
+
+// TestKeyRunMatchesKeyAndPush checks the bulk key path against the
+// per-branch one: over every swept spec, both key operations, p = 0 and
+// runs shorter and longer than the register, KeyRun on a tracking register
+// and on a plain one yields the keys Spec.Key gives branch by branch, and
+// leaves the register holding what Push would have left.
+func TestKeyRunMatchesKeyAndPush(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 31))
+	scratch := make([]uint32, 0, 64)
+	specs := append(trackSpecs(), Spec{})
+	for _, s := range specs {
+		for _, op := range []KeyOp{OpXor, OpConcat} {
+			s.Op = op
+			for _, track := range []bool{true, false} {
+				bulk, ref := NewRegister(s.PathLength), NewRegister(s.PathLength)
+				if track {
+					bulk.Track(s)
+				}
+				for run := 0; run < 4; run++ {
+					n := rng.IntN(3*s.PathLength + 3)
+					pcs, targets := make([]uint32, n), make([]uint32, n)
+					for j := range pcs {
+						pcs[j], targets[j] = rng.Uint32()&^3, rng.Uint32()
+					}
+					keys := make([]uint64, n)
+					bulk.KeyRun(s, pcs, targets, keys, scratch)
+					for j, pc := range pcs {
+						if want := s.Key(ref, pc, scratch); keys[j] != want {
+							t.Fatalf("%+v track=%v run %d branch %d: key %#x, want %#x", s, track, run, j, keys[j], want)
+						}
+						ref.Push(targets[j])
+					}
+					if !bulk.Equal(ref) {
+						t.Fatalf("%+v track=%v run %d: register %v, want %v", s, track, run, bulk.Targets(nil), ref.Targets(nil))
+					}
+					if track && bulk.Tracks(s) && bulk.TrackedPattern() != s.Pattern(ref, scratch) {
+						t.Fatalf("%+v run %d: tracked pattern %#x, want %#x", s, run, bulk.TrackedPattern(), s.Pattern(ref, scratch))
+					}
+				}
+			}
+		}
+	}
+}

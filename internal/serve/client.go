@@ -154,7 +154,15 @@ func DialContext(ctx context.Context, addr string, hello Hello, o DialOptions) (
 			lastErr = err
 			continue
 		}
+		// The handshake waits in reads and writes that only its deadline
+		// ends; closing the connection when ctx ends stops the wait for
+		// a server that never answers.
+		stop := context.AfterFunc(ctx, func() { conn.Close() })
 		c, err := handshake(conn, hello, o.Timeout)
+		if !stop() {
+			conn.Close()
+			return nil, fmt.Errorf("serve: dial %s: %w", addr, ctx.Err())
+		}
 		if err != nil {
 			conn.Close()
 			lastErr = err

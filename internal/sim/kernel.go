@@ -118,7 +118,8 @@ func (k *Kernel) Result() Result { return k.res }
 // duration of the call and are written back at its end, so callers should
 // hand it blocks of records rather than single ones.
 func (k *Kernel) Run(recs []trace.Record) {
-	seen, res := k.seen, k.res
+	seen := k.seen
+	var c counts
 	for _, r := range recs {
 		switch {
 		case r.Kind == trace.Cond:
@@ -149,21 +150,22 @@ func (k *Kernel) Run(recs []trace.Record) {
 			shadowCorrect = sok && st == r.Target
 		}
 		seen++
-		counted, miss := res.account(seen, k.warmup, pred, ok, r.Target, shadowCorrect)
+		miss := !ok || pred != r.Target
 		if k.events != nil {
 			k.emit(r, pred, ok, miss, seen)
 		}
-		if !counted {
+		if seen <= k.warmup {
 			continue
 		}
+		c = c.account(miss, ok, shadowCorrect)
 		if miss && k.misses != nil {
 			k.observeMiss(ok)
 		}
-		if res.PerSite != nil {
-			ss := res.PerSite[r.PC]
+		if sites := k.res.PerSite; sites != nil {
+			ss := sites[r.PC]
 			if ss == nil {
 				ss = &SiteStats{}
-				res.PerSite[r.PC] = ss
+				sites[r.PC] = ss
 			}
 			ss.Executed++
 			if miss {
@@ -171,31 +173,41 @@ func (k *Kernel) Run(recs []trace.Record) {
 			}
 		}
 	}
-	k.seen, k.res = seen, res
+	k.seen = seen
+	c.addTo(&k.res)
 }
 
-// account is the paper's accounting of the seen-th dynamic indirect branch
-// (counting from 1), predicted as pred (ok false for no prediction) and
-// resolved to target: past the warmup it counts as executed, and as a miss
-// when the target was wrong or missing; a miss the shadow twin predicted
-// correctly is a capacity miss. It reports whether the branch was counted
-// and whether it was a miss. Run and the keyed lanes both count through it.
-func (res *Result) account(seen, warmup int, pred uint32, ok bool, target uint32, shadowCorrect bool) (counted, miss bool) {
-	miss = !ok || pred != target
-	if seen <= warmup {
-		return false, miss
-	}
-	res.Executed++
+// counts is the paper's accounting of the branches past the warmup, a
+// value of four ints so the hot loops keep it in registers; a Result adds
+// it up once per call.
+type counts struct {
+	executed, misses, noPrediction, capacity int
+}
+
+// account counts one dynamic indirect branch past the warmup: executed,
+// and a miss when the predicted target was wrong or missing (ok false for
+// no prediction); a miss the shadow twin predicted correctly is a capacity
+// miss. Run and the keyed lanes both count through it.
+func (c counts) account(miss, ok, shadowCorrect bool) counts {
+	c.executed++
 	if miss {
-		res.Misses++
+		c.misses++
 		if !ok {
-			res.NoPrediction++
+			c.noPrediction++
 		}
 		if shadowCorrect {
-			res.CapacityMisses++
+			c.capacity++
 		}
 	}
-	return true, miss
+	return c
+}
+
+// addTo adds the counts to res.
+func (c counts) addTo(res *Result) {
+	res.Executed += c.executed
+	res.Misses += c.misses
+	res.NoPrediction += c.noPrediction
+	res.CapacityMisses += c.capacity
 }
 
 // emit offers one per-prediction event to the recorder, merging the

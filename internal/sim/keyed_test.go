@@ -222,7 +222,7 @@ func TestKeyedLanesMatchKernel(t *testing.T) {
 				keyed := 0
 				for i := range ps {
 					if kp, ok := ps[i].(core.Keyed); ok {
-						if _, ok := kp.Histories(nil); ok {
+						if _, ok := kp.Tables(nil); ok {
 							keyed++
 						}
 					}
@@ -308,31 +308,45 @@ func TestKeyedLanesMatchKernel(t *testing.T) {
 	})
 }
 
-// cancelKeyed is a keyed TwoLevel that cancels its run on its n-th step.
+// cancelKeyed is a keyed TwoLevel that cancels its run in the table step
+// that reaches its n-th branch.
 type cancelKeyed struct {
 	*core.TwoLevel
 	n      int
 	cancel context.CancelFunc
 }
 
-func (p *cancelKeyed) StepKeyed(keys []uint64, target uint32) (uint32, bool) {
-	if p.n--; p.n == 0 {
-		p.cancel()
-	}
-	return p.TwoLevel.StepKeyed(keys, target)
+func (p *cancelKeyed) Tables(dst []core.KeyedTable) ([]core.KeyedTable, bool) {
+	_, ok := p.KeyHistory()
+	return append(dst, p), ok
 }
 
-// panicKeyed is a keyed TwoLevel whose table step panics on its n-th call.
+func (p *cancelKeyed) StepKeyed(keys []uint64, targets []uint32, out []core.Answer) {
+	if p.n > 0 {
+		if p.n -= len(keys); p.n <= 0 {
+			p.cancel()
+		}
+	}
+	p.TwoLevel.StepKeyed(keys, targets, out)
+}
+
+// panicKeyed is a keyed TwoLevel whose table step panics when it reaches its
+// n-th branch.
 type panicKeyed struct {
 	*core.TwoLevel
 	n int
 }
 
-func (p *panicKeyed) StepKeyed(keys []uint64, target uint32) (uint32, bool) {
-	if p.n--; p.n == 0 {
+func (p *panicKeyed) Tables(dst []core.KeyedTable) ([]core.KeyedTable, bool) {
+	_, ok := p.KeyHistory()
+	return append(dst, p), ok
+}
+
+func (p *panicKeyed) StepKeyed(keys []uint64, targets []uint32, out []core.Answer) {
+	if p.n -= len(keys); p.n <= 0 {
 		panic("keyed lane blew up")
 	}
-	return p.TwoLevel.StepKeyed(keys, target)
+	p.TwoLevel.StepKeyed(keys, targets, out)
 }
 
 func mustDualPath(t *testing.T, p1, p2 int, kind string, entries int) core.Predictor {
@@ -378,7 +392,7 @@ func TestKeyedLanesZeroAllocsPerRecord(t *testing.T) {
 		for _, p := range ps {
 			if kp, _ := p.(core.Keyed); kp == nil {
 				t.Fatalf("%s is not keyed", p.Name())
-			} else if _, ok := kp.Histories(nil); !ok {
+			} else if _, ok := kp.Tables(nil); !ok {
 				t.Fatalf("%s is not keyed", p.Name())
 			}
 		}

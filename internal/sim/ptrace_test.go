@@ -12,21 +12,24 @@ import (
 
 // TestDisabledEventSinkZeroAllocs is the event layer's overhead guard: with
 // no sink attached (the default of every sweep and benchmark), the steady-
-// state block step must not allocate — the per-record cost of the event hook
-// is one nil check. CI refuses to let this assertion skip.
+// state block step must not allocate. A Kernel.Run lane's per-record cost of
+// the event hook is one nil check; a keyed lane, which never has a sink, has
+// no hook at all. CI refuses to let this assertion skip.
 func TestDisabledEventSinkZeroAllocs(t *testing.T) {
 	tr := cycleTrace(0x1000, []uint32{0x2000, 0x2040, 0x2080}, 300)
-	p := core.MustTwoLevel(core.Config{PathLength: 4, Precision: core.AutoPrecision,
-		Scheme: bits.Reverse, TableKind: "tagless", Entries: 512})
-	l := trainedLane(p, tr, nil)
-	if l.k.events != nil {
-		t.Fatal("sink attached without Options.Events")
-	}
-	allocs := testing.AllocsPerRun(5, func() {
-		l.step(tr, nil)
-	})
-	if allocs != 0 {
-		t.Errorf("disabled-sink step: %v allocs per %d-record block, want 0", allocs, len(tr))
+	for _, c := range stepCases() {
+		t.Run(c.name, func(t *testing.T) {
+			b := trainedCase(t, c, tr, nil)
+			if b.lanes[0].k.events != nil {
+				t.Fatal("sink attached without Options.Events")
+			}
+			allocs := testing.AllocsPerRun(5, func() {
+				b.step(tr)
+			})
+			if allocs != 0 {
+				t.Errorf("disabled-sink step: %v allocs per %d-record block, want 0", allocs, len(tr))
+			}
+		})
 	}
 }
 
@@ -38,13 +41,9 @@ func TestEnabledEventSinkZeroAllocs(t *testing.T) {
 	p := core.MustTwoLevel(core.Config{PathLength: 4, Precision: core.AutoPrecision,
 		Scheme: bits.Reverse, TableKind: "tagless", Entries: 512})
 	sink := ptrace.NewEventSink(1<<16, 1)
-	l := &lane{}
-	l.init(p, Options{Events: sink}, nil)
-	for pass := 0; pass < 2; pass++ {
-		l.step(tr, nil)
-	}
+	b := trainedBatch(t, p, Options{Events: sink}, tr, nil)
 	allocs := testing.AllocsPerRun(5, func() {
-		l.step(tr, nil)
+		b.step(tr)
 	})
 	if allocs != 0 {
 		t.Errorf("enabled-sink step: %v allocs per %d-record block, want 0", allocs, len(tr))

@@ -9,14 +9,14 @@
 // ("lanes") over one trace in a single pass, sharing the record decode and
 // cancellation checks and isolating each lane's panics, so a sweep over a
 // configuration grid pays for the trace once per benchmark instead of once
-// per configuration. Run/RunContext are the single-lane form.
+// per configuration, and for each distinct two-level table once however
+// many lanes read it. Run/RunContext are the single-lane form.
 package sim
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"runtime/debug"
 	"strings"
 	"time"
@@ -36,10 +36,9 @@ type Options struct {
 	Warmup int
 	// Shadow, when non-nil, is an unbounded predictor with the same key
 	// function as the subject; a subject miss that the shadow predicts
-	// correctly is counted as a capacity/conflict miss. A Shadow instance
-	// belongs to exactly one lane: it trains on every branch of that
-	// lane's run, so sharing one across lanes would corrupt it, and
-	// RunBatchEach rejects that.
+	// correctly is counted as a capacity/conflict miss. It trains on
+	// every branch of the lane's run, so only keyed lanes may share one
+	// (see RunBatchEach).
 	Shadow core.Predictor
 	// Sites enables per-site accounting (used for benchmark analysis).
 	Sites bool
@@ -53,11 +52,16 @@ type Options struct {
 	// sink). Predictors implementing core.Attributor have attribution
 	// recording switched on for the run, enriching events with the history
 	// pattern, table hit/evict detail, and the hybrid component chosen;
-	// other predictors produce events with sim-visible fields only. Like a
-	// Shadow, a sink belongs to exactly one lane — it is not safe for
-	// concurrent use, so sharing one across lanes is rejected.
+	// other predictors produce events with sim-visible fields only. A
+	// sink belongs to exactly one lane — it is not safe for concurrent
+	// use, so sharing one across lanes is rejected.
 	Events *ptrace.EventSink
 }
+
+// Keyable reports whether a lane with these options can run keyed: it asks
+// for nothing only Kernel.Run provides — an event sink, per-site stats or
+// flushes.
+func (o Options) Keyable() bool { return o.Events == nil && !o.Sites && o.FlushEvery <= 0 }
 
 // SiteStats is the per-branch-site accounting collected when Options.Sites
 // is set.
@@ -180,7 +184,7 @@ type runMetrics struct {
 	evictions *telemetry.Counter   // table entries displaced (per-run deltas)
 	resets    *telemetry.Counter   // whole-table resets (per-run deltas)
 	occupancy *telemetry.Gauge     // last observed end-of-run table occupancy
-	block     *telemetry.Histogram // wall time per lane-block
+	block     *telemetry.Histogram // wall time per block, tapes and every lane
 }
 
 // newRunMetrics resolves the handles against r, or returns nil when
@@ -205,8 +209,8 @@ func newRunMetrics(r *telemetry.Registry) *runMetrics {
 // lane's panic isolation and per-run table telemetry.
 type lane struct {
 	k *Kernel
-	// keyed, when set, runs the lane's tables over shared key tapes in
-	// place of k.Run; k still holds the lane's warmup and accounting.
+	// keyed, when set, accounts the lane from shared tapes in place of
+	// k.Run; k still holds the lane's warmup and accounting.
 	keyed *keyedLane
 	dead  bool
 	err   error
@@ -217,8 +221,8 @@ type lane struct {
 	baseStats []table.Stats
 }
 
-func (l *lane) init(p core.Predictor, opts Options, m *runMetrics) {
-	l.k = NewKernel(p, opts)
+func (l *lane) init(p core.Predictor, opts Options, kl *keyedLane, m *runMetrics) {
+	l.k, l.keyed = NewKernel(p, opts), kl
 	if m != nil {
 		if l.statser, _ = p.(core.TableStatser); l.statser != nil {
 			l.baseStats = l.statser.TableStats()
@@ -246,26 +250,6 @@ func (l *lane) finishStats(m *runMetrics) {
 	m.occupancy.Set(table.Merge(cur).Occupancy)
 }
 
-// step advances the lane over one block and publishes the block's counter
-// deltas: one histogram observation and three atomic adds per 8192-record block,
-// so enabled telemetry never touches the per-record path.
-func (l *lane) step(block []trace.Record, m *runMetrics) {
-	if m == nil {
-		l.runBlock(block)
-		return
-	}
-	start := time.Now()
-	seen0, miss0 := l.k.seen, l.k.res.Misses
-	l.runBlock(block)
-	m.block.Observe(time.Since(start))
-	m.records.Add(uint64(len(block)))
-	m.predicts.Add(uint64(l.k.seen - seen0))
-	m.misses.Add(uint64(l.k.res.Misses - miss0))
-	if l.dead {
-		m.panics.Inc()
-	}
-}
-
 // runBlock runs the lane's kernel over one block of trace records, converting
 // a predictor panic into a dead lane carrying a *PanicError — one deferred
 // frame per lane-block instead of per record keeps isolation off the
@@ -277,11 +261,83 @@ func (l *lane) runBlock(block []trace.Record) {
 			l.err = &PanicError{Val: r, Stack: debug.Stack()}
 		}
 	}()
-	if l.keyed != nil {
-		l.keyed.run(l.k)
-		return
-	}
 	l.k.Run(block)
+}
+
+// batch is the state of one RunBatchEach call: its lanes, the tapes its
+// keyed lanes read, and the telemetry handles (nil when disabled).
+type batch struct {
+	lanes []lane
+	tapes *tapeSet
+	m     *runMetrics
+	live  int // lanes not dead
+}
+
+// newBatch sets up a call over ps and a trace of n records.
+func newBatch(ps []core.Predictor, opts []Options, n int, m *runMetrics) (*batch, error) {
+	tapes, keyed, err := shareTables(ps, opts, n)
+	if err != nil {
+		return nil, err
+	}
+	b := &batch{lanes: make([]lane, len(ps)), tapes: tapes, m: m, live: len(ps)}
+	for i := range b.lanes {
+		b.lanes[i].init(ps[i], opts[i], keyed[i], m)
+	}
+	return b, nil
+}
+
+// step advances every live lane over one block: run by run, the tapes are
+// filled once and each keyed lane accounts from them, then each other lane
+// runs its kernel over the block. With telemetry on it publishes the
+// block's counter deltas summed over the lanes: one histogram observation
+// and four atomic adds per 8192-record block, so enabled telemetry never
+// touches the per-record path.
+func (b *batch) step(block []trace.Record) {
+	var start time.Time
+	if b.m != nil {
+		start = time.Now()
+	}
+	live0, seen0, misses0 := b.totals()
+	b.tapes.load(block)
+	for lo := 0; lo < len(b.tapes.targets); {
+		n := b.tapes.fill(lo)
+		for i := range b.lanes {
+			if l := &b.lanes[i]; l.keyed != nil && !l.dead {
+				if err := l.keyed.run(l.k, n); err != nil {
+					l.dead, l.err = true, err
+				}
+			}
+		}
+		lo += n
+	}
+	for i := range b.lanes {
+		if l := &b.lanes[i]; l.keyed == nil && !l.dead {
+			l.runBlock(block)
+		}
+	}
+	live, seen, misses := b.totals()
+	b.live = live
+	if b.m != nil {
+		b.m.block.Observe(time.Since(start))
+		b.m.records.Add(uint64(live0 * len(block)))
+		b.m.predicts.Add(uint64(seen - seen0))
+		b.m.misses.Add(uint64(misses - misses0))
+		b.m.panics.Add(uint64(live0 - live))
+	}
+}
+
+// totals returns how many lanes are live, and the branches all lanes have
+// predicted and missed so far.
+func (b *batch) totals() (live, seen, misses int) {
+	for i := range b.lanes {
+		l := &b.lanes[i]
+		if !l.dead {
+			live++
+		}
+		seen += l.k.seen
+		misses += l.k.res.Misses
+	}
+	return live, seen, misses
 }
 
 // blockSize is how many trace records a lane processes per protected block;
@@ -291,22 +347,29 @@ func (l *lane) runBlock(block []trace.Record) {
 const blockSize = 1 << 13
 
 // RunBatchEach simulates each predictor — with its own Options — over the
-// trace in a single pass. Lanes are independent: predictors (and their
-// shadows) must not share mutable state, or the interleaved updates of one
-// lane would corrupt another. A predictor, shadow or event sink passed in
-// two places is rejected.
+// trace in a single pass.
 //
-// Lanes whose predictor and shadow are core.Keyed, with no event sink,
-// per-site stats or flushes, share the first level: each distinct (history
-// spec, starting register contents) is keyed once per block, and those
-// lanes step only their tables. Their histories are written back when the
-// call returns, so every predictor ends in the state Kernel.Run would have
-// left, and every Result is the same.
+// A lane whose predictor and shadow are core.Keyed now, and whose options
+// are Keyable, runs keyed. Keyed lanes share both levels: each distinct
+// (history spec, starting register contents) is keyed once per branch, and
+// each distinct table instance is stepped once per branch however many
+// keyed lanes read it — as their predictor, a hybrid component or their
+// shadow. Each lane's Result is the one its predictor would give alone
+// through Kernel.Run, as if every reference to a table were a private copy
+// of it. A shared table ends the call in the state one Kernel.Run over it
+// would leave, and the key tapes' histories are written back into the
+// tables' registers when the call returns.
 //
-// A panic inside one lane's predictor kills that lane only: its partial
-// Result must be discarded, and the failure is reported as a LaneError
-// (wrapping *PanicError) inside a *BatchError. Lanes absent from the
-// BatchError completed normally and their Results are valid.
+// Every other lane runs Kernel.Run and must not share mutable state: a
+// predictor, shadow, table or event sink that such a lane uses and another
+// lane also uses is rejected, since the interleaved updates would corrupt
+// it.
+//
+// A panic inside one lane's predictor kills that lane only, and a panic in a
+// shared table kills exactly the lanes that read it: their partial Results
+// must be discarded, and each failure is reported as a LaneError (wrapping
+// *PanicError) inside a *BatchError. Lanes absent from the BatchError
+// completed normally and their Results are valid.
 //
 // Cancellation is checked between blocks of records; once ctx is done the
 // partial results accumulated so far are returned with an error satisfying
@@ -317,23 +380,18 @@ func RunBatchEach(ctx context.Context, ps []core.Predictor, tr trace.Trace, opts
 	if len(opts) != len(ps) {
 		return nil, fmt.Errorf("sim: %d predictors but %d option sets", len(ps), len(opts))
 	}
-	if err := checkUnshared(ps, opts); err != nil {
+	m := newRunMetrics(telemetry.Default())
+	b, err := newBatch(ps, opts, len(tr), m)
+	if err != nil {
 		return nil, err
 	}
-	m := newRunMetrics(telemetry.Default())
-	lanes := make([]lane, len(ps))
-	for i := range lanes {
-		lanes[i].init(ps[i], opts[i], m)
-	}
-	tapes := keyLanes(lanes, ps, opts, min(len(tr), blockSize))
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	done := ctx.Done()
-	live := len(lanes)
 	var cancel error
 blocks:
-	for base := 0; base < len(tr) && live > 0; base += blockSize {
+	for base := 0; base < len(tr) && b.live > 0; base += blockSize {
 		if done != nil {
 			select {
 			case <-done:
@@ -342,55 +400,10 @@ blocks:
 			default:
 			}
 		}
-		block := tr[base:min(base+blockSize, len(tr))]
-		tapes.fill(block)
-		for i := range lanes {
-			if l := &lanes[i]; !l.dead {
-				l.step(block, m)
-				if l.dead {
-					live--
-				}
-			}
-		}
+		b.step(tr[base:min(base+blockSize, len(tr))])
 	}
-	tapes.writeBack()
-	return collect(lanes, cancel, m)
-}
-
-// checkUnshared rejects mutable state that two lanes would share: one
-// predictor instance in two places (as lane predictors, shadows, or both)
-// or one Events sink on two lanes. Interleaved updates would corrupt it,
-// and a keyed lane's history write-back would overwrite it.
-func checkUnshared(ps []core.Predictor, opts []Options) error {
-	owner := make(map[any]int)
-	claim := func(x any, lane int, what string) error {
-		// Instances are compared by identity. A value whose type cannot
-		// be compared is skipped: every predictor here is a pointer.
-		if x == nil || !reflect.TypeOf(x).Comparable() {
-			return nil
-		}
-		if j, dup := owner[x]; dup {
-			return fmt.Errorf("sim: lanes %d and %d share one %s; each serves exactly one lane", j, lane, what)
-		}
-		owner[x] = lane
-		return nil
-	}
-	for i, o := range opts {
-		if err := claim(ps[i], i, "predictor instance"); err != nil {
-			return err
-		}
-		if o.Shadow != nil {
-			if err := claim(o.Shadow, i, "predictor instance (Options.Shadow)"); err != nil {
-				return err
-			}
-		}
-		if o.Events != nil {
-			if err := claim(o.Events, i, "Options.Events sink"); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	b.tapes.writeBack()
+	return collect(b.lanes, cancel, m)
 }
 
 // collect gathers per-lane results and folds lane failures (and an optional

@@ -10,40 +10,80 @@ import (
 	"github.com/oocsb/ibp/internal/trace"
 )
 
-// trainedLane returns a lane over p trained on tr (two full passes), wired to
-// the given metrics, so a replay of tr is pure steady state.
-func trainedLane(p core.Predictor, tr trace.Trace, m *runMetrics) *lane {
-	l := &lane{}
-	l.init(p, Options{}, m)
-	for pass := 0; pass < 2; pass++ {
-		l.step(tr, m)
+// trainedBatch returns a one-lane batch over p with the given options,
+// trained on tr (two full passes) and wired to the given metrics, so a
+// replay of tr is pure steady state.
+func trainedBatch(t *testing.T, p core.Predictor, opts Options, tr trace.Trace, m *runMetrics) *batch {
+	t.Helper()
+	b, err := newBatch([]core.Predictor{p}, []Options{opts}, len(tr), m)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return l
+	for pass := 0; pass < 2; pass++ {
+		b.step(tr)
+	}
+	return b
+}
+
+// stepCase is one way a batch steps a lane with Options{}.
+type stepCase struct {
+	name  string
+	keyed bool // the lane accounts from tapes, not through Kernel.Run
+	p     core.Predictor
+}
+
+// stepCases returns a fresh predictor for each way a batch steps a lane,
+// both over the same tagless table: per-address histories keep a TwoLevel
+// off the tapes, so its lane runs Kernel.Run; one global history makes it
+// keyed.
+func stepCases() []stepCase {
+	cfg := core.Config{PathLength: 4, Precision: core.AutoPrecision,
+		Scheme: bits.Reverse, TableKind: "tagless", Entries: 512}
+	perAddr := cfg
+	perAddr.HistShare = 2
+	return []stepCase{
+		{"kernel", false, core.MustTwoLevel(perAddr)},
+		{"keyed", true, core.MustTwoLevel(cfg)},
+	}
+}
+
+// trainedCase is trainedBatch over a case's predictor with Options{}, and
+// fails the test unless the lane takes the case's path.
+func trainedCase(t *testing.T, c stepCase, tr trace.Trace, m *runMetrics) *batch {
+	t.Helper()
+	b := trainedBatch(t, c.p, Options{}, tr, m)
+	if keyed := b.lanes[0].keyed != nil; keyed != c.keyed {
+		t.Fatalf("lane keyed = %v, want %v", keyed, c.keyed)
+	}
+	return b
 }
 
 // TestInstrumentedStepZeroAllocs pins telemetry's allocation cost: the
 // per-block step with LIVE telemetry handles must not allocate in steady
-// state. Together with core's TestSteadyStateZeroAllocs (the uninstrumented
-// loop) this pins the invariant that enabling -metrics cannot introduce GC
-// pressure into the hot loop.
+// state, whether the lane runs Kernel.Run or accounts from tapes. Together
+// with core's TestSteadyStateZeroAllocs (the uninstrumented loop) this pins
+// the invariant that enabling -metrics cannot introduce GC pressure into the
+// hot loop.
 func TestInstrumentedStepZeroAllocs(t *testing.T) {
 	tr := cycleTrace(0x1000, []uint32{0x2000, 0x2040, 0x2080}, 300)
-	reg := telemetry.New()
-	m := newRunMetrics(reg)
-	if m == nil {
-		t.Fatal("metrics nil with a live registry")
-	}
-	p := core.MustTwoLevel(core.Config{PathLength: 4, Precision: core.AutoPrecision,
-		Scheme: bits.Reverse, TableKind: "tagless", Entries: 512})
-	l := trainedLane(p, tr, m)
-	allocs := testing.AllocsPerRun(5, func() {
-		l.step(tr, m)
-	})
-	if allocs != 0 {
-		t.Errorf("instrumented step: %v allocs per %d-record block, want 0", allocs, len(tr))
-	}
-	if reg.Snapshot()["sim_records_total"] == 0 {
-		t.Error("metrics did not move during the instrumented steps")
+	for _, c := range stepCases() {
+		t.Run(c.name, func(t *testing.T) {
+			reg := telemetry.New()
+			m := newRunMetrics(reg)
+			if m == nil {
+				t.Fatal("metrics nil with a live registry")
+			}
+			b := trainedCase(t, c, tr, m)
+			allocs := testing.AllocsPerRun(5, func() {
+				b.step(tr)
+			})
+			if allocs != 0 {
+				t.Errorf("instrumented step: %v allocs per %d-record block, want 0", allocs, len(tr))
+			}
+			if reg.Snapshot()["sim_records_total"] == 0 {
+				t.Error("metrics did not move during the instrumented steps")
+			}
+		})
 	}
 }
 

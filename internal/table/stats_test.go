@@ -1,6 +1,7 @@
 package table
 
 import (
+	"math/rand/v2"
 	"testing"
 )
 
@@ -169,5 +170,67 @@ func TestResetStatsIndependence(t *testing.T) {
 	d := after.Sub(before)
 	if d.Inserts != 0 || d.Resets != 1 {
 		t.Errorf("delta across reset: %+v", d)
+	}
+}
+
+// scanUtilization is the brute-force occupancy the live counts replace: the
+// share of slots holding an entry of the table's current generation.
+func scanUtilization(slots []Entry, gen uint32) float64 {
+	n := 0
+	for i := range slots {
+		if slots[i].valid && slots[i].gen == gen {
+			n++
+		}
+	}
+	return float64(n) / float64(len(slots))
+}
+
+// TestUtilizationMatchesScan drives the dense tables through random
+// Probe/Insert/ProbeOrInsert/Victim/Reset sequences, generation wraps
+// included, and checks after every operation that the O(1) occupancy equals
+// a scan of the slots, bit for bit.
+func TestUtilizationMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 11))
+	for trial := 0; trial < 40; trial++ {
+		entries := 1 << (1 + rng.IntN(7))
+		ways := 1 << rng.IntN(3)
+		var tb Bounded
+		var slots func() ([]Entry, uint32)
+		if ways > entries || rng.IntN(4) == 0 {
+			tl := NewTagless(entries)
+			tb, slots = tl, func() ([]Entry, uint32) { return tl.slots, tl.gen }
+			if rng.IntN(3) == 0 {
+				tl.gen = ^uint32(0) - uint32(rng.IntN(3)) // wrap within the trial
+			}
+		} else {
+			sa := NewSetAssoc(entries, ways)
+			tb, slots = sa, func() ([]Entry, uint32) { return sa.slots, sa.gen }
+			if rng.IntN(3) == 0 {
+				sa.gen = ^uint32(0) - uint32(rng.IntN(3))
+			}
+		}
+		keys := uint64(2 * entries)
+		for op := 0; op < 600; op++ {
+			key := rng.Uint64N(keys) * 0x9E3779B1
+			switch r := rng.IntN(100); {
+			case r < 30:
+				tb.Probe(key)
+			case r < 50:
+				tb.Insert(key)
+			case r < 95:
+				tb.ProbeOrInsert(key)
+			case r < 98:
+				tb.Victim(key)
+			default:
+				tb.Reset()
+			}
+			s, gen := slots()
+			if got, want := tb.Utilization(), scanUtilization(s, gen); got != want {
+				t.Fatalf("trial %d (%s/%d), op %d: Utilization %v, scan %v", trial, tb.Kind(), entries, op, got, want)
+			}
+			if got, want := tb.Stats().Occupancy, scanUtilization(s, gen); got != want {
+				t.Fatalf("trial %d (%s/%d), op %d: Stats().Occupancy %v, scan %v", trial, tb.Kind(), entries, op, got, want)
+			}
+		}
 	}
 }

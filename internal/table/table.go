@@ -8,7 +8,6 @@ package table
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 )
 
@@ -63,9 +62,9 @@ func (e *Entry) reset(key uint64) {
 
 // Stats is a point-in-time summary of one table's behaviour counters, the
 // raw material of the telemetry layer's occupancy/eviction reporting. The
-// counters are plain (non-atomic) fields on the tables — a table belongs to
-// exactly one simulation lane — and tracking them costs one increment on the
-// insert path only, never on the predict path.
+// counters are plain (non-atomic) fields on the tables — one goroutine
+// steps a table — and tracking them, occupancy included, costs an increment
+// or two on the insert path only, never on the predict path.
 type Stats struct {
 	// Kind is the table organization ("assoc4", "tagless", ...).
 	Kind string `json:"kind"`
@@ -172,10 +171,9 @@ type Bounded interface {
 	Kind() string
 	// Stats returns the table's behaviour counters and current occupancy.
 	Stats() Stats
-	// Counts returns the raw insert/eviction/reset counters without
-	// computing occupancy. Unlike Stats — which walks the slot array for
-	// utilization — it is cheap enough for per-branch use: the attribution
-	// layer reads it around an update to detect whether the insert evicted.
+	// Counts returns the raw insert/eviction/reset counters. The
+	// attribution layer reads them around an update to detect whether the
+	// insert evicted.
 	Counts() (inserts, evictions, resets uint64)
 }
 
@@ -192,6 +190,7 @@ type Tagless struct {
 	slots []Entry
 	mask  uint64
 	gen   uint32
+	live  int // slots holding an entry of the current generation
 	stats counters
 }
 
@@ -228,7 +227,9 @@ func (t *Tagless) Probe(key uint64) *Entry {
 func (t *Tagless) Insert(key uint64) *Entry {
 	e := &t.slots[key&t.mask]
 	t.stats.inserts++
-	if e.valid && e.gen == t.gen && e.key != key {
+	if !e.valid || e.gen != t.gen {
+		t.live++
+	} else if e.key != key {
 		t.stats.evictions++
 	}
 	e.reset(key)
@@ -244,6 +245,7 @@ func (t *Tagless) ProbeOrInsert(key uint64) (*Entry, bool) {
 	}
 	e.reset(key)
 	e.gen = t.gen
+	t.live++
 	t.stats.inserts++
 	return e, false
 }
@@ -260,8 +262,8 @@ func (t *Tagless) Victim(key uint64) *Entry {
 // Capacity implements Bounded.
 func (t *Tagless) Capacity() int { return len(t.slots) }
 
-// Utilization implements Bounded.
-func (t *Tagless) Utilization() float64 { return utilization(t.slots, t.gen) }
+// Utilization implements Bounded in O(1), from the live-slot count.
+func (t *Tagless) Utilization() float64 { return float64(t.live) / float64(len(t.slots)) }
 
 // Reset implements Bounded in O(1): bumping the generation makes every
 // current entry read as invalid without touching the slot array. Flush-heavy
@@ -270,6 +272,7 @@ func (t *Tagless) Utilization() float64 { return utilization(t.slots, t.gen) }
 // and the slots are cleared for real, so ancient entries can never resurrect.
 func (t *Tagless) Reset() {
 	t.gen++
+	t.live = 0
 	t.stats.resets++
 	if t.gen == 0 {
 		clear(t.slots)
@@ -300,6 +303,7 @@ type SetAssoc struct {
 	mask      uint64
 	slots     []Entry // sets * ways, set-major
 	gen       uint32
+	live      int // ways holding an entry of the current generation
 	stats     counters
 }
 
@@ -354,6 +358,8 @@ func (t *SetAssoc) Insert(key uint64) *Entry {
 	t.stats.inserts++
 	if victim.valid && victim.gen == t.gen {
 		t.stats.evictions++
+	} else {
+		t.live++
 	}
 	copy(set[1:], set[:t.ways-1])
 	set[0] = victim
@@ -381,6 +387,8 @@ func (t *SetAssoc) ProbeOrInsert(key uint64) (*Entry, bool) {
 	t.stats.inserts++
 	if victim.valid && victim.gen == t.gen {
 		t.stats.evictions++
+	} else {
+		t.live++
 	}
 	copy(set[1:], set[:t.ways-1])
 	set[0] = victim
@@ -402,12 +410,13 @@ func (t *SetAssoc) Victim(key uint64) *Entry {
 // Capacity implements Bounded.
 func (t *SetAssoc) Capacity() int { return len(t.slots) }
 
-// Utilization implements Bounded.
-func (t *SetAssoc) Utilization() float64 { return utilization(t.slots, t.gen) }
+// Utilization implements Bounded in O(1), from the live-way count.
+func (t *SetAssoc) Utilization() float64 { return float64(t.live) / float64(len(t.slots)) }
 
 // Reset implements Bounded in O(1) by generation bump (see Tagless.Reset).
 func (t *SetAssoc) Reset() {
 	t.gen++
+	t.live = 0
 	t.stats.resets++
 	if t.gen == 0 {
 		clear(t.slots)
@@ -871,19 +880,6 @@ func (t *UnboundedStr) Stats() Stats {
 		Kind: "exact", Capacity: -1, Occupancy: 1,
 		Inserts: t.stats.inserts, Resets: t.stats.resets,
 	}
-}
-
-func utilization(slots []Entry, gen uint32) float64 {
-	if len(slots) == 0 {
-		return math.NaN()
-	}
-	n := 0
-	for i := range slots {
-		if slots[i].valid && slots[i].gen == gen {
-			n++
-		}
-	}
-	return float64(n) / float64(len(slots))
 }
 
 // New returns a Bounded table of the named organization: "tagless",
