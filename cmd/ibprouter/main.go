@@ -1,12 +1,12 @@
 // Command ibprouter is the fault-tolerant cluster ingress for a fleet of
 // ibpserved backends. Clients speak the ordinary IBPT wire protocol to the
 // router; the router places each session onto a backend by rendezvous
-// hashing of its first record's PC, health-checks the fleet, and keeps a
+// hashing of its session id as it opens, health-checks the fleet, and keeps a
 // bounded per-session frame journal so that a backend dying mid-session is
 // repaired by replaying the session prefix onto a survivor — the client's
 // final summary is bit-identical to an uninterrupted run. The fleet is fixed
 // by -backends for the router's lifetime; -backends may list it in any
-// order, since every router derives the same placement from the same set.
+// order, since the placement depends only on the set.
 //
 // SIGTERM or SIGINT drains the router gracefully: no new sessions are
 // accepted and live ones run to completion within the drain budget.

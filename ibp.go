@@ -133,11 +133,10 @@ const (
 // Trace and workload helpers.
 var (
 	// ReadTrace and WriteTrace handle the IBPT binary format (v2,
-	// length-framed CRC32-checksummed sections; ReadTrace also accepts
-	// legacy v1 streams). ReadTraceLenient salvages the valid prefix of a
-	// damaged stream, returning the records recovered together with a
-	// *trace.CorruptError (matching ErrCorruptTrace) describing where
-	// decoding stopped.
+	// length-framed CRC32-checksummed sections). ReadTraceLenient salvages
+	// the valid prefix of a damaged stream, returning the records recovered
+	// together with a *trace.CorruptError (matching ErrCorruptTrace)
+	// describing where decoding stopped.
 	ReadTrace        = trace.Read
 	ReadTraceLenient = trace.ReadLenient
 	WriteTrace       = trace.Write

@@ -1,14 +1,13 @@
 // Package cluster is the fault-tolerant ingress for a fleet of ibpserved
 // backends. A Router speaks the same IBPT wire protocol as the serve
 // package on its client side, places each session onto a backend by
-// rendezvous hashing of its first record's PC (the serve package's FNV-1a
-// shard pinning, lifted one level up), and keeps sessions alive across
-// backend death: every records frame is journaled until acknowledged, and
-// when a backend dies mid-session the router re-dials a survivor, replays
-// the journaled prefix through a fresh (deterministic) predictor, and
-// relays only the acks the client has not yet seen — the client observes an
-// uninterrupted session whose final Summary is bit-identical to a run that
-// never failed over.
+// rendezvous hashing of its session id when the session opens, and keeps
+// sessions alive across backend death: every records frame is journaled
+// until acknowledged, and when a backend dies mid-session the router
+// re-dials a survivor, replays the journaled prefix through a fresh
+// (deterministic) predictor, and relays only the acks the client has not
+// yet seen — the client observes an uninterrupted session whose final
+// Summary is bit-identical to a run that never failed over.
 //
 // The membership is fixed when the Router is built. Health is tracked per
 // backend with active TCP probes: a backend is Up or Down (see
@@ -217,9 +216,8 @@ func (r *Router) updateBackendsUpGauge() {
 }
 
 // open runs an accepted session on the connection's goroutine: it
-// registers the proxy session, authors the HelloAck, and reads client
-// frames. The backend connection is the forwarder's, since placement needs
-// the first records frame's PC.
+// registers the proxy session, starts the forwarder, which dials the
+// session's backend at once, authors the HelloAck, and reads client frames.
 func (r *Router) open(conn net.Conn, fr *trace.FrameReader, h serve.Handshake) {
 	// Every backend the session lands on, failover replacements included,
 	// must build the identical predictor, run the identical tuner policy,
@@ -230,8 +228,9 @@ func (r *Router) open(conn net.Conn, fr *trace.FrameReader, h serve.Handshake) {
 	if hello.TunerPolicy == "" {
 		hello.TunerPolicy = r.cfg.TunerPolicy
 	}
-	// The session's context exists before Register makes the session
-	// visible, so a Kill or a forced drain arriving at once can cancel it.
+	// The session holds its context, entry and id before Register makes it
+	// visible: a Kill or a forced drain may find it at once, and close
+	// reads them.
 	ctx, cancel := context.WithCancel(r.ctx)
 	sess := &proxySession{
 		r:      r,
@@ -249,7 +248,7 @@ func (r *Router) open(conn net.Conn, fr *trace.FrameReader, h serve.Handshake) {
 		out:    make(chan serve.OutFrame, 2*h.Window+8),
 		closed: make(chan struct{}),
 	}
-	entry, err := r.track.Register(sess, sessiontrack.Meta{
+	entry := r.track.NewSession(sess, sessiontrack.Meta{
 		Kind:      sessiontrack.KindProxy,
 		Benchmark: hello.Benchmark,
 		Tenant:    hello.Tenant,
@@ -257,11 +256,6 @@ func (r *Router) open(conn net.Conn, fr *trace.FrameReader, h serve.Handshake) {
 		TraceID:   h.TraceID,
 		Window:    h.Window,
 	})
-	if err != nil { // draining: no new sessions
-		cancel()
-		conn.Close()
-		return
-	}
 	sess.id = entry.ID()
 	sess.track = entry
 	// Pin the proxy-session id into the forwarded Hello: every backend this
@@ -269,8 +263,13 @@ func (r *Router) open(conn net.Conn, fr *trace.FrameReader, h serve.Handshake) {
 	// Upstream, which is the fan-in's correlation key.
 	sess.hello.RouterSession = sess.id
 	sess.tracer = r.cfg.Flight.Tracer(h.TraceID, sess.id)
-	r.m.sessionsTotal.Inc()
 	r.m.sessionsActive.Add(1)
+	if err := r.track.Register(entry); err != nil { // draining: no new sessions
+		sess.close()
+		conn.Close()
+		return
+	}
+	r.m.sessionsTotal.Inc()
 
 	w := &serve.Writer{
 		Conn:    conn,
@@ -311,11 +310,11 @@ func (r *Router) unregister(sess *proxySession) {
 // before giving up with a no-backend error.
 const failoverRounds = 2
 
-// candidatesFor returns pc's candidate backends in failover order, keeping
-// only placeable ones (falling back to every backend when probes have
-// everything marked dead — the dial will sort truth from pessimism).
-func (r *Router) candidatesFor(pc uint32) []*backend {
-	all := candidates(r.backends, pc)
+// candidatesFor returns session id's candidate backends in failover order,
+// keeping only placeable ones (falling back to every backend when probes
+// have everything marked dead — the dial will sort truth from pessimism).
+func (r *Router) candidatesFor(id uint64) []*backend {
+	all := candidates(r.backends, id)
 	placeable := make([]*backend, 0, len(all))
 	for _, b := range all {
 		if b.placeable() {
@@ -328,12 +327,13 @@ func (r *Router) candidatesFor(pc uint32) []*backend {
 	return all
 }
 
-// connectSession dials pc's candidates in rendezvous order (failoverRounds
-// passes) and returns the first backend that accepts the session's Hello.
+// connectSession dials the session's candidates in rendezvous order
+// (failoverRounds passes) and returns the first backend that accepts its
+// Hello.
 // avoid is the just-failed backend, skipped on the first pass when there is
 // an alternative. A deterministic backend rejection is relayed to the
 // client as the session's final frame and reported as errSessionOver.
-func (r *Router) connectSession(sess *proxySession, pc uint32, avoid *backend) (*backend, *serve.Client, error) {
+func (r *Router) connectSession(sess *proxySession, avoid *backend) (*backend, *serve.Client, error) {
 	opts := serve.DialOptions{
 		Timeout:    r.cfg.DialTimeout,
 		Retries:    r.cfg.DialRetries,
@@ -342,7 +342,7 @@ func (r *Router) connectSession(sess *proxySession, pc uint32, avoid *backend) (
 	}
 	lastErr := errors.New("no placeable backend")
 	for round := 0; round < failoverRounds; round++ {
-		cands := r.candidatesFor(pc)
+		cands := r.candidatesFor(sess.id)
 		for _, b := range cands {
 			if sess.ctx.Err() != nil {
 				return nil, nil, errSessionOver

@@ -11,6 +11,7 @@ import (
 	"github.com/oocsb/ibp/internal/cli"
 	"github.com/oocsb/ibp/internal/serve"
 	"github.com/oocsb/ibp/internal/sim"
+	"github.com/oocsb/ibp/internal/telemetry"
 	"github.com/oocsb/ibp/internal/trace"
 	"github.com/oocsb/ibp/internal/workload"
 )
@@ -205,6 +206,66 @@ func TestRouterEmptySession(t *testing.T) {
 	}
 	if sum.Router == nil {
 		t.Fatal("empty session summary carries no router info")
+	}
+}
+
+// TestCloseWhileSessionsOpen: Close cuts proxy sessions that are still
+// opening. Clients keep arriving while the router closes, so the forced
+// drain can find a session its open has only just registered. That session
+// already holds its registry entry, so once Close returns the registry is
+// empty and router_sessions_active reads 0.
+func TestCloseWhileSessionsOpen(t *testing.T) {
+	reg := telemetry.Enable(nil)
+	t.Cleanup(telemetry.Disable)
+	gauge := reg.Gauge("router_sessions_active")
+	_, b1 := startServe(t)
+	r, addr := startRouter(t, []string{b1}, nil)
+	opening := clientBytes(t, helloFrame(t, serve.Hello{Benchmark: "gcc"}))
+
+	// Four clients each open up to 64 sessions, a preamble and a Hello and
+	// no more, and keep dialing while the router closes.
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var conns []net.Conn
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 64; j++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				c, err := net.DialTimeout("tcp", addr, time.Second)
+				if err != nil {
+					return // the listener closed
+				}
+				mu.Lock()
+				conns = append(conns, c)
+				mu.Unlock()
+				c.Write(opening)
+			}
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for r.Sessions().Len() < 8 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	r.Close()
+	close(done)
+	wg.Wait()
+	mu.Lock()
+	for _, c := range conns {
+		c.Close()
+	}
+	mu.Unlock()
+	if n := r.Sessions().Len(); n != 0 {
+		t.Errorf("registry holds %d sessions after Close", n)
+	}
+	if g := gauge.Load(); g != 0 {
+		t.Errorf("router_sessions_active = %v after Close, want 0", g)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,10 +16,11 @@ import (
 	"github.com/oocsb/ibp/internal/trace"
 )
 
-// handshakeOutcome dials addr, writes raw, and reports what the front end
-// answered: "close" for a bare close, "error:<code>" for a WireError frame,
-// "ack" for a HelloAck, or "ack trace=<id>" for one echoing a trace ID.
-func handshakeOutcome(t *testing.T, addr string, raw []byte) string {
+// handshakeOutcome dials addr, writes raw, and reports the front end's first
+// n answers, comma-separated: "close" for a bare close, "error:<code>" for a
+// WireError frame, "ack" for a HelloAck, or "ack trace=<id>" for one echoing
+// a trace ID. msg is the WireError's message, if one came.
+func handshakeOutcome(t *testing.T, addr string, raw []byte, n int) (answers, msg string) {
 	t.Helper()
 	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
@@ -29,30 +31,37 @@ func handshakeOutcome(t *testing.T, addr string, raw []byte) string {
 	if _, err := conn.Write(raw); err != nil {
 		t.Fatal(err)
 	}
-	f, err := trace.NewFrameReader(conn, 1<<20).Next()
-	switch {
-	case errors.Is(err, io.EOF):
-		return "close"
-	case err != nil:
-		t.Fatalf("reading the answer: %v", err)
-	case f.Type == serve.FrameHelloAck:
-		var ack serve.HelloAck
-		if err := json.Unmarshal(f.Payload, &ack); err != nil {
-			t.Fatalf("HelloAck payload %q: %v", f.Payload, err)
+	fr := trace.NewFrameReader(conn, 1<<20)
+	var got []string
+	for len(got) < n {
+		f, err := fr.Next()
+		switch {
+		case errors.Is(err, io.EOF):
+			return strings.Join(append(got, "close"), ", "), msg
+		case err != nil:
+			t.Fatalf("reading the answer: %v", err)
+		case f.Type == serve.FrameHelloAck:
+			var ack serve.HelloAck
+			if err := json.Unmarshal(f.Payload, &ack); err != nil {
+				t.Fatalf("HelloAck payload %q: %v", f.Payload, err)
+			}
+			if ack.TraceID != "" {
+				got = append(got, "ack trace="+ack.TraceID)
+			} else {
+				got = append(got, "ack")
+			}
+		case f.Type == serve.FrameError:
+			var we serve.WireError
+			if err := json.Unmarshal(f.Payload, &we); err != nil {
+				t.Fatalf("error frame payload %q: %v", f.Payload, err)
+			}
+			got = append(got, "error:"+we.Code)
+			msg = we.Msg
+		default:
+			t.Fatalf("unexpected frame type %#x", f.Type)
 		}
-		if ack.TraceID != "" {
-			return "ack trace=" + ack.TraceID
-		}
-		return "ack"
-	case f.Type == serve.FrameError:
-		var we serve.WireError
-		if err := json.Unmarshal(f.Payload, &we); err != nil {
-			t.Fatalf("error frame payload %q: %v", f.Payload, err)
-		}
-		return "error:" + we.Code
 	}
-	t.Fatalf("unexpected frame type %#x", f.Type)
-	return ""
+	return strings.Join(got, ", "), msg
 }
 
 // clientBytes is a client's opening: the preamble, then each frame.
@@ -85,19 +94,32 @@ func helloFrame(t *testing.T, h serve.Hello) func(*trace.FrameWriter) error {
 	return frame(serve.FrameHello, payload)
 }
 
-// TestHandshakeParity runs one table of handshakes against ibpserved's
-// Server and ibprouter's Router: one front end, so the same verdicts. Both
-// daemons run untraced, so an echoed trace ID is the Hello's own.
+// TestHandshakeParity runs one table of openings against ibpserved's Server
+// and ibprouter's Router: one front end and one records-frame rule, so the
+// same verdicts, message and all. A records frame follows a good Hello in
+// the last three: the router judges its seq by serve's rule and relays the
+// backend's verdict on its chunk. Both daemons run untraced, so an echoed
+// trace ID is the Hello's own.
 func TestHandshakeParity(t *testing.T) {
 	_, direct := startServe(t)
 	_, routed := startRouter(t, []string{direct}, nil)
 
 	badPath := defaultFlags()
 	badPath.Path = -3
-	goodHello := clientBytes(t, helloFrame(t, serve.Hello{Benchmark: "gcc"}))
+	hello := helloFrame(t, serve.Hello{Benchmark: "gcc"})
+	goodHello := clientBytes(t, hello)
 	// A first frame whose checksum does not match its payload.
 	corrupt := bytes.Clone(goodHello)
 	corrupt[len(corrupt)-1] ^= 0xff
+	records := func(seq uint64, recs trace.Trace) []byte {
+		return trace.AppendRecords(binary.AppendUvarint(nil, seq), recs)
+	}
+	// Seq 1 and a chunk of two records whose last byte is cut off.
+	truncated := records(1, trace.Trace{
+		{PC: 0x1000, Target: 0x2000, Kind: trace.IndirectJump, Gap: 3},
+		{PC: 0x1040, Target: 0x2400, Kind: trace.VirtualCall, Gap: 5},
+	})
+	truncated = truncated[:len(truncated)-1]
 
 	cases := []struct {
 		name string
@@ -113,13 +135,20 @@ func TestHandshakeParity(t *testing.T) {
 		{"malformed tunerPolicy", clientBytes(t, helloFrame(t, serve.Hello{TunerPolicy: "speed=9"})), "error:" + serve.CodeBadHello},
 		{"good Hello", goodHello, "ack"},
 		{"Hello with trace ID", clientBytes(t, helloFrame(t, serve.Hello{Benchmark: "gcc", TraceID: "feedface"})), "ack trace=feedface"},
+		{"records frame without seq", clientBytes(t, hello, frame(serve.FrameRecords, nil)), "ack, error:" + serve.CodeBadFrame},
+		{"first seq 3", clientBytes(t, hello, frame(serve.FrameRecords, records(3, nil))), "ack, error:" + serve.CodeBadSeq},
+		{"truncated first chunk", clientBytes(t, hello, frame(serve.FrameRecords, truncated)), "ack, error:" + serve.CodeBadFrame},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			gotServe := handshakeOutcome(t, direct, tc.raw)
-			gotRouter := handshakeOutcome(t, routed, tc.raw)
+			n := strings.Count(tc.want, ", ") + 1
+			gotServe, msgServe := handshakeOutcome(t, direct, tc.raw, n)
+			gotRouter, msgRouter := handshakeOutcome(t, routed, tc.raw, n)
 			if gotServe != tc.want || gotRouter != tc.want {
 				t.Errorf("serve answered %s, router %s; want %s from both", gotServe, gotRouter, tc.want)
+			}
+			if msgServe != msgRouter {
+				t.Errorf("serve said %q, router %q", msgServe, msgRouter)
 			}
 		})
 	}
@@ -189,8 +218,8 @@ func TestRouterWindowOverflow(t *testing.T) {
 
 // TestRouterDialEndsWithSession: a placement dial belongs to its session.
 // The router's only backend accepts TCP and never answers the Hello. A
-// window-2 session's first records frame sends the router dialing it; the
-// client then overruns the window, the session ends with over-limit, and
+// window-2 session's open sends the router dialing it; the client then
+// overruns the window, the session ends with over-limit, and
 // the backend must see the waiting connection close well before the dial's
 // own timeout, and no second dial.
 func TestRouterDialEndsWithSession(t *testing.T) {
@@ -285,5 +314,94 @@ func TestRouterDialEndsWithSession(t *testing.T) {
 	case <-accepted:
 		t.Error("the router dialed again for a session that had ended")
 	case <-time.After(500 * time.Millisecond):
+	}
+}
+
+// TestRouterDialsAtOpen: the router places a session and dials its backend
+// as the session opens, before any records frame. Its only backend is a raw
+// TCP listener. The client sends its Hello and nothing more, and the
+// listener must still read the IBPS preamble and the forwarded Hello, which
+// carries the router's session id.
+func TestRouterDialsAtOpen(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hellos := make(chan serve.Hello, 8)
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var held []net.Conn
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			held = append(held, c)
+			mu.Unlock()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var pre [len(serve.Preamble) + 1]byte
+				if _, err := io.ReadFull(c, pre[:]); err != nil {
+					return // a health probe connects and closes
+				}
+				if string(pre[:len(serve.Preamble)]) != serve.Preamble || pre[len(serve.Preamble)] != serve.ProtocolVersion {
+					t.Errorf("backend read preamble %q", pre)
+					return
+				}
+				f, err := trace.NewFrameReader(c, 1<<20).Next()
+				if err != nil || f.Type != serve.FrameHello {
+					t.Errorf("backend's first frame: type %#x, err %v; want a Hello", f.Type, err)
+					return
+				}
+				var h serve.Hello
+				if err := json.Unmarshal(f.Payload, &h); err != nil {
+					t.Errorf("forwarded Hello %q: %v", f.Payload, err)
+					return
+				}
+				hellos <- h
+				io.Copy(io.Discard, c) // returns when the router closes it
+			}()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		for _, c := range held {
+			c.Close()
+		}
+		mu.Unlock()
+		wg.Wait()
+	})
+	_, routed := startRouter(t, []string{ln.Addr().String()}, nil)
+
+	conn, err := net.DialTimeout("tcp", routed, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := conn.Write(clientBytes(t, helloFrame(t, serve.Hello{Benchmark: "gcc"}))); err != nil {
+		t.Fatal(err)
+	}
+	f, err := trace.NewFrameReader(conn, 1<<20).Next()
+	if err != nil || f.Type != serve.FrameHelloAck {
+		t.Fatalf("router's answer: frame type %#x, err %v; want a HelloAck", f.Type, err)
+	}
+	var ack serve.HelloAck
+	if err := json.Unmarshal(f.Payload, &ack); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case h := <-hellos:
+		if h.Benchmark != "gcc" || h.RouterSession != ack.Session {
+			t.Errorf("forwarded Hello: benchmark %q, router session %d; want gcc, %d", h.Benchmark, h.RouterSession, ack.Session)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the backend never read a Hello for a session that sent no records")
 	}
 }

@@ -8,34 +8,36 @@ import (
 )
 
 // Placement places a session by rendezvous (highest-random-weight) hashing
-// of the FNV-1a hash of its first record's PC. Every backend scores the
-// session and the candidates are the backends in descending score, so the
-// order depends only on the membership and the PC:
+// of its router session id, as soon as the session opens. Every backend
+// scores the session and the candidates are the backends in descending
+// score, so the order depends only on the membership and the id:
 //
-//   - every router derives the same order, whatever order -backends lists;
+//   - any router given the same membership derives the same order for an
+//     id, whatever order -backends lists;
 //   - the first candidate owns the session and the rest are its failover
 //     order, so a dead backend's sessions spread over all survivors;
 //   - dropping a backend moves only the sessions it owned.
 //
 // A session's Summary depends only on its own record stream, so placement is
-// free to trade locality across sessions for determinism and spread.
+// free to trade locality across sessions for determinism and spread, and it
+// needs nothing of the stream: the router dials before the first frame.
 
 const (
 	fnvOffset32 = 2166136261
 	fnvPrime32  = 16777619
 )
 
-// hashPC mixes a PC: FNV-1a over its four little-endian bytes.
-func hashPC(pc uint32) uint32 {
+// hashKey mixes a session id: FNV-1a over its eight little-endian bytes.
+func hashKey(id uint64) uint32 {
 	h := uint32(fnvOffset32)
-	for i := 0; i < 4; i++ {
-		h ^= pc >> (8 * i) & 0xff
+	for i := 0; i < 8; i++ {
+		h ^= uint32(id>>(8*i)) & 0xff
 		h *= fnvPrime32
 	}
 	return h
 }
 
-// score is a backend's rendezvous weight for a session whose PC hash is h:
+// score is a backend's rendezvous weight for a session whose key hash is h:
 // the FNV-1a hash continued over the backend's address, finished with
 // murmur3's fmix32 so addresses that differ only in their last bytes still
 // spread over the whole range.
@@ -71,10 +73,10 @@ func newMembership(addrs []string) ([]*backend, error) {
 }
 
 // candidates returns every backend of the address-sorted membership in
-// rendezvous order for pc: descending score, ties broken by address. The
-// slice is freshly allocated per call.
-func candidates(members []*backend, pc uint32) []*backend {
-	h := hashPC(pc)
+// rendezvous order for session id: descending score, ties broken by
+// address. The slice is freshly allocated per call.
+func candidates(members []*backend, id uint64) []*backend {
+	h := hashKey(id)
 	out := slices.Clone(members)
 	// members is sorted by address, so a stable sort breaks ties by address.
 	slices.SortStableFunc(out, func(x, y *backend) int {

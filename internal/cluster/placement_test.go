@@ -32,14 +32,14 @@ func addrsOf(bs []*backend) []string {
 // TestRingDeterministic: two routers given the same membership in
 // different -backends orders agree on every placement and on the full
 // failover order — the property that lets any router (or a restarted one)
-// re-derive where a session lives.
+// re-derive where a session id lives.
 func TestRingDeterministic(t *testing.T) {
 	addrs := []string{"10.0.0.1:9670", "10.0.0.2:9670", "10.0.0.3:9670"}
 	m1 := membership(t, addrs...)
 	m2 := membership(t, addrs[2], addrs[0], addrs[1])
-	for pc := uint32(0); pc < 4096; pc += 7 {
-		if c1, c2 := addrsOf(candidates(m1, pc)), addrsOf(candidates(m2, pc)); !slices.Equal(c1, c2) {
-			t.Fatalf("pc %#x: walks differ: %v vs %v", pc, c1, c2)
+	for id := uint64(0); id < 4096; id += 7 {
+		if c1, c2 := addrsOf(candidates(m1, id)), addrsOf(candidates(m2, id)); !slices.Equal(c1, c2) {
+			t.Fatalf("id %d: walks differ: %v vs %v", id, c1, c2)
 		}
 	}
 }
@@ -48,11 +48,11 @@ func TestRingDeterministic(t *testing.T) {
 // backend exactly once, so failover can reach the whole fleet.
 func TestRingWalkDistinct(t *testing.T) {
 	m := membership(t, "a:1", "b:1", "c:1", "d:1", "e:1")
-	for pc := uint32(0); pc < 1000; pc++ {
-		walk := addrsOf(candidates(m, pc))
+	for id := uint64(1); id <= 1000; id++ {
+		walk := addrsOf(candidates(m, id))
 		slices.Sort(walk)
 		if !slices.Equal(walk, addrsOf(m)) {
-			t.Fatalf("pc %d: walk covers %v, want each of %v once", pc, walk, addrsOf(m))
+			t.Fatalf("id %d: walk covers %v, want each of %v once", id, walk, addrsOf(m))
 		}
 	}
 }
@@ -64,14 +64,14 @@ func TestRingStability(t *testing.T) {
 	full := membership(t, "a:1", "b:1", "c:1", "d:1")
 	reduced := membership(t, "a:1", "b:1", "c:1")
 	inherited := map[string]int{}
-	for pc := uint32(1); pc < 1<<16; pc += 131 {
-		before := addrsOf(candidates(full, pc))
-		after := addrsOf(candidates(reduced, pc))
+	for id := uint64(1); id <= 2000; id++ {
+		before := addrsOf(candidates(full, id))
+		after := addrsOf(candidates(reduced, id))
 		if before[0] == "d:1" {
 			inherited[after[0]]++
 		}
 		if want := slices.DeleteFunc(before, func(a string) bool { return a == "d:1" }); !slices.Equal(after, want) {
-			t.Fatalf("pc %#x: dropping d:1 changed the survivors' walk %v to %v", pc, want, after)
+			t.Fatalf("id %d: dropping d:1 changed the survivors' walk %v to %v", id, want, after)
 		}
 	}
 	for _, a := range addrsOf(reduced) {
@@ -82,52 +82,68 @@ func TestRingStability(t *testing.T) {
 }
 
 // TestRingSpread: each of three backends owns about a third of the
-// keyspace.
+// sessions. The ids are sequential from 1, as the router assigns them, so
+// neighbouring ids must not cluster on one backend either: every window of
+// 300 consecutive ids gives each backend at least a fifth of them.
 func TestRingSpread(t *testing.T) {
 	m := membership(t, "10.0.0.1:9670", "10.0.0.2:9670", "10.0.0.3:9670")
 	counts := map[*backend]int{}
-	const samples = 20000
-	for i := 0; i < samples; i++ {
-		counts[candidates(m, uint32(i*2654435761))[0]]++
+	const samples, window = 20000, 300
+	owners := make([]*backend, samples+1)
+	for id := uint64(1); id <= samples; id++ {
+		owners[id] = candidates(m, id)[0]
+		counts[owners[id]]++
 	}
 	for _, b := range m {
 		if share := float64(counts[b]) / samples; share < 0.28 || share > 0.39 {
-			t.Errorf("backend %s owns %.1f%% of the keyspace", b.addr, 100*share)
+			t.Errorf("backend %s owns %.1f%% of the sessions", b.addr, 100*share)
+		}
+	}
+	for start := 1; start+window <= samples+1; start += window {
+		in := map[*backend]int{}
+		for _, b := range owners[start : start+window] {
+			in[b]++
+		}
+		for _, b := range m {
+			if in[b] < window/5 {
+				t.Errorf("ids %d..%d: backend %s owns %d of %d", start, start+window-1, b.addr, in[b], window)
+			}
 		}
 	}
 }
 
-// TestRingMatchesServeSharding: hashPC is FNV-1a over the PC's four
-// little-endian bytes. Known values pin it, the address score and one walk,
-// so a quiet change cannot slip by (it would silently re-place every session
-// in a mixed-version fleet). The name predates serve dropping its own
-// FNV-1a shard pinning.
+// TestRingMatchesServeSharding: hashKey is FNV-1a over the session id's
+// eight little-endian bytes. Known values pin it, the address score and one
+// walk, so a quiet change cannot slip by (it would silently re-place every
+// session in a mixed-version fleet). The name predates placement by session
+// id, and serve dropping its own FNV-1a shard pinning.
 func TestRingMatchesServeSharding(t *testing.T) {
-	for _, pc := range []uint32{0, 1, 0xdeadbeef, 0xffffffff} {
+	for _, id := range []uint64{0, 1, 0xdeadbeefcafef00d, 1<<64 - 1} {
 		h := fnv.New32a()
-		binary.Write(h, binary.LittleEndian, pc)
-		if got, want := hashPC(pc), h.Sum32(); got != want {
-			t.Fatalf("hashPC(%#x) = %#x, want FNV-1a %#x", pc, got, want)
+		binary.Write(h, binary.LittleEndian, id)
+		if got, want := hashKey(id), h.Sum32(); got != want {
+			t.Fatalf("hashKey(%#x) = %#x, want FNV-1a %#x", id, got, want)
 		}
 	}
 	for _, c := range []struct {
-		pc, hash uint32
+		id   uint64
+		hash uint32
 	}{
-		{0, 0x4b95f515},
-		{1, 0xfb69b604},
-		{0xdeadbeef, 0x90879fcb},
+		{0, 0x9be17165},
+		{1, 0x3e801244},
+		{0xdeadbeefcafef00d, 0x28e8d44e},
 	} {
-		if got := hashPC(c.pc); got != c.hash {
-			t.Errorf("hashPC(%#x) = %#x, want %#x", c.pc, got, c.hash)
+		if got := hashKey(c.id); got != c.hash {
+			t.Errorf("hashKey(%#x) = %#x, want %#x", c.id, got, c.hash)
 		}
 	}
-	if got, want := score(hashPC(0), "127.0.0.1:9670"), uint32(0xcd24092c); got != want {
+	if got, want := score(hashKey(1), "127.0.0.1:9670"), uint32(0x11092ed9); got != want {
 		t.Errorf("score = %#x, want %#x", got, want)
 	}
 	m := membership(t, "127.0.0.1:9670", "127.0.0.1:9671", "127.0.0.1:9672")
-	want := []string{"127.0.0.1:9670", "127.0.0.1:9672", "127.0.0.1:9671"}
-	if got := addrsOf(candidates(m, 0)); !slices.Equal(got, want) {
-		t.Errorf("walk for pc 0 = %v, want %v (descending score)", got, want)
+	want := []string{"127.0.0.1:9672", "127.0.0.1:9671", "127.0.0.1:9670"}
+	if got := addrsOf(candidates(m, 1)); !slices.Equal(got, want) {
+		t.Errorf("walk for session 1 = %v, want %v (descending score)", got, want)
 	}
 }
 
@@ -159,7 +175,7 @@ func BenchmarkCandidates(b *testing.B) {
 	}
 	m := membership(b, addrs...)
 	b.ReportAllocs()
-	for i := 0; b.Loop(); i++ {
-		candidates(m, uint32(i))
+	for id := uint64(1); b.Loop(); id++ {
+		candidates(m, id)
 	}
 }

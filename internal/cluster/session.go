@@ -41,10 +41,10 @@ var errSessionOver = errors.New("cluster: session over")
 //     client loss;
 //   - the writer, serve's session Writer, drains out to the client
 //     connection, batching frames per flush;
-//   - the forwarder owns backend placement: it dials a backend, then pumps —
-//     a sender streaming journal frames forward and a receiver relaying
-//     acks/events back — and on backend death loops around to a survivor,
-//     replaying the journaled prefix.
+//   - the forwarder owns the backend side: it dials a backend at once, then
+//     pumps — a sender streaming journal frames forward and a receiver
+//     relaying acks/events back — and on backend death loops around to a
+//     survivor, replaying the journaled prefix.
 //
 // Correctness hinges on the journal invariant (see trace.FrameLog): as long
 // as the complete prefix is retained, a replacement backend that replays
@@ -59,8 +59,8 @@ type proxySession struct {
 	hello  serve.Hello
 	window int // granted client window
 
-	// ctx ends with the session: close cancels it, and the placement
-	// dials run on it, so a dial waiting on a silent backend stops there.
+	// ctx ends with the session: close cancels it, and the backend dials
+	// run on it, so a dial waiting on a silent backend stops there.
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -69,7 +69,7 @@ type proxySession struct {
 	tracer *flight.Tracer
 	// track is this session's stats entry in the router's introspection
 	// registry: journal bytes, relayed-ack counters, placement and
-	// failover/replay state. Set before the goroutines start.
+	// failover/replay state. Set before the session is registered.
 	track *sessiontrack.Session
 
 	mu sync.Mutex
@@ -79,10 +79,8 @@ type proxySession struct {
 	// sender and the receiver stamp it under mu, and the ack's OutFrame
 	// carries it to the writer.
 	spans      []flight.Span
-	done       bool // client sent Done
-	clientGone bool // client connection failed before Done
-	placed     bool
-	placedPC   uint32
+	done       bool      // client sent Done
+	clientGone bool      // client connection failed before Done
 	curConn    io.Closer // live backend client (for Router.Close kicks)
 
 	// relayedThrough is the highest ack seq relayed to the client; acks and
@@ -126,7 +124,7 @@ func (sess *proxySession) isClosed() bool {
 }
 
 // close tears the session down: wakes the writer (which owns closing the
-// client connection), ends any placement dial, severs the live backend
+// client connection), ends any backend dial, severs the live backend
 // connection, and unregisters. Idempotent; safe from any goroutine.
 func (sess *proxySession) close() {
 	sess.close1.Do(func() {
@@ -245,15 +243,12 @@ func (sess *proxySession) readLoop(fr *trace.FrameReader) {
 		}
 		switch f.Type {
 		case serve.FrameRecords:
-			seq, n := binary.Uvarint(f.Payload)
-			if n <= 0 {
+			// The seq is checked here, by serve's rule; the chunk is judged
+			// by the backend that predicts it, whose verdict pump relays.
+			seq := nextSeq + 1
+			if _, we := serve.SplitRecordsFrame(f.Payload, seq); we != nil {
 				f.Release()
-				sess.failClient(serve.CodeBadFrame, "records frame without seq")
-				return
-			}
-			if seq != nextSeq+1 {
-				f.Release()
-				sess.failClient(serve.CodeBadSeq, fmt.Sprintf("frame seq %d, want %d", seq, nextSeq+1))
+				sess.failClient(we.Code, we.Msg)
 				return
 			}
 			nextSeq = seq
@@ -263,21 +258,6 @@ func (sess *proxySession) readLoop(fr *trace.FrameReader) {
 				return
 			}
 			sess.mu.Lock()
-			if !sess.placed {
-				// Placement key: the first record's PC. The peek reads one
-				// field; only a chunk it cannot parse gets the full decode,
-				// for the decoder's exact verdict (an empty chunk is legal
-				// and places by pc 0).
-				if pc, ok := trace.PeekFirstPC(f.Payload[n:]); ok {
-					sess.placedPC = pc
-				} else if _, derr := trace.DecodeRecords(f.Payload[n:], r.cfg.MaxFrameRecords); derr != nil {
-					sess.mu.Unlock()
-					f.Release()
-					sess.failClient(serve.CodeBadFrame, derr.Error())
-					return
-				}
-				sess.placed = true
-			}
 			// The journal takes over the frame's buffer reference.
 			jerr := sess.j.Append(seq, f.Payload, f.Buffer())
 			if jerr == nil {
@@ -313,33 +293,9 @@ func (sess *proxySession) readLoop(fr *trace.FrameReader) {
 	}
 }
 
-// awaitPlacement blocks until the session has a placement key (first records
-// frame decoded), the client finished an empty session (Done with no
-// records: place by pc 0), or there is nothing left to do.
-func (sess *proxySession) awaitPlacement() (pc uint32, ok bool) {
-	for {
-		sess.mu.Lock()
-		placed, done, gone := sess.placed, sess.done, sess.clientGone
-		pc = sess.placedPC
-		sess.mu.Unlock()
-		switch {
-		case placed:
-			return pc, true
-		case done:
-			return 0, true
-		case gone:
-			return 0, false
-		}
-		select {
-		case <-sess.notify:
-		case <-sess.closed:
-			return 0, false
-		}
-	}
-}
-
-// forward owns the session's backend side: place, pump, and on backend loss
-// fail over — dial the next candidate and replay the journaled prefix.
+// forward owns the session's backend side: dial the session's backend as it
+// opens, pump, and on backend loss fail over — dial the next candidate and
+// replay the journaled prefix.
 func (sess *proxySession) forward() {
 	defer func() {
 		// If a final frame is queued the writer finishes and closes; a
@@ -348,16 +304,12 @@ func (sess *proxySession) forward() {
 			sess.close()
 		}
 	}()
-	pc, ok := sess.awaitPlacement()
-	if !ok {
-		return
-	}
 	var avoid *backend
 	for {
 		if sess.isClosed() {
 			return
 		}
-		b, bc, err := sess.r.connectSession(sess, pc, avoid)
+		b, bc, err := sess.r.connectSession(sess, avoid)
 		if err == errSessionOver {
 			return
 		}

@@ -1,7 +1,7 @@
 // Package flight is the frame-level distributed tracing layer: a span that
 // rides alongside one records frame from the client's send through the
-// router's journal and relay, the backend's shard queue and predictor, and
-// back out the ack write — plus a bounded ring "flight recorder" that keeps
+// router's journal and relay, the backend's wait for a predictor slot and
+// its predictor, and back out the ack write — plus a bounded ring "flight recorder" that keeps
 // the last N completed spans for the /debug/flightrecorder endpoint and
 // ibpreport's cross-process timeline fusion.
 //
@@ -16,7 +16,7 @@
 //     BenchmarkSpanFinish).
 //   - No locks on the stamping path. A span is owned by exactly one
 //     goroutine at a time and handed off with the frame it describes
-//     (reader → shard queue → worker → writer in serve; reader → journal →
+//     (reader, which also predicts, → writer in serve; reader → journal →
 //     backend pump → writer in cluster), so hop stamps are plain stores —
 //     the channel hand-offs are the happens-before edges. The only
 //     synchronized step is the final publish into the ring.
@@ -57,9 +57,10 @@ const (
 	HopRouterAckRelay
 	// HopServerRecv — ibpserved read the frame off the wire.
 	HopServerRecv
-	// HopServerEnqueue — the frame entered its shard queue.
+	// HopServerEnqueue — the session's reader began waiting for a predictor
+	// slot (the same clock reading as HopServerRecv).
 	HopServerEnqueue
-	// HopServerDequeue — a shard worker picked the frame up.
+	// HopServerDequeue — the reader took a predictor slot.
 	HopServerDequeue
 	// HopServerPredict — the predictor finished the frame's records.
 	HopServerPredict

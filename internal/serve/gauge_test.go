@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -125,4 +127,68 @@ func TestSessionsActiveGaugeBalances(t *testing.T) {
 		srv.Close()
 		waitGaugeZero(t, gauge, "hard close")
 	})
+}
+
+// TestCloseWhileSessionsOpen: Close cuts sessions that are still opening.
+// Clients keep arriving while the server closes, so the forced drain can
+// find a session its open has only just registered. That session already
+// holds its registry entry, so once Close returns the registry is empty and
+// serve_sessions_active reads 0.
+func TestCloseWhileSessionsOpen(t *testing.T) {
+	reg := telemetry.Enable(nil)
+	t.Cleanup(telemetry.Disable)
+	gauge := reg.Gauge("serve_sessions_active")
+	srv, addr := startServer(t, Config{Shards: 2})
+	var opening bytes.Buffer
+	opening.WriteString(Preamble)
+	opening.WriteByte(ProtocolVersion)
+	fw := trace.NewFrameWriter(&opening)
+	fw.WriteFrame(FrameHello, marshalJSON(Hello{Benchmark: "gcc"}))
+	fw.Flush()
+
+	// Four clients each open up to 64 sessions, a preamble and a Hello and
+	// no more, and keep dialing while the server closes.
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var conns []net.Conn
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 64; j++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				c, err := net.DialTimeout("tcp", addr, time.Second)
+				if err != nil {
+					return // the listener closed
+				}
+				mu.Lock()
+				conns = append(conns, c)
+				mu.Unlock()
+				c.Write(opening.Bytes())
+			}
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Sessions().Len() < 8 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	srv.Close()
+	close(done)
+	wg.Wait()
+	mu.Lock()
+	for _, c := range conns {
+		c.Close()
+	}
+	mu.Unlock()
+	if n := srv.Sessions().Len(); n != 0 {
+		t.Errorf("registry holds %d sessions after Close", n)
+	}
+	if g := gauge.Load(); g != 0 {
+		t.Errorf("serve_sessions_active = %v after Close, want 0", g)
+	}
 }

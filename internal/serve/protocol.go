@@ -8,7 +8,7 @@
 // The wire format reuses the IBPT v2 trace encoding end to end: every
 // message is a length-framed, CRC32-checksummed frame (trace.FrameWriter /
 // trace.FrameReader), and record payloads are the v2 chunk codec
-// (trace.AppendRecords / trace.DecodeRecords), so a records frame carries
+// (trace.AppendRecords / trace.RecordIter), so a records frame carries
 // exactly the bytes a v2 trace file section would. Malformed input is
 // rejected with the trace package's corruption machinery and can never panic
 // the server (the decode path is covered by internal/trace's fuzz harness).
@@ -354,31 +354,20 @@ func appendRecordsFrame(buf []byte, seq uint64, recs trace.Trace) []byte {
 	return trace.AppendRecords(buf, recs)
 }
 
-// splitRecordsFrame peels the sequence number off a FrameRecords payload,
-// returning the record chunk that follows it. It does not validate the chunk
-// — the server's reader calls this to check the frame's order, and its
-// in-place iteration of the chunk is where decode errors surface.
-func splitRecordsFrame(payload []byte) (seq uint64, chunk []byte, err error) {
+// SplitRecordsFrame peels the sequence number off a FrameRecords payload,
+// checks it is want (one past the session's last records frame), and
+// returns the record chunk that follows. The WireError is the session's
+// verdict on ibpserved and ibprouter alike. The chunk itself is judged where
+// it is predicted, by the in-place iteration that runs it.
+func SplitRecordsFrame(payload []byte, want uint64) ([]byte, *WireError) {
 	seq, n := binary.Uvarint(payload)
 	if n <= 0 {
-		return 0, nil, fmt.Errorf("serve: records seq: %w", io.ErrUnexpectedEOF)
+		return nil, &WireError{Code: CodeBadFrame, Msg: "records frame without seq"}
 	}
-	return seq, payload[n:], nil
-}
-
-// decodeRecordsFrame splits a FrameRecords payload into its sequence number
-// and a materialized record chunk. maxRecords bounds the chunk's declared
-// count.
-func decodeRecordsFrame(payload []byte, maxRecords int) (uint64, trace.Trace, error) {
-	seq, chunk, err := splitRecordsFrame(payload)
-	if err != nil {
-		return 0, nil, err
+	if seq != want {
+		return nil, &WireError{Code: CodeBadSeq, Msg: fmt.Sprintf("frame seq %d, want %d", seq, want)}
 	}
-	recs, err := trace.DecodeRecords(chunk, maxRecords)
-	if err != nil {
-		return seq, nil, err
-	}
-	return seq, recs, nil
+	return payload[n:], nil
 }
 
 // marshalJSON encodes v, panicking only on programmer error (all payload

@@ -97,18 +97,25 @@ func TestEventsCodecRoundTrip(t *testing.T) {
 func TestRecordsFrameCodecRoundTrip(t *testing.T) {
 	tr := benchTrace(t, "xlisp", 400)
 	payload := appendRecordsFrame(nil, 9, tr)
-	seq, got, err := decodeRecordsFrame(payload, len(tr))
+	chunk, we := SplitRecordsFrame(payload, 9)
+	if we != nil {
+		t.Fatal(we)
+	}
+	got, err := trace.DecodeRecords(chunk, len(tr))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if seq != 9 {
-		t.Fatalf("seq %d", seq)
 	}
 	if !reflect.DeepEqual(got, tr) {
 		t.Fatal("records round trip mismatch")
 	}
-	if _, _, err := decodeRecordsFrame(payload, len(tr)-1); err == nil {
+	if _, err := trace.DecodeRecords(chunk, len(tr)-1); err == nil {
 		t.Fatal("record count over max accepted")
+	}
+	if _, we := SplitRecordsFrame(payload, 8); we == nil || we.Code != CodeBadSeq {
+		t.Fatalf("seq 9 where 8 is due: %v, want %s", we, CodeBadSeq)
+	}
+	if _, we := SplitRecordsFrame(nil, 1); we == nil || we.Code != CodeBadFrame {
+		t.Fatalf("records frame without seq: %v, want %s", we, CodeBadFrame)
 	}
 }
 

@@ -122,12 +122,10 @@ func (s *Server) open(conn net.Conn, fr *trace.FrameReader, h Handshake) {
 	if ts, ok := h.Pred.(core.TableStatser); ok {
 		meta.Tables = ts.TableStats() // baseline for /sessions/{id} deltas
 	}
-	entry, err := s.track.Register(sess, meta)
-	if err != nil {
-		s.cfg.Log.Debug("session open failed", "err", err) // draining
-		conn.Close()
-		return
-	}
+	// The session holds its entry, tracer and tuner before Register makes
+	// it visible: a Kill or a drain may find it at once, and unregister
+	// reads them.
+	entry := s.track.NewSession(sess, meta)
 	sess.id = entry.ID()
 	sess.track = entry
 	sess.tracer = s.cfg.Flight.Tracer(h.TraceID, sess.id)
@@ -141,8 +139,14 @@ func (s *Server) open(conn net.Conn, fr *trace.FrameReader, h Handshake) {
 			sess.hist = trace.NewFrameLog(int64(h.Policy.MaxHistoryBytes))
 		}
 	}
-	s.m.sessionsTotal.Inc()
 	s.m.sessionsActive.Add(1)
+	if err := s.track.Register(entry); err != nil {
+		s.cfg.Log.Debug("session open failed", "err", err) // draining
+		s.unregister(sess)
+		conn.Close()
+		return
+	}
+	s.m.sessionsTotal.Inc()
 
 	w := &Writer{
 		Conn:      conn,

@@ -32,11 +32,11 @@ type session struct {
 	events   bool
 	// tracer mints each records frame's span, its one stamp set; nil when
 	// tracing is off, and the stamps are taken all the same. Set before the
-	// reader starts, read-only after.
+	// session is registered, read-only after.
 	tracer *flight.Tracer
 	// track is the session's stats entry in the introspection registry,
-	// updated once per frame from the frame's stamps. Set before the reader
-	// starts, read-only after.
+	// updated once per frame from the frame's stamps. Set before the
+	// session is registered, read-only after.
 	track *sessiontrack.Session
 
 	// shared
@@ -209,15 +209,11 @@ func (sess *session) readLoop(fr *trace.FrameReader) {
 		case FrameRecords:
 			// The reader peels the sequence number; processFrame validates
 			// the chunk while it iterates the borrowed payload in place.
-			seq, chunk, err := splitRecordsFrame(f.Payload)
-			if err != nil {
+			seq := sess.nextSeq + 1
+			chunk, we := SplitRecordsFrame(f.Payload, seq)
+			if we != nil {
 				f.Release()
-				sess.fail(CodeBadFrame, err.Error())
-				return
-			}
-			if seq != sess.nextSeq+1 {
-				f.Release()
-				sess.fail(CodeBadSeq, fmt.Sprintf("frame seq %d, want %d", seq, sess.nextSeq+1))
+				sess.fail(we.Code, we.Msg)
 				return
 			}
 			sess.nextSeq = seq

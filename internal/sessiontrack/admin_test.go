@@ -25,7 +25,7 @@ func newAdminPlane(t *testing.T, readOnly bool) (*httptest.Server, *Registry, *r
 	t.Helper()
 	reg := NewRegistry(Options{Service: "admin"})
 	conn := &retuneConn{retuneOK: true}
-	if _, err := reg.Register(conn, Meta{Kind: KindServe, Benchmark: "gcc"}); err != nil {
+	if _, err := register(reg, conn, Meta{Kind: KindServe, Benchmark: "gcc"}); err != nil {
 		t.Fatal(err)
 	}
 	mux := http.NewServeMux()

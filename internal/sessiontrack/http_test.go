@@ -20,7 +20,7 @@ import (
 func newTestPlane(t *testing.T) (*httptest.Server, *Registry, *telemetry.Registry) {
 	t.Helper()
 	reg := NewRegistry(Options{Service: "testsvc", Tag: "t0"})
-	a, err := reg.Register(&fakeConn{}, Meta{
+	a, err := register(reg, &fakeConn{}, Meta{
 		Kind:      KindServe,
 		Benchmark: "gcc",
 		Tenant:    "teamA",
@@ -31,7 +31,7 @@ func newTestPlane(t *testing.T) (*httptest.Server, *Registry, *telemetry.Registr
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := reg.Register(&fakeConn{}, Meta{Kind: KindProxy, Benchmark: "perl"})
+	b, err := register(reg, &fakeConn{}, Meta{Kind: KindProxy, Benchmark: "perl"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestSessionsStreamSSE(t *testing.T) {
 // explicit media type, disable sniffing, and (for live data) disable caching.
 func TestEndpointContentTypes(t *testing.T) {
 	reg := NewRegistry(Options{Service: "ct"})
-	s, _ := reg.Register(&fakeConn{}, Meta{Kind: KindServe, Benchmark: "ct"})
+	s, _ := register(reg, &fakeConn{}, Meta{Kind: KindServe, Benchmark: "ct"})
 	tel := telemetry.New()
 	tel.Counter("ct_total").Add(1)
 	rec := flight.NewRecorder(flight.Options{Service: "ct", Capacity: 4})
@@ -333,7 +333,6 @@ func TestEndpointContentTypes(t *testing.T) {
 		ct   string
 	}{
 		{"/metrics", "text/plain; version=0.0.4"},
-		{"/metrics?format=json", "application/json; charset=utf-8"},
 		{"/vars", "application/json; charset=utf-8"},
 		{"/debug/flightrecorder", "application/json; charset=utf-8"},
 		{"/sessions", "application/json; charset=utf-8"},
@@ -379,7 +378,7 @@ func TestStreamSurvivesSessionChurn(t *testing.T) {
 				return
 			default:
 			}
-			s, err := reg.Register(&fakeConn{}, Meta{Kind: KindServe, Benchmark: "churn"})
+			s, err := register(reg, &fakeConn{}, Meta{Kind: KindServe, Benchmark: "churn"})
 			if err != nil {
 				return
 			}

@@ -56,8 +56,7 @@ func (k Kind) String() string {
 type State uint32
 
 const (
-	// StatePlacing — a proxy session awaiting its first records frame (the
-	// placement key) or a backend that accepts it.
+	// StatePlacing — a proxy session dialing its first backend.
 	StatePlacing State = iota
 	// StateActive — streaming frames normally.
 	StateActive
@@ -180,8 +179,8 @@ type Session struct {
 	buckets [winBuckets]winBucket
 
 	// tmu guards the periodically refreshed live table stats (serve
-	// sessions only; refreshed by the owning shard worker, read by
-	// /sessions/{id}).
+	// sessions only; refreshed by the session's reader, which owns the
+	// predictor, and read by /sessions/{id}).
 	tmu    sync.Mutex
 	tables []table.Stats
 
@@ -340,7 +339,7 @@ func (s *Session) SetReplayable(ok bool) {
 
 // FrameAcked records one records frame whose ack reached the client: its
 // record/executed/miss counts and its wait, which on a serve session is the
-// shard queue wait (receive to worker pickup) and on a proxy session the
+// wait for a predictor slot (receive to slot) and on a proxy session the
 // time from receive to first relay. nowNS is the clock reading the caller
 // took for the ack's flush — tracking adds no clock read of its own.
 func (s *Session) FrameAcked(nowNS int64, records, executed, misses int, wait time.Duration) {
@@ -365,8 +364,8 @@ func (s *Session) FrameAcked(nowNS int64, records, executed, misses int, wait ti
 }
 
 // UpdateTables refreshes the live predictor table stats (serve sessions;
-// called by the owning shard worker, amortized to every few frames so the
-// frame path stays allocation-free in steady state).
+// called by the session's reader, which owns the predictor, amortized to
+// every few frames so the frame path stays allocation-free in steady state).
 func (s *Session) UpdateTables(ts []table.Stats) {
 	if s == nil {
 		return
@@ -391,16 +390,17 @@ type Options struct {
 }
 
 // Registry is the live session set of one process. The nil *Registry is the
-// disabled registry: Register returns a nil session (whose methods are all
+// disabled registry: NewSession returns a nil session (whose methods are all
 // no-ops) and every query returns zero values.
 type Registry struct {
 	service  string
 	tag      string
 	bucketNS int64
 
+	nextID atomic.Uint64
+
 	mu       sync.Mutex
 	sessions map[uint64]*Session
-	nextID   uint64
 	draining bool
 }
 
@@ -417,13 +417,15 @@ func NewRegistry(o Options) *Registry {
 	}
 }
 
-// Register allocates a session id and adds the session to the live set.
-// Returns ErrDraining after BeginDrain (no new sessions during wind-down).
-// On the nil registry it returns (nil, nil): the nil session is the
+// NewSession builds the entry for a session of c and allocates its id, but
+// does not publish it: Live, Get and BeginDrain cannot return it until
+// Register. The owner binds the entry, and everything its Drain and Kill
+// read, in between, so whoever finds a session in the registry finds an
+// owner that holds its entry. On the nil registry it returns nil, the
 // zero-cost disabled stats handle.
-func (r *Registry) Register(c Conn, m Meta) (*Session, error) {
+func (r *Registry) NewSession(c Conn, m Meta) *Session {
 	if r == nil {
-		return nil, nil
+		return nil
 	}
 	s := &Session{
 		reg:         r,
@@ -440,17 +442,26 @@ func (r *Registry) Register(c Conn, m Meta) (*Session, error) {
 	if len(m.Tables) > 0 {
 		s.tables = append([]table.Stats(nil), m.Tables...)
 	}
-	r.mu.Lock()
-	if r.draining {
-		r.mu.Unlock()
-		return nil, ErrDraining
-	}
-	r.nextID++
-	s.id = r.nextID
 	s.meta.Tables = append([]table.Stats(nil), m.Tables...) // private baseline copy
+	s.id = r.nextID.Add(1)
+	return s
+}
+
+// Register publishes a session built by NewSession into the live set. It
+// returns ErrDraining after BeginDrain (no new sessions during wind-down);
+// the refused session stays unpublished, and Unregister still settles it
+// once. Registering the nil session is a no-op.
+func (r *Registry) Register(s *Session) error {
+	if r == nil || s == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.draining {
+		return ErrDraining
+	}
 	r.sessions[s.id] = s
-	r.mu.Unlock()
-	return s, nil
+	return nil
 }
 
 // Unregister removes the session from the live set. Exactly-once: the first

@@ -2,6 +2,7 @@ package sessiontrack
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,10 +19,98 @@ type fakeConn struct {
 func (c *fakeConn) Drain() { c.drains.Add(1) }
 func (c *fakeConn) Kill()  { c.kills.Add(1) }
 
+// register builds and publishes a session, as a daemon's open does when it
+// has nothing of its own to bind to the entry.
+func register(r *Registry, c Conn, m Meta) (*Session, error) {
+	s := r.NewSession(c, m)
+	return s, r.Register(s)
+}
+
+// ownerConn is a session owner that holds its registry entry, as the serve
+// and proxy sessions do.
+type ownerConn struct {
+	fakeConn
+	entry *Session
+}
+
+// TestOwnerHoldsEntryBeforeLive: a session built by NewSession stays out of
+// Live, Get and BeginDrain until Register publishes it, so its owner binds
+// the entry first, and whoever finds the session (a Kill, a forced drain,
+// /sessions) finds an owner that holds it. A finder walks the live set while
+// sessions open; under -race, the owner's bind and the finder's read are
+// ordered.
+func TestOwnerHoldsEntryBeforeLive(t *testing.T) {
+	r := NewRegistry(Options{})
+	stop := make(chan struct{})
+	var found atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, s := range r.Live() {
+				if o := s.Conn().(*ownerConn); o.entry != s {
+					t.Errorf("Live returned session %d before its owner held it", s.ID())
+					return
+				}
+				if g, ok := r.Get(s.ID()); ok && g.Conn().(*ownerConn).entry != g {
+					t.Errorf("Get returned session %d before its owner held it", s.ID())
+					return
+				}
+				found.Add(1)
+			}
+		}
+	}()
+	for i := 0; i < 2000; i++ {
+		o := &ownerConn{}
+		s := r.NewSession(o, Meta{Kind: KindServe})
+		if _, ok := r.Get(s.ID()); ok {
+			t.Fatalf("Get returned session %d before Register", s.ID())
+		}
+		if r.Len() != 0 {
+			t.Fatalf("Len = %d before Register, want 0", r.Len())
+		}
+		o.entry = s
+		if err := r.Register(s); err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 {
+			runtime.Gosched() // let the finder see some sessions
+		}
+		if !r.Unregister(s) {
+			t.Fatalf("session %d: Unregister returned false", s.ID())
+		}
+	}
+	close(stop)
+	wg.Wait()
+	t.Logf("the finder saw %d published sessions", found.Load())
+
+	// A session built before BeginDrain and registered after it is refused
+	// and never listed; Unregister still settles it once.
+	late := r.NewSession(&ownerConn{}, Meta{})
+	if live := r.BeginDrain(); len(live) != 0 {
+		t.Fatalf("BeginDrain listed %d sessions, want none", len(live))
+	}
+	if err := r.Register(late); err != ErrDraining {
+		t.Fatalf("Register after BeginDrain: err = %v, want ErrDraining", err)
+	}
+	if _, ok := r.Get(late.ID()); ok || r.Len() != 0 {
+		t.Fatal("a refused session is in the live set")
+	}
+	if !r.Unregister(late) || r.Unregister(late) {
+		t.Fatal("Unregister of a refused session is not exactly-once")
+	}
+}
+
 func TestRegisterUnregisterLifecycle(t *testing.T) {
 	r := NewRegistry(Options{Service: "test"})
 	c := &fakeConn{}
-	s, err := r.Register(c, Meta{Kind: KindServe, Benchmark: "gcc", Tenant: "teamA"})
+	s, err := register(r, c, Meta{Kind: KindServe, Benchmark: "gcc", Tenant: "teamA"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +140,7 @@ func TestRegisterUnregisterLifecycle(t *testing.T) {
 	}
 
 	// Distinct ids across sessions.
-	s2, _ := r.Register(&fakeConn{}, Meta{})
+	s2, _ := register(r, &fakeConn{}, Meta{})
 	if s2.ID() == s.ID() {
 		t.Fatalf("id reused: %d", s2.ID())
 	}
@@ -60,12 +149,12 @@ func TestRegisterUnregisterLifecycle(t *testing.T) {
 func TestBeginDrainAtomicWithRegister(t *testing.T) {
 	r := NewRegistry(Options{})
 	c := &fakeConn{}
-	pre, _ := r.Register(c, Meta{})
+	pre, _ := register(r, c, Meta{})
 	live := r.BeginDrain()
 	if len(live) != 1 || live[0] != pre {
 		t.Fatalf("BeginDrain returned %d sessions, want the 1 pre-drain session", len(live))
 	}
-	if _, err := r.Register(&fakeConn{}, Meta{}); err != ErrDraining {
+	if _, err := register(r, &fakeConn{}, Meta{}); err != ErrDraining {
 		t.Fatalf("Register after BeginDrain: err = %v, want ErrDraining", err)
 	}
 	// Drain/Kill forward to the owner.
@@ -81,7 +170,7 @@ func TestBeginDrainAtomicWithRegister(t *testing.T) {
 
 func TestProxyStateAndJournalAccounting(t *testing.T) {
 	r := NewRegistry(Options{})
-	s, _ := r.Register(&fakeConn{}, Meta{Kind: KindProxy})
+	s, _ := register(r, &fakeConn{}, Meta{Kind: KindProxy})
 	snap := s.Snapshot()
 	if snap.Kind != "proxy" || snap.State != "placing" {
 		t.Fatalf("fresh proxy snapshot = kind %q state %q", snap.Kind, snap.State)
@@ -113,7 +202,7 @@ func TestProxyStateAndJournalAccounting(t *testing.T) {
 // readings so the sliding window's rates are exact.
 func TestWindowRatesDeterministic(t *testing.T) {
 	r := NewRegistry(Options{Bucket: time.Second})
-	s, _ := r.Register(&fakeConn{}, Meta{Kind: KindServe})
+	s, _ := register(r, &fakeConn{}, Meta{Kind: KindServe})
 	base := int64(1_000) * int64(time.Second) // aligned to a bucket boundary
 
 	// 4 frames over 2 seconds: 1000 records each, half executed, 10% missed.
@@ -163,7 +252,7 @@ func TestWindowRatesDeterministic(t *testing.T) {
 func TestTableDeltasAgainstBaseline(t *testing.T) {
 	r := NewRegistry(Options{})
 	base := []table.Stats{{Kind: "assoc4", Capacity: 1024, Inserts: 100, Evictions: 10, Resets: 1}}
-	s, _ := r.Register(&fakeConn{}, Meta{Kind: KindServe, Tables: base})
+	s, _ := register(r, &fakeConn{}, Meta{Kind: KindServe, Tables: base})
 	// Mutating the caller's slice after Register must not corrupt the baseline.
 	base[0].Inserts = 999999
 	s.UpdateTables([]table.Stats{{Kind: "assoc4", Capacity: 1024, Inserts: 150, Evictions: 14, Resets: 1}})
@@ -182,8 +271,8 @@ func TestTableDeltasAgainstBaseline(t *testing.T) {
 
 func TestViewSortAndShape(t *testing.T) {
 	r := NewRegistry(Options{Service: "svc", Tag: "b1"})
-	a, _ := r.Register(&fakeConn{}, Meta{Benchmark: "one"})
-	b, _ := r.Register(&fakeConn{}, Meta{Benchmark: "two"})
+	a, _ := register(r, &fakeConn{}, Meta{Benchmark: "one"})
+	b, _ := register(r, &fakeConn{}, Meta{Benchmark: "two"})
 	now := time.Now().UnixNano()
 	// b is busier and missier than a.
 	a.FrameAcked(now, 100, 100, 1, time.Millisecond)
@@ -227,7 +316,7 @@ func TestConcurrentRegistryUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < sessionsPerWorker; i++ {
-				s, err := r.Register(&fakeConn{}, Meta{Kind: KindProxy, Benchmark: "conc"})
+				s, err := register(r, &fakeConn{}, Meta{Kind: KindProxy, Benchmark: "conc"})
 				if err != nil {
 					t.Error(err)
 					return
@@ -278,7 +367,7 @@ func TestConcurrentRegistryUse(t *testing.T) {
 // per update. CI greps for this test name to keep it un-skipped.
 func TestSessionUpdateZeroAllocs(t *testing.T) {
 	r := NewRegistry(Options{})
-	s, _ := r.Register(&fakeConn{}, Meta{Kind: KindServe})
+	s, _ := register(r, &fakeConn{}, Meta{Kind: KindServe})
 	now := time.Now().UnixNano()
 	allocs := testing.AllocsPerRun(1000, func() {
 		s.FrameAcked(now, 100, 100, 5, time.Microsecond)
@@ -296,9 +385,9 @@ func TestSessionUpdateZeroAllocs(t *testing.T) {
 // greps for this test name to keep it un-skipped.
 func TestNilSessionTrackZeroAllocs(t *testing.T) {
 	var r *Registry
-	s, err := r.Register(nil, Meta{})
-	if s != nil || err != nil {
-		t.Fatalf("nil registry Register = %v, %v; want nil, nil", s, err)
+	s := r.NewSession(nil, Meta{})
+	if err := r.Register(s); s != nil || err != nil {
+		t.Fatalf("nil registry NewSession, Register = %v, %v; want nil, nil", s, err)
 	}
 	now := time.Now().UnixNano()
 	allocs := testing.AllocsPerRun(1000, func() {

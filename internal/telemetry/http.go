@@ -93,18 +93,10 @@ func setJSONHeaders(h http.Header) {
 	h.Set("Cache-Control", "no-store")
 }
 
-// Handler returns an http.Handler serving the registry: Prometheus text by
-// default, the JSON snapshot when the request asks for ?format=json (the
-// expvar-style machine-readable form).
+// Handler returns an http.Handler serving the registry as Prometheus text.
+// ServeMetrics serves the JSON snapshot at /vars.
 func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.URL.Query().Get("format") == "json" {
-			setJSONHeaders(w.Header())
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			enc.Encode(r.Snapshot())
-			return
-		}
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		h := w.Header()
 		h.Set("Content-Type", "text/plain; version=0.0.4")
 		h.Set("X-Content-Type-Options", "nosniff")
@@ -126,8 +118,7 @@ func serve(addr string, mux *http.ServeMux) (*http.Server, string, error) {
 }
 
 // ServeMetrics starts an HTTP server on addr exposing the registry at
-// /metrics (Prometheus text, JSON with ?format=json) and a JSON snapshot at
-// /vars. Extra mount functions, when given, add caller endpoints to the same
+// /metrics (Prometheus text) and a JSON snapshot at /vars. Extra mount functions, when given, add caller endpoints to the same
 // mux (ibpserved and ibprouter hang /debug/flightrecorder here). It returns
 // the running server and its bound address; the caller owns shutdown via
 // srv.Close.

@@ -259,9 +259,6 @@ func TestServeMetricsLive(t *testing.T) {
 	if out := get("/metrics"); !strings.Contains(out, "live_total") {
 		t.Errorf("/metrics missing live_total:\n%s", out)
 	}
-	if out := get("/metrics?format=json"); !strings.Contains(out, "\"live_total\"") {
-		t.Errorf("/metrics?format=json missing live_total:\n%s", out)
-	}
 	if out := get("/vars"); !strings.Contains(out, "\"live_total\"") {
 		t.Errorf("/vars missing live_total:\n%s", out)
 	}

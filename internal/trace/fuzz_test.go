@@ -7,18 +7,17 @@ import (
 	"testing"
 )
 
-// fuzzSeeds returns representative encodings of both format versions plus
-// hand-built malformed prefixes.
+// fuzzSeeds returns representative v2 encodings, a v1 stream (count plus
+// records after a version-1 preamble) the readers must refuse, and hand-built
+// malformed prefixes.
 func fuzzSeeds(f *testing.F) [][]byte {
 	f.Helper()
 	sample := Trace{
 		{PC: 0x1000, Target: 0x2000, Kind: VirtualCall, Gap: 3},
 		{PC: 0x1004, Target: 0x3000, Kind: Return, Gap: 1},
 	}
-	var v1, v2, big bytes.Buffer
-	if err := WriteV1(&v1, sample); err != nil {
-		f.Fatal(err)
-	}
+	v1 := append([]byte(magic+"\x01"), AppendRecords(nil, sample)...)
+	var v2, big bytes.Buffer
 	if err := Write(&v2, sample); err != nil {
 		f.Fatal(err)
 	}
@@ -27,7 +26,7 @@ func fuzzSeeds(f *testing.F) [][]byte {
 		f.Fatal(err)
 	}
 	return [][]byte{
-		v1.Bytes(),
+		v1,
 		v2.Bytes(),
 		big.Bytes(),
 		[]byte("IBPT"),

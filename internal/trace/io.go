@@ -8,22 +8,16 @@ import (
 	"io"
 )
 
-// Binary trace formats
+// Binary trace format
 //
-// Both versions open with the same preamble:
+// A trace file opens with a preamble:
 //
 //	magic   "IBPT"            4 bytes
-//	version uvarint           1 or 2
+//	version uvarint           2
 //
-// Version 1 (legacy, unchecksummed):
-//
-//	count   uvarint           number of records
-//	records count times (see record codec below)
-//
-// Version 2 is the length-framed, CRC32-checksummed format documented in
-// io_v2.go; Write emits v2 and Read accepts both.
-//
-// Record codec (shared by both versions):
+// and continues as the length-framed, CRC32-checksummed sections documented
+// in io_v2.go. Records travel in count-prefixed chunks (AppendRecords), each
+// record in this codec:
 //
 //	pcDelta   varint     (pc - prevPC) / 4, zigzag
 //	tgtDelta  varint     (target - prevTarget) / 4, zigzag
@@ -35,7 +29,6 @@ import (
 
 const (
 	magic     = "IBPT"
-	version1  = 1
 	version2  = 2
 	maxRecord = 4 * binary.MaxVarintLen64 // encoded size upper bound
 )
@@ -127,113 +120,40 @@ func putRecord(buf []byte, r Record, prevPC, prevTgt uint32) []byte {
 	return appendUv(buf, gap)
 }
 
-// readRecord decodes one record from br relative to the previous one. The
-// index i is only used in error messages.
-func readRecord(br io.ByteReader, prevPC, prevTgt uint32, i uint64) (Record, error) {
-	pcd, err := binary.ReadVarint(br)
-	if err != nil {
-		return Record{}, fmt.Errorf("trace: record %d pc: %w", i, err)
-	}
-	tgd, err := binary.ReadVarint(br)
-	if err != nil {
-		return Record{}, fmt.Errorf("trace: record %d target: %w", i, err)
-	}
-	kind, err := binary.ReadUvarint(br)
-	if err != nil {
-		return Record{}, fmt.Errorf("trace: record %d kind: %w", i, err)
-	}
-	if kind >= numKinds {
-		return Record{}, fmt.Errorf("%w: record %d kind %d", ErrBadFormat, i, kind)
-	}
-	gap, err := binary.ReadUvarint(br)
-	if err != nil {
-		return Record{}, fmt.Errorf("trace: record %d gap: %w", i, err)
-	}
-	if gap == 0 || gap > 1<<32-1 {
-		return Record{}, fmt.Errorf("%w: record %d gap %d", ErrBadFormat, i, gap)
-	}
-	return Record{
-		PC:     prevPC + uint32(pcd*4),
-		Target: prevTgt + uint32(tgd*4),
-		Kind:   Kind(kind),
-		Gap:    uint32(gap),
-	}, nil
-}
-
-// Write encodes the trace to w in the current (v2, checksummed) binary trace
-// format.
+// Write encodes the trace to w in the IBPT v2 format.
 func Write(w io.Writer, t Trace) error {
 	return writeV2(w, t)
 }
 
-// WriteV1 encodes the trace in the legacy unchecksummed v1 format, kept for
-// compatibility testing and for producing traces readable by old tools.
-func WriteV1(w io.Writer, t Trace) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magic); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	putU := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	if err := putU(version1); err != nil {
-		return err
-	}
-	if err := putU(uint64(len(t))); err != nil {
-		return err
-	}
-	var prevPC, prevTgt uint32
-	rec := make([]byte, 0, maxRecord)
-	for _, r := range t {
-		rec = putRecord(rec[:0], r, prevPC, prevTgt)
-		if _, err := bw.Write(rec); err != nil {
-			return err
-		}
-		prevPC, prevTgt = r.PC, r.Target
-	}
-	return bw.Flush()
-}
-
-// readPreamble consumes the magic and version from br.
-func readPreamble(br *bufio.Reader) (uint64, error) {
+// readPreamble consumes the magic and version from br, refusing any version
+// but 2.
+func readPreamble(br *bufio.Reader) error {
 	var m [4]byte
 	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return 0, fmt.Errorf("trace: reading magic: %w", err)
+		return fmt.Errorf("trace: reading magic: %w", err)
 	}
 	if string(m[:]) != magic {
-		return 0, fmt.Errorf("%w: magic %q", ErrBadFormat, m)
+		return fmt.Errorf("%w: magic %q", ErrBadFormat, m)
 	}
 	version, err := binary.ReadUvarint(br)
 	if err != nil {
-		return 0, fmt.Errorf("trace: reading version: %w", err)
+		return fmt.Errorf("trace: reading version: %w", err)
 	}
-	return version, nil
+	if version != version2 {
+		return fmt.Errorf("%w: unsupported version %d", ErrBadFormat, version)
+	}
+	return nil
 }
 
-// Read decodes a trace in either format version. Version 2 streams are
-// verified strictly: any framing or checksum violation is reported as a
-// *CorruptError (matching ErrCorrupt) and no records are returned. Use
-// ReadLenient to salvage the valid prefix instead.
+// Read decodes a trace, verifying it strictly: any framing or checksum
+// violation is reported as a *CorruptError (matching ErrCorrupt) and no
+// records are returned. Use ReadLenient to salvage the valid prefix instead.
 func Read(r io.Reader) (Trace, error) {
 	br := bufio.NewReader(r)
-	version, err := readPreamble(br)
-	if err != nil {
+	if err := readPreamble(br); err != nil {
 		return nil, err
 	}
-	switch version {
-	case version1:
-		return readV1(br)
-	case version2:
-		tr, err := readV2(br, true)
-		if err != nil {
-			return nil, err
-		}
-		return tr, nil
-	}
-	return nil, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, version)
+	return readV2(br, true)
 }
 
 // ReadLenient decodes as much of the stream as it can. On a clean stream it
@@ -244,63 +164,10 @@ func Read(r io.Reader) (Trace, error) {
 // underlying cause.
 func ReadLenient(r io.Reader) (Trace, error) {
 	br := bufio.NewReader(r)
-	version, err := readPreamble(br)
-	if err != nil {
+	if err := readPreamble(br); err != nil {
 		return nil, corrupt(0, 0, "preamble", err)
 	}
-	switch version {
-	case version1:
-		return readV1Lenient(br)
-	case version2:
-		return readV2(br, false)
-	}
-	return nil, corrupt(0, 0, fmt.Sprintf("unsupported version %d", version), ErrBadFormat)
-}
-
-// readV1 decodes a v1 stream positioned after the preamble.
-func readV1(br *bufio.Reader) (Trace, error) {
-	count, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading count: %w", err)
-	}
-	if count > maxReasonable {
-		return nil, fmt.Errorf("%w: implausible record count %d", ErrBadFormat, count)
-	}
-	out := make(Trace, 0, preallocCount(count))
-	var prevPC, prevTgt uint32
-	for i := uint64(0); i < count; i++ {
-		r, err := readRecord(br, prevPC, prevTgt, i)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-		prevPC, prevTgt = r.PC, r.Target
-	}
-	return out, nil
-}
-
-// readV1Lenient decodes a v1 stream, keeping the records decoded before the
-// first error. v1 has no checksums, so only truncation and structural
-// violations are detectable.
-func readV1Lenient(br *bufio.Reader) (Trace, error) {
-	count, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, corrupt(0, 0, "record count", err)
-	}
-	if count > maxReasonable {
-		return nil, corrupt(0, 0, fmt.Sprintf("implausible record count %d", count), ErrBadFormat)
-	}
-	out := make(Trace, 0, preallocCount(count))
-	var prevPC, prevTgt uint32
-	for i := uint64(0); i < count; i++ {
-		r, err := readRecord(br, prevPC, prevTgt, i)
-		if err != nil {
-			return out, corrupt(len(out), 0, fmt.Sprintf("v1 record %d", i), err)
-		}
-		out = append(out, r)
-		prevPC, prevTgt = r.PC, r.Target
-	}
-	return out, nil
+	return readV2(br, false)
 }
 
 // Dump writes a human-readable listing of the first n records (all records

@@ -12,7 +12,7 @@ import (
 
 // Version 2 trace format
 //
-// After the shared "IBPT" + version preamble, a v2 stream is a sequence of
+// After the "IBPT" + version preamble (io.go), a v2 stream is a sequence of
 // length-framed, CRC32-checksummed sections:
 //
 //	type    uvarint
@@ -25,10 +25,10 @@ import (
 //	secCount (1)    payload: uvarint total record count (advisory; used to
 //	                size the decode buffer, verified at end of stream)
 //	secRecords (2)  payload: uvarint chunk record count, then that many
-//	                records in the shared record codec. Delta state resets
-//	                at every chunk boundary (prevPC = prevTarget = 0), so
-//	                each chunk decodes independently and a damaged chunk
-//	                never poisons its neighbours.
+//	                records in the record codec (AppendRecords). Delta
+//	                state resets at every chunk boundary (prevPC =
+//	                prevTarget = 0), so each chunk decodes independently
+//	                and a damaged chunk never poisons its neighbours.
 //	secEnd (3)      empty payload; marks a clean end of trace.
 //
 // Unknown section types with a valid checksum are skipped (forward
@@ -106,12 +106,7 @@ func writeV2(w io.Writer, t Trace) error {
 	}
 	for start := 0; start < len(t); start += chunkRecords {
 		end := min(start+chunkRecords, len(t))
-		payload = binary.AppendUvarint(payload[:0], uint64(end-start))
-		var prevPC, prevTgt uint32
-		for _, r := range t[start:end] {
-			payload = putRecord(payload, r, prevPC, prevTgt)
-			prevPC, prevTgt = r.PC, r.Target
-		}
+		payload = AppendRecords(payload[:0], t[start:end])
 		if err := fw.WriteFrame(secRecords, payload); err != nil {
 			return err
 		}

@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"runtime"
@@ -66,24 +69,6 @@ func TestV2RoundTrip(t *testing.T) {
 		}
 		mustEqual(t, got, tr)
 	}
-}
-
-func TestReadV1Compatibility(t *testing.T) {
-	tr := genTrace(500)
-	var buf bytes.Buffer
-	if err := WriteV1(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("Read v1: %v", err)
-	}
-	mustEqual(t, got, tr)
-	got, err = ReadLenient(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("ReadLenient v1: %v", err)
-	}
-	mustEqual(t, got, tr)
 }
 
 // TestV2BitFlipStrictVsLenient flips one bit at every offset of a small v2
@@ -208,32 +193,21 @@ func TestV2WriteErrorPropagates(t *testing.T) {
 	}
 }
 
-func TestV1LenientTruncation(t *testing.T) {
-	tr := genTrace(1000)
-	var buf bytes.Buffer
-	if err := WriteV1(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	got, err := ReadLenient(faultio.TruncateAfter(bytes.NewReader(data), int64(len(data)/2)))
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("err = %v, want ErrCorrupt", err)
-	}
-	if len(got) == 0 || len(got) >= len(tr) {
-		t.Fatalf("salvaged %d of %d", len(got), len(tr))
-	}
-	mustEqual(t, got, tr[:len(got)])
-}
-
-// TestHostileHeaderAllocation: a tiny stream claiming 2^28 records must not
-// pre-allocate gigabytes. The claim is structurally valid, so decoding fails
-// on truncation — the point is that it fails fast and small.
+// TestHostileHeaderAllocation: a tiny stream whose count section claims
+// 2^28 records must not pre-allocate gigabytes. The claim is structurally
+// valid, so decoding fails on the missing end section — the point is that it
+// fails fast and small.
 func TestHostileHeaderAllocation(t *testing.T) {
 	var buf bytes.Buffer
 	buf.WriteString(magic)
-	buf.WriteByte(version1)
-	// uvarint 2^28 = 0x10000000.
-	buf.Write([]byte{0x80, 0x80, 0x80, 0x80, 0x01})
+	buf.WriteByte(version2)
+	fw := NewFrameWriter(&buf)
+	if err := fw.WriteFrame(secCount, binary.AppendUvarint(nil, maxReasonable)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	before := allocBytes()
 	_, err := Read(bytes.NewReader(buf.Bytes()))
 	if err == nil {
@@ -242,6 +216,51 @@ func TestHostileHeaderAllocation(t *testing.T) {
 	if grew := allocBytes() - before; grew > 8<<20 {
 		t.Fatalf("hostile header allocated %d bytes", grew)
 	}
+}
+
+// TestReadRejectsV1: the unchecksummed v1 format is not read. Its header
+// fails as an unsupported version, strictly and leniently, however sound
+// the records after it.
+func TestReadRejectsV1(t *testing.T) {
+	v1 := append([]byte(magic+"\x01"), AppendRecords(nil, genTrace(500))...)
+	if _, err := Read(bytes.NewReader(v1)); !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("Read of a v1 stream: err = %v, want ErrBadFormat", err)
+	}
+	got, err := ReadLenient(bytes.NewReader(v1))
+	if !errors.Is(err, ErrBadFormat) || !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("ReadLenient of a v1 stream: err = %v, want ErrBadFormat and ErrCorrupt", err)
+	}
+	if len(got) != 0 {
+		t.Fatalf("ReadLenient salvaged %d records from a v1 stream", len(got))
+	}
+}
+
+// TestWriteBytesPinned pins the bytes Write emits for a trace of eight
+// chunks whose records take every encoder path: one-byte fields, two- and
+// three-byte target deltas, wider deltas of either sign, and multi-byte
+// gaps. A writer change that moves one byte fails here, so files written
+// before it and after it stay the same files.
+func TestWriteBytesPinned(t *testing.T) {
+	tr := genTrace(7*chunkRecords + 100)
+	for i := 0; i < len(tr); i += 97 {
+		tr[i].Target ^= 0x00f00000
+	}
+	for i := 0; i < len(tr); i += 389 {
+		tr[i].PC = 0xfff00000 - uint32(i)*4
+	}
+	for i := 0; i < len(tr); i += 211 {
+		tr[i].Gap = 1 << 20
+	}
+	data := encode(t, tr)
+	const want = "1fef84bbb7c44a8e83b20aef8457c2db46e8c92f270d756de9a351fd3c31f59e"
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want || len(data) != 138571 {
+		t.Fatalf("Write emitted %d bytes with SHA-256 %s, want 138571 bytes with %s", len(data), got, want)
+	}
+	back, err := Read(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustEqual(t, back, tr)
 }
 
 // allocBytes reports cumulative heap allocation, for coarse allocation caps.

@@ -10,11 +10,11 @@ import (
 //
 // RecordIter walks a count-prefixed record chunk (the secRecords payload and
 // FrameRecords body encoding) directly in the payload bytes: no []Record is
-// materialized and nothing is allocated on the happy path. It is the serving
-// hot path's decoder — a shard worker drives the predictor straight off the
-// iterator while the payload sits in a borrowed frame buffer — and the batch
-// DecodeRecords (and the v2 file reader's chunk decode) are reimplemented on
-// top of it, so the two stay semantically identical by construction.
+// materialized and nothing is allocated on the happy path. It is the one
+// decoder of a record chunk. A serve session drives its predictor straight
+// off the iterator while the payload sits in a borrowed frame buffer, and
+// DecodeRecords and the v2 file reader's chunk decode are append loops over
+// it.
 
 // RecordIter iterates the records of one chunk payload in place. Create with
 // NewRecordIter; the iterator keeps a reference to the payload slice, so with
@@ -39,15 +39,6 @@ func (it *RecordIter) uvarint() (uint64, bool) {
 	}
 	it.off = off
 	return v, true
-}
-
-// varint decodes one zigzag varint at it.off.
-func (it *RecordIter) varint() (int64, bool) {
-	uv, ok := it.uvarint()
-	if !ok {
-		return 0, false
-	}
-	return int64(uv>>1) ^ -int64(uv&1), true
 }
 
 // uvarintAt decodes one uvarint at p[off:], returning the value and the
@@ -324,19 +315,3 @@ func (it *RecordIter) fail(field string) (Record, bool) {
 // or trailing bytes after the declared count. It is nil after a clean
 // iteration of exactly Len records.
 func (it *RecordIter) Err() error { return it.err }
-
-// PeekFirstPC returns the PC of the chunk's first record without validating
-// the rest of the payload, and ok=false for an empty or unparsable chunk. It
-// is the router's placement key peek: placing wants one field, not a decode.
-func PeekFirstPC(payload []byte) (pc uint32, ok bool) {
-	it := RecordIter{p: payload}
-	n, ok := it.uvarint()
-	if !ok || n == 0 {
-		return 0, false
-	}
-	pcd, ok := it.varint()
-	if !ok {
-		return 0, false
-	}
-	return uint32(pcd * 4), true
-}

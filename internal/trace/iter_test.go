@@ -135,21 +135,3 @@ func TestRecordIterTruncationEveryPrefix(t *testing.T) {
 		}
 	}
 }
-
-func TestPeekFirstPC(t *testing.T) {
-	tr := genTrace(8)
-	payload := AppendRecords(nil, tr)
-	pc, ok := PeekFirstPC(payload)
-	if !ok || pc != tr[0].PC {
-		t.Fatalf("PeekFirstPC = (%#x, %v), want (%#x, true)", pc, ok, tr[0].PC)
-	}
-	if _, ok := PeekFirstPC(AppendRecords(nil, nil)); ok {
-		t.Fatal("PeekFirstPC accepted an empty chunk")
-	}
-	if _, ok := PeekFirstPC(nil); ok {
-		t.Fatal("PeekFirstPC accepted an empty payload")
-	}
-	if _, ok := PeekFirstPC([]byte{0x01, 0x80}); ok {
-		t.Fatal("PeekFirstPC accepted a truncated first record")
-	}
-}

@@ -131,9 +131,9 @@ func TestReadRejectsGarbage(t *testing.T) {
 		nil,
 		[]byte("XXXX"),
 		[]byte("IBPT"),             // truncated after magic
-		[]byte("IBPT\x02"),         // bad version
-		[]byte("IBPT\x01\x05"),     // count 5, no records
-		[]byte("IBPT\x01\x01\x00"), // truncated record
+		[]byte("IBPT\x02"),         // no sections
+		[]byte("IBPT\x01\x05"),     // v1, an unsupported version
+		[]byte("IBPT\x01\x01\x00"), // v1 again
 	}
 	for i, b := range cases {
 		if _, err := Read(bytes.NewReader(b)); err == nil {

@@ -1,9 +1,8 @@
 // Package tuner is the per-session adaptation plane: it closes the
 // observe→decide→act loop over a live serve session. The observe side is a
-// cheap per-record sketch (a miss-class breakdown in the internal/analysis
-// taxonomy — cold/conflict/alias/meta — fed from the core.Attributor hooks,
-// plus a fixed-size pattern filter standing in for the event pipeline's
-// exact pattern-seen set). The decide side is a policy state machine
+// cheap sketch of the session's misses (a miss-class breakdown in the
+// internal/analysis taxonomy — cold/conflict/alias/meta — fed from the
+// core.Attributor hooks). The decide side is a policy state machine
 // (warmup → observe → escalate/de-escalate with hysteresis and a swap
 // budget). The act side is the serve layer's hot swap: rebuild the
 // predictor from the escalation target and replay the session's retained

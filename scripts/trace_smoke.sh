@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tracing smoke: a two-backend fleet behind ibprouter, every process running
 # its flight recorder, driven by ibpload with a pinned trace ID and a
-# client-side trace dump — with one backend SIGKILLed mid-run to prove the
-# trace layer survives failover. Passes only if:
+# client-side trace dump — with the backend carrying the most live sessions
+# SIGKILLed mid-run to prove the trace layer survives failover. Passes only
+# if:
 #
 #   - the load run loses zero sessions (tracing must not break failover),
 #   - the backend's /metrics exposes a server-side p99 frame latency,
@@ -41,18 +42,37 @@ cleanup() {
 trap cleanup EXIT
 sleep 1
 
-( sleep 2; echo "trace_smoke: SIGKILL backend b1 (pid $B1)"; kill -KILL "$B1" ) &
+# The kill lands on whichever backend carries the most live sessions at the
+# 2 s mark, as the router's /sessions/local reports them, so it always cuts
+# sessions mid-stream wherever the router placed them; the other backend is
+# the survivor whose recorder and metrics are read after the run.
+(
+  sleep 2
+  victim=$(curl -fsS 127.0.0.1:19980/sessions/local | python3 -c '
+import collections, json, sys
+live = collections.Counter(s.get("backend") for s in json.load(sys.stdin)["sessions"])
+live.pop(None, None)
+print(live.most_common(1)[0][0] if live else "")')
+  if [ "$victim" = 127.0.0.1:19871 ]; then
+    echo 127.0.0.1:19970 > "$dir/survivor-metrics"
+    echo "trace_smoke: SIGKILL backend b2 (pid $B2)"; kill -KILL "$B2"
+  else
+    echo 127.0.0.1:19971 > "$dir/survivor-metrics"
+    echo "trace_smoke: SIGKILL backend b1 (pid $B1)"; kill -KILL "$B1"
+  fi
+) &
 KILLER=$!
 
 "$dir/ibpload" -addr 127.0.0.1:19880 -router -bench all -n 60000 -frame 128 \
   -conns 8 -traceid smoke -tracedump "$dir/load-flight.json" -json \
   > "$dir/load-report.json"
 wait "$KILLER"
+survivor=$(cat "$dir/survivor-metrics")
 
 # Dump the live recorders before draining anything.
 curl -fsS 127.0.0.1:19980/debug/flightrecorder > "$dir/router-flight.json"
-curl -fsS 127.0.0.1:19971/debug/flightrecorder > "$dir/backend-flight.json"
-curl -fsS 127.0.0.1:19971/metrics > "$dir/backend-metrics.txt"
+curl -fsS "$survivor/debug/flightrecorder" > "$dir/backend-flight.json"
+curl -fsS "$survivor/metrics" > "$dir/backend-metrics.txt"
 
 kill -TERM "$ROUTER"
 wait "$ROUTER"
