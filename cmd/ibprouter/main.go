@@ -64,7 +64,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err := cli.ParseFlags(fs, args); err != nil {
 		return err
 	}
-	if err := cfg.Predictor.Validate(); err != nil {
+	if err := cfg.Predictor.CheckBuild(); err != nil {
 		return err
 	}
 	cfg.Backends = splitBackends(backends)

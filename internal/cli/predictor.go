@@ -128,19 +128,40 @@ func validTableKind(kind string) bool {
 	case "", "exact", "unbounded", "tagless", "fullassoc":
 		return true
 	}
-	var ways int
-	if _, err := fmt.Sscanf(kind, "assoc%d", &ways); err == nil && ways > 0 && ways&(ways-1) == 0 {
-		return true
+	// assoc<n> is valid when a table of one n-way set is; the size itself
+	// is checked with the predictor.
+	ways := strings.TrimPrefix(kind, "assoc")
+	n, err := strconv.Atoi(ways)
+	return err == nil && n > 0 && table.Check(kind, n) == nil
+}
+
+// tcacheHistBits is the gshare history width of -pred tcache.
+const tcacheHistBits = 9
+
+// tcache returns the table kind and size of -pred tcache: a 512-entry
+// tagless table unless the flags say otherwise.
+func (f PredictorFlags) tcache() (string, int) {
+	entries := f.Entries
+	if entries == 0 {
+		entries = 512
 	}
-	return false
+	return orDefault(f.Table, "tagless"), entries
+}
+
+// bounded reports whether the flags' table is a bounded one: the BTB
+// families build their table only then.
+func (f PredictorFlags) bounded() bool {
+	return f.Table != "" && f.Table != "unbounded" && f.Table != "exact"
 }
 
 // Validate rejects out-of-range or unknown flag values with a *FlagError
 // before any predictor construction happens, so every tool reports the same
-// typed usage error for the same mistake. Build still performs its own
-// construction-time checks; Validate catches the errors worth a clean
-// message (unknown -pred, -p outside [0, MaxPathLength], unknown -table,
-// negative -entries, malformed -hybrid).
+// typed usage error for the same mistake: unknown -pred, -p outside [0,
+// MaxPathLength], unknown -table, negative -entries, malformed -hybrid, and
+// a table size the predictor's table organization cannot take
+// (table.Check), which its constructor would panic on. Build still refuses
+// configurations whose flags are each in range, such as a path too long for
+// the auto precision rule; CheckBuild rejects those too.
 func (f PredictorFlags) Validate() error {
 	if _, _, _, isIttage, reason := ParseITTAGE(f.Pred); isIttage {
 		if reason != "" {
@@ -167,7 +188,107 @@ func (f PredictorFlags) Validate() error {
 			return &FlagError{Flag: "hybrid", Value: f.Hybrid, Reason: fmt.Sprintf("component path lengths must be in [0, %d]", MaxPathLength)}
 		}
 	}
+	switch f.Pred {
+	case "btb", "btb-2bc":
+		if f.bounded() {
+			return f.checkTable(f.Table, f.Entries)
+		}
+	case "tcache":
+		return f.checkTable(f.tcache())
+	case "shared":
+		return f.checkTable(f.Table, f.Entries)
+	}
 	return nil
+}
+
+// CheckBuild rejects, with a *FlagError, every flag set Build would refuse,
+// without building anything: what Validate rejects, a family without the
+// operands it needs, and a two-level configuration core.Config.Validate
+// rejects. ParseITTAGE already checks the ittage family as core.NewITTAGE
+// does. A daemon takes a spec that passes as one it can build.
+func (f PredictorFlags) CheckBuild() error {
+	if err := f.Validate(); err != nil {
+		return err
+	}
+	p1, p2, pairErr := ParsePair(f.Hybrid)
+	switch f.Pred {
+	case "ppm", "shared":
+		if pairErr != nil {
+			return &FlagError{Flag: "hybrid", Value: f.Hybrid, Reason: fmt.Sprintf(`-pred %s needs -hybrid "p1,p2"`, f.Pred)}
+		}
+		if f.Pred == "shared" {
+			if p1 == p2 {
+				return &FlagError{Flag: "hybrid", Value: f.Hybrid, Reason: "shared hybrid components must differ in path length"}
+			}
+			return nil
+		}
+		return f.checkConfigs(core.DualPathConfig(p1, f.Table, f.Entries), core.DualPathConfig(p2, f.Table, f.Entries))
+	case "2lev":
+		if f.Hybrid != "" {
+			return f.checkConfigs(core.DualPathConfig(p1, f.Table, f.Entries), core.DualPathConfig(p2, f.Table, f.Entries))
+		}
+		cfg, err := f.TwoLevelConfig()
+		if err != nil {
+			return err
+		}
+		return f.checkConfigs(cfg)
+	}
+	return nil
+}
+
+// checkTable reports a table that table.New would refuse.
+func (f PredictorFlags) checkTable(kind string, entries int) error {
+	err := table.Check(kind, entries)
+	switch {
+	case err == nil:
+		return nil
+	case kind == "" || kind == "exact":
+		return &FlagError{Flag: "table", Value: kind, Reason: fmt.Sprintf("-pred %s needs a table organization: %v", f.Pred, err)}
+	}
+	return &FlagError{Flag: "entries", Value: fmt.Sprint(entries), Reason: err.Error()}
+}
+
+// checkConfigs reports a two-level configuration that NewTwoLevel would
+// refuse.
+func (f PredictorFlags) checkConfigs(cfgs ...core.Config) error {
+	for _, cfg := range cfgs {
+		if err := cfg.Validate(); err != nil {
+			return &FlagError{Flag: "pred", Value: f.Pred, Reason: err.Error()}
+		}
+	}
+	return nil
+}
+
+// Name returns the name of the predictor Build returns, without building
+// it. The flags must pass CheckBuild.
+func (f PredictorFlags) Name() string {
+	if banks, entries, minHist, isIttage, _ := ParseITTAGE(f.Pred); isIttage {
+		return core.ITTAGEName(banks, entries, minHist)
+	}
+	p1, p2, _ := ParsePair(f.Hybrid)
+	switch f.Pred {
+	case "btb", "btb-2bc":
+		rule := core.UpdateAlways
+		if f.Pred == "btb-2bc" {
+			rule = core.UpdateTwoMiss
+		}
+		if !f.bounded() {
+			return core.BTBName(rule, "unbounded", -1)
+		}
+		return core.BTBName(rule, f.Table, f.Entries)
+	case "tcache":
+		kind, entries := f.tcache()
+		return core.TargetCacheName(tcacheHistBits, kind, entries)
+	case "ppm":
+		return core.CascadeName([]int{p1, p2}, f.Table, f.Entries)
+	case "shared":
+		return core.SharedHybridName(p1, p2, f.Table, f.Entries)
+	}
+	if f.Hybrid != "" {
+		return core.HybridName(core.DualPathConfig(p1, f.Table, f.Entries).Name(), core.DualPathConfig(p2, f.Table, f.Entries).Name())
+	}
+	cfg, _ := f.TwoLevelConfig()
+	return cfg.Name()
 }
 
 // ValidateSeed rejects non-positive workload seeds with a *FlagError: seed 0
@@ -202,11 +323,8 @@ func (f PredictorFlags) Build() (core.Predictor, error) {
 		}
 		return core.NewBTB(tb, core.UpdateTwoMiss), nil
 	case "tcache":
-		entries := f.Entries
-		if entries == 0 {
-			entries = 512
-		}
-		return core.NewTargetCache(9, orDefault(f.Table, "tagless"), entries)
+		kind, entries := f.tcache()
+		return core.NewTargetCache(tcacheHistBits, kind, entries)
 	case "ppm":
 		p1, p2, err := ParsePair(f.Hybrid)
 		if err != nil {
@@ -248,7 +366,7 @@ func (f PredictorFlags) Unbounded() PredictorFlags {
 func (f PredictorFlags) TwoLevelConfig() (core.Config, error) {
 	scheme, err := bits.ParseScheme(f.Scheme)
 	if err != nil {
-		return core.Config{}, err
+		return core.Config{}, &FlagError{Flag: "scheme", Value: f.Scheme, Reason: err.Error()}
 	}
 	var keyop history.KeyOp
 	switch f.KeyOp {
@@ -257,7 +375,7 @@ func (f PredictorFlags) TwoLevelConfig() (core.Config, error) {
 	case "concat":
 		keyop = history.OpConcat
 	default:
-		return core.Config{}, fmt.Errorf("unknown key op %q", f.KeyOp)
+		return core.Config{}, &FlagError{Flag: "keyop", Value: f.KeyOp, Reason: "want xor or concat"}
 	}
 	var update core.UpdateRule
 	switch f.Update {
@@ -266,7 +384,7 @@ func (f PredictorFlags) TwoLevelConfig() (core.Config, error) {
 	case "always":
 		update = core.UpdateAlways
 	default:
-		return core.Config{}, fmt.Errorf("unknown update rule %q", f.Update)
+		return core.Config{}, &FlagError{Flag: "update", Value: f.Update, Reason: "want 2bc or always"}
 	}
 	return core.Config{
 		PathLength: f.Path,
@@ -283,7 +401,7 @@ func (f PredictorFlags) TwoLevelConfig() (core.Config, error) {
 
 // boundedTable builds the BTB's table, or nil for an unbounded one.
 func (f PredictorFlags) boundedTable() (table.Bounded, error) {
-	if f.Table == "" || f.Table == "unbounded" || f.Table == "exact" {
+	if !f.bounded() {
 		return nil, nil
 	}
 	return table.New(f.Table, f.Entries)

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"flag"
 	"testing"
+
+	"github.com/oocsb/ibp/internal/core"
 )
 
 // defaults returns the flags as Register would install them, by actually
@@ -165,4 +167,101 @@ func TestValidateSeed(t *testing.T) {
 	if err := ValidateSeed(1); err != nil {
 		t.Fatalf("seed 1 rejected: %v", err)
 	}
+}
+
+// TestValidateRejectsTablesConstructorsRefuse pins the specs whose table
+// constructor panicked past Validate (and, on a daemon, killed the process
+// from the connection goroutine): each is a *FlagError now.
+func TestValidateRejectsTablesConstructorsRefuse(t *testing.T) {
+	for _, tc := range []struct {
+		pred, table string
+		entries     int
+		hybrid      string
+	}{
+		{"btb", "tagless", 1000, ""},
+		{"btb-2bc", "assoc4", 96, ""},
+		{"btb", "fullassoc", 0, ""},
+		{"tcache", "tagless", 1000, ""},
+		{"tcache", "exact", 512, ""},
+		{"shared", "tagless", 1000, "3,1"},
+		{"shared", "fullassoc", 0, "3,1"},
+	} {
+		f := defaults(t)
+		f.Pred, f.Table, f.Entries, f.Hybrid = tc.pred, tc.table, tc.entries, tc.hybrid
+		var fe *FlagError
+		if err := f.Validate(); !errors.As(err, &fe) {
+			t.Errorf("%+v: Validate = %v, want a *FlagError", tc, err)
+		}
+	}
+}
+
+// TestCheckBuildAgreesWithBuild walks a grid of flag sets across every
+// family: CheckBuild passes exactly the sets Build builds, Build never
+// panics, and Name names what Build returns, so a daemon that only checks
+// a spec refuses and names it as one that builds it.
+func TestCheckBuildAgreesWithBuild(t *testing.T) {
+	built, refused := 0, 0
+	for _, pred := range []string{"2lev", "btb", "btb-2bc", "tcache", "ppm", "shared", "ittage", "ittage:2,128,4"} {
+		for _, tab := range []string{"", "exact", "unbounded", "tagless", "assoc1", "assoc4", "fullassoc"} {
+			for _, entries := range []int{0, 96, 1000, 1024} {
+				for _, path := range []int{0, 3, 12, 30, MaxPathLength} {
+					for _, prec := range []int{core.AutoPrecision, 0, 4} {
+						for _, hybrid := range []string{"", "3,1", "2,2"} {
+							f := defaults(t)
+							f.Pred, f.Table, f.Entries, f.Path, f.Precision, f.Hybrid = pred, tab, entries, path, prec, hybrid
+							if checkAgainstBuild(t, f) {
+								built++
+							} else {
+								refused++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, mutate := range []func(*PredictorFlags){
+		func(f *PredictorFlags) { f.Scheme = "zigzag" },
+		func(f *PredictorFlags) { f.KeyOp = "add" },
+		func(f *PredictorFlags) { f.Update = "never" },
+		func(f *PredictorFlags) { f.Scheme, f.KeyOp, f.Update = "pingpong", "concat", "always" },
+		func(f *PredictorFlags) { f.HistShare, f.TabShare = 4, 31 },
+	} {
+		f := defaults(t)
+		mutate(&f)
+		checkAgainstBuild(t, f)
+	}
+	if built < 100 || refused < 100 {
+		t.Fatalf("the grid built %d specs and refused %d; want both outcomes well covered", built, refused)
+	}
+}
+
+// checkAgainstBuild checks one flag set and reports whether it built.
+func checkAgainstBuild(t *testing.T, f PredictorFlags) bool {
+	t.Helper()
+	var p core.Predictor
+	var buildErr error
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("%+v: Build panicked: %v", f, r)
+			}
+		}()
+		p, buildErr = f.Build()
+	}()
+	err := f.CheckBuild()
+	switch {
+	case err != nil && buildErr == nil:
+		t.Fatalf("%+v: CheckBuild refused a spec Build builds: %v", f, err)
+	case err == nil && buildErr != nil:
+		t.Fatalf("%+v: CheckBuild passed a spec Build refuses: %v", f, buildErr)
+	case err != nil:
+		var fe *FlagError
+		if !errors.As(err, &fe) {
+			t.Fatalf("%+v: CheckBuild error %v is not a *FlagError", f, err)
+		}
+	case f.Name() != p.Name():
+		t.Fatalf("%+v: Name() = %q, Build().Name() = %q", f, f.Name(), p.Name())
+	}
+	return err == nil
 }

@@ -222,7 +222,7 @@ func (r *Router) open(conn net.Conn, fr *trace.FrameReader, h serve.Handshake) {
 	// Every backend the session lands on, failover replacements included,
 	// must build the identical predictor, run the identical tuner policy,
 	// and tag its spans with the router's trace ID.
-	hello, pf := h.Hello, h.Predictor // a copy: the session keeps no h.Pred
+	hello, pf := h.Hello, h.Predictor // a copy: the handshake built no predictor
 	hello.Predictor = &pf
 	hello.TraceID = h.TraceID
 	if hello.TunerPolicy == "" {
@@ -252,7 +252,7 @@ func (r *Router) open(conn net.Conn, fr *trace.FrameReader, h serve.Handshake) {
 		Kind:      sessiontrack.KindProxy,
 		Benchmark: hello.Benchmark,
 		Tenant:    hello.Tenant,
-		Predictor: h.Pred.Name(),
+		Predictor: h.Name,
 		TraceID:   h.TraceID,
 		Window:    h.Window,
 	})
@@ -286,7 +286,7 @@ func (r *Router) open(conn net.Conn, fr *trace.FrameReader, h serve.Handshake) {
 
 	sess.relay(serve.OutFrame{Type: serve.FrameHelloAck, Payload: r.AckHello(h, sess.id)})
 	r.log.Info("session open", "session", sess.id, "benchmark", hello.Benchmark,
-		"predictor", h.Pred.Name(), "window", h.Window)
+		"predictor", h.Name, "window", h.Window)
 	sess.readLoop(fr)
 }
 

@@ -139,6 +139,22 @@ func TestHandshakeParity(t *testing.T) {
 		{"first seq 3", clientBytes(t, hello, frame(serve.FrameRecords, records(3, nil))), "ack, error:" + serve.CodeBadSeq},
 		{"truncated first chunk", clientBytes(t, hello, frame(serve.FrameRecords, truncated)), "ack, error:" + serve.CodeBadFrame},
 	}
+	// Specs whose table constructor used to panic on the connection
+	// goroutine, killing the daemon.
+	for _, spec := range []string{
+		`{"pred":"btb","table":"tagless","entries":1000}`,
+		`{"pred":"btb","table":"fullassoc","entries":0}`,
+		`{"pred":"shared","table":"fullassoc","entries":0,"hybrid":"3,1"}`,
+		`{"pred":"tcache","table":"tagless","entries":1000}`,
+		`{"pred":"ppm","table":"tagless","entries":1000,"hybrid":"3,1"}`,
+		`{"pred":"shared","table":"assoc2","entries":1000,"hybrid":"3,1"}`,
+	} {
+		cases = append(cases, struct {
+			name string
+			raw  []byte
+			want string
+		}{"predictor " + spec, clientBytes(t, frame(serve.FrameHello, []byte(`{"predictor":`+spec+`}`))), "error:" + serve.CodeBadHello})
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			n := strings.Count(tc.want, ", ") + 1

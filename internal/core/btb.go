@@ -30,14 +30,20 @@ func NewBTB(tab table.Bounded, rule UpdateRule) *BTB {
 	if tab == nil {
 		tab = table.NewUnbounded64()
 	}
+	return &BTB{tab: tab, rule: rule, name: BTBName(rule, tab.Kind(), tab.Capacity())}
+}
+
+// BTBName is the name of a BTB with the given update rule over a table of
+// the given kind and capacity, -1 for an unbounded one.
+func BTBName(rule UpdateRule, kind string, capacity int) string {
 	name := "btb"
 	if rule == UpdateTwoMiss {
 		name = "btb-2bc"
 	}
-	if tab.Capacity() >= 0 {
-		name = fmt.Sprintf("%s[%s/%d]", name, tab.Kind(), tab.Capacity())
+	if capacity >= 0 {
+		name = fmt.Sprintf("%s[%s/%d]", name, kind, capacity)
 	}
-	return &BTB{tab: tab, rule: rule, name: name}
+	return name
 }
 
 // key maps the branch address to the table key (word-aligned addresses, so

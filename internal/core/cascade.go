@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -24,40 +25,38 @@ func NewCascade(paths []int, tableKind string, entries int) (*Cascade, error) {
 	if len(paths) < 2 {
 		return nil, fmt.Errorf("core: cascade needs at least 2 path lengths, got %d", len(paths))
 	}
-	seen := make(map[int]bool, len(paths))
-	ordered := make([]int, 0, len(paths))
 	for _, p := range paths {
 		if p < 0 {
 			return nil, fmt.Errorf("core: negative path length %d", p)
 		}
-		if !seen[p] {
-			seen[p] = true
-			ordered = append(ordered, p)
-		}
 	}
-	for i := 1; i < len(ordered); i++ { // insertion sort descending
-		for j := i; j > 0 && ordered[j] > ordered[j-1]; j-- {
-			ordered[j], ordered[j-1] = ordered[j-1], ordered[j]
-		}
-	}
-	c := &Cascade{}
-	names := make([]string, 0, len(ordered))
-	for _, p := range ordered {
-		t, err := NewTwoLevel(Config{
-			PathLength: p,
-			Precision:  AutoPrecision,
-			Scheme:     defaultScheme(tableKind),
-			TableKind:  tableKind,
-			Entries:    entries,
-		})
+	c := &Cascade{name: CascadeName(paths, tableKind, entries)}
+	for _, p := range cascadeOrder(paths) {
+		t, err := NewTwoLevel(DualPathConfig(p, tableKind, entries))
 		if err != nil {
 			return nil, err
 		}
 		c.comps = append(c.comps, t)
+	}
+	return c, nil
+}
+
+// cascadeOrder returns the distinct path lengths, longest first.
+func cascadeOrder(paths []int) []int {
+	ordered := slices.Clone(paths)
+	slices.Sort(ordered)
+	ordered = slices.Compact(ordered)
+	slices.Reverse(ordered)
+	return ordered
+}
+
+// CascadeName is the name of NewCascade(paths, tableKind, entries).
+func CascadeName(paths []int, tableKind string, entries int) string {
+	names := make([]string, 0, len(paths))
+	for _, p := range cascadeOrder(paths) {
 		names = append(names, fmt.Sprintf("%d", p))
 	}
-	c.name = fmt.Sprintf("ppm[p=%s,%s/%d]", strings.Join(names, "."), tableKind, entries)
-	return c, nil
+	return fmt.Sprintf("ppm[p=%s,%s/%d]", strings.Join(names, "."), tableKind, entries)
 }
 
 // Predict implements Predictor: the first (longest-path) component with a

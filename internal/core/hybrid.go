@@ -70,8 +70,11 @@ func NewHybrid(comps ...Component) (*Hybrid, error) {
 			tables = append(tables, t)
 		}
 	}
-	return &Hybrid{comps: comps, name: "hybrid(" + strings.Join(names, "+") + ")", tables: tables, keyable: keyable}, nil
+	return &Hybrid{comps: comps, name: HybridName(names...), tables: tables, keyable: keyable}, nil
 }
+
+// HybridName is the name of a Hybrid over components of the given names.
+func HybridName(names ...string) string { return "hybrid(" + strings.Join(names, "+") + ")" }
 
 // MustHybrid is NewHybrid for statically-known component lists.
 func MustHybrid(comps ...Component) *Hybrid {

@@ -91,7 +91,7 @@ func NewITTAGE(numBanks, bankEntries, minHist int) (*ITTAGE, error) {
 		base:     make([]ittageEntry, 2*bankEntries),
 		baseMask: uint32(2*bankEntries - 1),
 		rng:      ittageSeed,
-		name:     fmt.Sprintf("ittage[%dx%d,hist>=%d]", numBanks, bankEntries, minHist),
+		name:     ITTAGEName(numBanks, bankEntries, minHist),
 	}
 	// Fold widths must be coprime with the 4-bit shift step: with 4 | w,
 	// history values whose ages differ by w/4 land on the same rotated bit
@@ -352,6 +352,11 @@ func (t *ITTAGE) nextRand() uint32 {
 
 // Name implements Predictor.
 func (t *ITTAGE) Name() string { return t.name }
+
+// ITTAGEName is the name of NewITTAGE(numBanks, bankEntries, minHist).
+func ITTAGEName(numBanks, bankEntries, minHist int) string {
+	return fmt.Sprintf("ittage[%dx%d,hist>=%d]", numBanks, bankEntries, minHist)
+}
 
 // Storage returns the total entry count (base plus banks), for
 // equal-budget comparisons.

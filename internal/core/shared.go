@@ -56,8 +56,14 @@ func NewSharedHybrid(p1, p2 int, tableKind string, entries int) (*SharedHybrid, 
 		update:  UpdateTwoMiss,
 		max:     confMax(2),
 		scratch: make([]uint32, 0, depth+1),
-		name:    fmt.Sprintf("shared-hybrid[p=%d.%d,%s/%d]", p1, p2, tableKind, entries),
+		name:    SharedHybridName(p1, p2, tableKind, entries),
 	}, nil
+}
+
+// SharedHybridName is the name of NewSharedHybrid(p1, p2, tableKind,
+// entries).
+func SharedHybridName(p1, p2 int, tableKind string, entries int) string {
+	return fmt.Sprintf("shared-hybrid[p=%d.%d,%s/%d]", p1, p2, tableKind, entries)
 }
 
 // keys computes both components' lookup keys under the current history.

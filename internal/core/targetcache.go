@@ -34,8 +34,14 @@ func NewTargetCache(histBits int, tableKind string, entries int) (*TargetCache, 
 		tab:      tab,
 		histBits: histBits,
 		rule:     UpdateTwoMiss,
-		name:     fmt.Sprintf("tcache[gshare(%d),%s/%d]", histBits, tableKind, entries),
+		name:     TargetCacheName(histBits, tableKind, entries),
 	}, nil
+}
+
+// TargetCacheName is the name of NewTargetCache(histBits, tableKind,
+// entries).
+func TargetCacheName(histBits int, tableKind string, entries int) string {
+	return fmt.Sprintf("tcache[gshare(%d),%s/%d]", histBits, tableKind, entries)
 }
 
 func (t *TargetCache) key(pc uint32) uint64 {

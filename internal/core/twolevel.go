@@ -125,7 +125,9 @@ func (cfg Config) Validate() error {
 		if cfg.Entries <= 0 || cfg.Entries&(cfg.Entries-1) != 0 {
 			return fmt.Errorf("core: table %q needs a power-of-two entry count, got %d", cfg.TableKind, cfg.Entries)
 		}
-		if _, err := table.New(cfg.TableKind, cfg.Entries); err != nil {
+		// Check the kind and size without building the table: NewTwoLevel
+		// builds the one it keeps.
+		if err := table.Check(cfg.TableKind, cfg.Entries); err != nil {
 			return err
 		}
 	}
@@ -186,15 +188,29 @@ type TwoLevel struct {
 	cfg     Config
 	spec    history.Spec
 	hist    *history.File
-	tab     table.Bounded       // compressed-key mode
-	exact   *table.UnboundedStr // full-precision mode
+	tab     table.Bounded // compressed-key mode
+	exact   *table.Exact  // full-precision mode
 	max     uint8
 	scratch []uint32
-	keyBuf  []byte
+	// keyBuf holds an exact key's bytes for attribution's Pattern hash;
+	// nothing else builds them.
+	keyBuf []byte
 	// tracked is decided once, at construction: the history file keeps
 	// every register's compressed pattern current on push, so key reads it
 	// directly. Untrackable specs (PingPong, p = 0) go through Spec.Pattern.
 	tracked bool
+
+	// Full-precision mode keys the exact table by the table selector
+	// (pc>>selShift, or 0 when one table serves every branch) and the
+	// register's targets. With truncated precision, the register holds each
+	// target's kept field instead of the target (field), so the key is the
+	// register's contents as they stand. hashMask is ANDed into the key's
+	// hash (all ones but in tests that force every key into one hash
+	// bucket).
+	selShift uint
+	selAll   bool
+	field    bool
+	hashMask uint64
 
 	// Probe memo: the simulator calls Predict(pc) immediately followed by
 	// Update(pc, target), and nothing moves the history in between, so the
@@ -238,7 +254,12 @@ func NewTwoLevel(cfg Config) (*TwoLevel, error) {
 		keyBuf:  make([]byte, 0, 4*(cfg.PathLength+1)),
 	}
 	if cfg.TableKind == "exact" {
-		t.exact = table.NewUnboundedStr()
+		t.exact = table.NewExact(cfg.PathLength)
+		t.selShift = uint(max(cfg.TableShare, 2))
+		t.selAll = cfg.TableShare >= 32
+		t.field = cfg.Precision > 0
+		t.hashMask = exactHashMask
+		t.hist.TrackSum()
 		return t, nil
 	}
 	tab, err := table.New(cfg.TableKind, cfg.Entries)
@@ -268,6 +289,42 @@ func MustTwoLevel(cfg Config) *TwoLevel {
 // Config returns the (defaulted) configuration.
 func (t *TwoLevel) Config() Config { return t.cfg }
 
+// exactHashMask is ANDed into every exact key's hash. Tests set it to 0 to
+// force every key into one bucket, where only the full key comparison tells
+// keys apart.
+var exactHashMask = ^uint64(0)
+
+// selMul spreads an exact key's table selector over the hash bits.
+const selMul = 0x9E3779B97F4A7C15
+
+// exactKey sets k to the full-precision key of the branch at pc under reg's
+// contents, which it reads in place; with attribution on, keyBuf also takes
+// the key's bytes. (Filling the caller's key, rather than returning one,
+// keeps the compiler from copying it through a stall on the hot path.)
+func (t *TwoLevel) exactKey(k *table.ExactKey, reg *history.Register, pc uint32) {
+	var sel uint32
+	if !t.selAll {
+		sel = pc >> t.selShift
+	}
+	if t.attrib {
+		// The register already holds the kept fields, so the key takes
+		// each whole.
+		t.keyBuf = history.FullKey(t.keyBuf[:0], reg, pc, t.cfg.TableShare, t.cfg.StartBit, 0)
+	}
+	k.Newer, k.Older = reg.Path()
+	k.Hash, k.Sel = (reg.Sum()^uint64(sel)*selMul)&t.hashMask, sel
+}
+
+// kept returns what the history records of v, a target or (IncludeAddress)
+// a branch address: v, or in full-precision mode with truncated precision
+// the field of v the key keeps.
+func (t *TwoLevel) kept(v uint32) uint32 {
+	if t.field {
+		return bits.Field(v, t.cfg.StartBit, t.cfg.Precision)
+	}
+	return v
+}
+
 // key builds the compressed-mode lookup key for the branch at pc from reg's
 // pattern (§4.2).
 func (t *TwoLevel) key(reg *history.Register, pc uint32) uint64 {
@@ -285,8 +342,9 @@ func (t *TwoLevel) probe(pc uint32) *table.Entry {
 	reg := t.hist.Get(pc)
 	var e *table.Entry
 	if t.exact != nil {
-		t.keyBuf = history.FullKey(t.keyBuf[:0], reg, pc, t.cfg.TableShare, t.cfg.StartBit, t.cfg.Precision)
-		e = t.exact.Probe(t.keyBuf)
+		var k table.ExactKey
+		t.exactKey(&k, reg, pc)
+		e = t.exact.Probe(&k)
 	} else {
 		t.memoKey = t.key(reg, pc)
 		e = t.tab.Probe(t.memoKey)
@@ -348,7 +406,9 @@ func (t *TwoLevel) Update(pc, target uint32) {
 		reg, e, found = t.memoReg, t.memoEntry, t.memoEntry != nil
 		if !found {
 			if t.exact != nil {
-				e = t.exact.Insert(t.keyBuf) // keyBuf still holds pc's key
+				var k table.ExactKey
+				t.exactKey(&k, reg, pc) // the probe's key: the history has not moved
+				e = t.exact.Insert(&k)
 			} else {
 				e = t.tab.Insert(t.memoKey)
 			}
@@ -356,8 +416,9 @@ func (t *TwoLevel) Update(pc, target uint32) {
 	} else {
 		reg = t.hist.Get(pc)
 		if t.exact != nil {
-			t.keyBuf = history.FullKey(t.keyBuf[:0], reg, pc, t.cfg.TableShare, t.cfg.StartBit, t.cfg.Precision)
-			e, found = t.exact.ProbeOrInsert(t.keyBuf)
+			var k table.ExactKey
+			t.exactKey(&k, reg, pc)
+			e, found = t.exact.ProbeOrInsert(&k)
 		} else {
 			e, found = t.tab.ProbeOrInsert(t.key(reg, pc))
 		}
@@ -372,9 +433,9 @@ func (t *TwoLevel) Update(pc, target uint32) {
 	}
 	t.memoValid = false
 	if t.cfg.IncludeAddress {
-		reg.Push(pc)
+		reg.Push(t.kept(pc))
 	}
-	reg.Push(target)
+	reg.Push(t.kept(target))
 }
 
 // train applies the resolved target to e, the entry the branch's key
@@ -402,15 +463,43 @@ func (t *TwoLevel) Tables(dst []KeyedTable) ([]KeyedTable, bool) {
 
 // StepKeyed implements KeyedTable. One ProbeOrInsert walk per branch serves
 // both the prediction and the update, as Predict's probe and Update's
-// insert on a miss would.
+// insert on a miss would. Each table organisation gets a loop of its own,
+// so the walk is a direct call rather than one through table.Bounded.
 func (t *TwoLevel) StepKeyed(keys []uint64, targets []uint32, out []Answer) {
 	t.memoValid = false // the walks may move the memoized entry
 	out = out[:len(keys)]
 	targets = targets[:len(keys)]
-	for j, key := range keys {
-		e, found := t.tab.ProbeOrInsert(key)
-		out[j] = answer(e.Target, e.Conf, found, targets[j])
-		t.train(e, found, targets[j])
+	switch tab := t.tab.(type) {
+	case *table.SetAssoc:
+		for j, key := range keys {
+			e, found := tab.ProbeOrInsert(key)
+			out[j] = answer(e.Target, e.Conf, found, targets[j])
+			t.train(e, found, targets[j])
+		}
+	case *table.Tagless:
+		for j, key := range keys {
+			e, found := tab.ProbeOrInsert(key)
+			out[j] = answer(e.Target, e.Conf, found, targets[j])
+			t.train(e, found, targets[j])
+		}
+	case *table.FullAssoc:
+		for j, key := range keys {
+			e, found := tab.ProbeOrInsert(key)
+			out[j] = answer(e.Target, e.Conf, found, targets[j])
+			t.train(e, found, targets[j])
+		}
+	case *table.Unbounded64:
+		for j, key := range keys {
+			e, found := tab.ProbeOrInsert(key)
+			out[j] = answer(e.Target, e.Conf, found, targets[j])
+			t.train(e, found, targets[j])
+		}
+	default:
+		for j, key := range keys {
+			e, found := t.tab.ProbeOrInsert(key)
+			out[j] = answer(e.Target, e.Conf, found, targets[j])
+			t.train(e, found, targets[j])
+		}
 	}
 }
 
@@ -423,9 +512,9 @@ func (t *TwoLevel) ObserveCond(pc, target uint32, taken bool) {
 	t.memoValid = false // the push below moves the history under any memoized key
 	reg := t.hist.Get(pc)
 	if t.cfg.IncludeAddress {
-		reg.Push(pc)
+		reg.Push(t.kept(pc))
 	}
-	reg.Push(target)
+	reg.Push(t.kept(target))
 }
 
 // ReadsCond implements CondObserver: only the §3.3 IncludeCond variation

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -386,19 +387,39 @@ func (s SweepSpec) build(table func(core.Config) (*core.TwoLevel, error)) (p, sh
 	return p, shadow, nil
 }
 
-// cellTables is how many distinct tables a sweep cell steps at most, unless
-// one lane alone reads more; a lane built by Mk counts as one table. It
-// bounds a cell's tables and tapes, and keeps a grid in enough cells per
-// benchmark to spread over the workers.
-const cellTables = 16
+// A cell is bounded by the bytes its tapes take per branch (see
+// sim.RunBatchEach) and by the tables it builds, unless one lane alone
+// exceeds either. Each distinct table a cell steps writes an answer tape of
+// tapeAnswer bytes a branch, and each distinct history spec those tables
+// read fills a key tape of tapeKey bytes, so a table whose spec the cell
+// already keys costs only its answer tape; a lane built by Mk, and each
+// table of a lane that runs Kernel.Run, costs one of each. cellBytes, the
+// tapes of 16 tables of 16 specs, keeps a run's tapes within a core's L2
+// cache. cellTables bounds the table memory each worker holds: 26 is what
+// one fig17 matrix needs to key each of its 13 specs once, its 13 hybrid
+// components and 13 double-size tables. Both keep a grid in enough cells
+// per benchmark to spread over the workers.
+const (
+	tapeKey, tapeAnswer = 8, 2
+	cellBytes           = 16 * (tapeKey + tapeAnswer)
+	cellTables          = 26
+)
+
+// cellCost is what a cell, or what lanes would add to one, costs against
+// those bounds.
+type cellCost struct{ bytes, tables int }
+
+func (c cellCost) add(o cellCost) cellCost { return cellCost{c.bytes + o.bytes, c.tables + o.tables} }
+
+func (c cellCost) fits() bool { return c.bytes <= cellBytes && c.tables <= cellTables }
 
 // planCells cuts the specs into cells, each one panic-isolated trace pass
 // per benchmark, and returns each cell's spec indices. A sharing group is
 // the keyed lanes closed under reading the same table configuration, with
 // the tables they read; every other lane is a group of its own. Groups are
 // packed whole in history-spec order (lanes built by Mk last, in the
-// caller's order), up to cellTables tables per cell. A larger group is cut
-// lane by lane, and each of its cells builds the tables its lanes read.
+// caller's order) while the cell's cost fits. A larger group is cut lane by
+// lane, and each of its cells builds the tables its lanes read.
 func planCells(specs []SweepSpec) [][]int {
 	// Union the keyed lanes that read a common table.
 	root := make([]int, len(specs))
@@ -426,24 +447,44 @@ func planCells(specs []SweepSpec) [][]int {
 		}
 	}
 
-	// shared holds the shared tables of the cell being packed, or of a
-	// group being sized; adds counts the tables lane i adds to it.
+	// shared and keys hold the shared tables and their history specs of
+	// the cell being packed; adds costs lane i and adds it to them, and
+	// costs prices a group's lanes, leaving the cell as it is.
 	shared := make(map[core.Config]bool)
-	adds := func(i int) int {
+	keys := make(map[history.Spec]bool)
+	adds := func(i int) cellCost {
 		s, n := specs[i], specs[i].private()
+		c := cellCost{n * (tapeKey + tapeAnswer), n}
 		if s.keyed() {
 			for _, cfg := range s.tables() {
-				if !shared[cfg.Defaults()] {
-					shared[cfg.Defaults()] = true
-					n++
+				if shared[cfg.Defaults()] {
+					continue
+				}
+				shared[cfg.Defaults()] = true
+				c = c.add(cellCost{tapeAnswer, 1})
+				if h := cfg.HistorySpec(); !keys[h] {
+					keys[h] = true
+					c.bytes += tapeKey
 				}
 			}
 		}
-		return n
+		return c
+	}
+	reset := func() {
+		clear(shared)
+		clear(keys)
+	}
+	costs := func(lanes []int) cellCost {
+		cellShared, cellKeys := maps.Clone(shared), maps.Clone(keys)
+		var c cellCost
+		for _, i := range lanes {
+			c = c.add(adds(i))
+		}
+		shared, keys = cellShared, cellKeys
+		return c
 	}
 	type group struct {
 		lanes  []int
-		size   int          // the tables its lanes read
 		spec   history.Spec // the least history spec among them
 		tables bool         // false for a lane built by Mk
 	}
@@ -463,12 +504,6 @@ func planCells(specs []SweepSpec) [][]int {
 			}
 		}
 	}
-	for _, g := range groups {
-		clear(shared)
-		for _, i := range g.lanes {
-			g.size += adds(i)
-		}
-	}
 	slices.SortStableFunc(groups, func(a, b *group) int {
 		switch {
 		case a.tables && b.tables:
@@ -483,23 +518,22 @@ func planCells(specs []SweepSpec) [][]int {
 
 	var cells [][]int
 	var cell []int
-	size := 0
-	clear(shared)
+	var size cellCost
 	flush := func() {
 		if len(cell) > 0 {
-			cells, cell, size = append(cells, cell), nil, 0
-			clear(shared)
+			cells, cell, size = append(cells, cell), nil, cellCost{}
+			reset()
 		}
 	}
 	for _, g := range groups {
-		if size+g.size > cellTables {
+		if !size.add(costs(g.lanes)).fits() {
 			flush()
 		}
 		for _, i := range g.lanes {
 			// Only a group larger than a cell gets here with a full
 			// cell, and the lane then starts the next one.
-			if n := adds(i); size+n <= cellTables || len(cell) == 0 {
-				size += n
+			if c := size.add(adds(i)); c.fits() || len(cell) == 0 {
+				size = c
 			} else {
 				flush()
 				size = adds(i)
@@ -550,7 +584,9 @@ func (lc *laneCache) lanes(cell int, specs []SweepSpec, lanes []int, sm sweepMet
 		return lc.ps, lc.shadows, nil
 	}
 	sm.laneMiss.Inc()
-	lc.valid = false
+	// Drop the previous cell's predictors first, so they are garbage while
+	// this cell's are built rather than live beside them.
+	*lc = laneCache{}
 	ps = make([]core.Predictor, len(lanes))
 	shadows = make([]core.Predictor, len(lanes))
 	var resets []core.Resetter
@@ -624,14 +660,30 @@ func (c *Context) SweepSpecs(specs []SweepSpec, full bool) ([]map[string]sim.Res
 	c.prog.begin(nb*len(cells), time.Now())
 	sm.queued.Add(uint64(nb * len(cells)))
 	var mu sync.Mutex
-	pool := sync.Pool{New: func() any { return &laneCache{} }}
+	// Idle lane caches, most recently used last. A plain list rather than a
+	// sync.Pool: the runtime keeps a pool's items alive for up to two
+	// collections after the call returns, and with them the tables of the
+	// call's last cells.
+	var (
+		cacheMu sync.Mutex
+		caches  []*laneCache
+	)
 	// Work items are ordered cell-major so a worker's consecutive items
 	// share a cell and its laneCache keeps hitting.
 	err := forEach(c.ctx, nb*len(cells), func(ci int) error {
 		cell, bench := ci/nb, c.Suite[ci%nb]
 		lanes := cells[cell]
-		cache := pool.Get().(*laneCache)
-		defer pool.Put(cache)
+		cacheMu.Lock()
+		cache := &laneCache{}
+		if n := len(caches); n > 0 {
+			cache, caches = caches[n-1], caches[:n-1]
+		}
+		cacheMu.Unlock()
+		defer func() {
+			cacheMu.Lock()
+			caches = append(caches, cache)
+			cacheMu.Unlock()
+		}()
 		sm.running.Add(1)
 		cellStart := time.Now()
 		defer func() {

@@ -8,6 +8,7 @@ import (
 
 	"github.com/oocsb/ibp/internal/bits"
 	"github.com/oocsb/ibp/internal/core"
+	"github.com/oocsb/ibp/internal/history"
 	"github.com/oocsb/ibp/internal/sim"
 )
 
@@ -58,12 +59,12 @@ func TestTraceSingleFlight(t *testing.T) {
 func sweepGrid() []core.Config {
 	var cfgs []core.Config
 	kinds := []string{"tagless", "assoc2", "fullassoc"}
-	for p := 0; p <= 5; p++ {
+	for p := 0; p <= 9; p++ {
 		for _, kind := range kinds {
 			cfgs = append(cfgs, boundedConfig(p, 0, kind, 256))
 		}
 	}
-	return cfgs // 18 tables > cellTables
+	return cfgs // 30 tables > cellTables
 }
 
 // TestSweepBatchMatchesSequential is the golden guarantee behind every
@@ -76,6 +77,9 @@ func TestSweepBatchMatchesSequential(t *testing.T) {
 	}
 	ctx := tinyContext(t)
 	cfgs := sweepGrid()
+	if cells := planCells(configSpecs(cfgs)); len(cells) < 2 {
+		t.Fatalf("the grid plans %d cell; it must span several", len(cells))
+	}
 	batched, err := ctx.SweepConfigs(cfgs)
 	if err != nil {
 		t.Fatal(err)
@@ -219,25 +223,31 @@ func TestSweepSpecsRejectsInlineShadow(t *testing.T) {
 	}
 }
 
-// cellTableCount is how many tables a planned cell builds: one per distinct
-// configuration its keyed lanes read, and the private ones of the rest.
-func cellTableCount(specs []SweepSpec, cell []int) int {
+// cellTableCount is how many tables a planned cell builds (one per distinct
+// configuration its keyed lanes read, and the private ones of the rest) and
+// how many key tapes it fills: one per distinct history spec of its shared
+// tables.
+func cellTableCount(specs []SweepSpec, cell []int) (tables, keys int) {
 	shared := make(map[core.Config]bool)
-	n := 0
+	specsKeyed := make(map[history.Spec]bool)
 	for _, i := range cell {
-		n += specs[i].private()
+		tables += specs[i].private()
+		keys += specs[i].private()
 		if specs[i].keyed() {
 			for _, cfg := range specs[i].tables() {
 				shared[cfg.Defaults()] = true
+				specsKeyed[cfg.HistorySpec()] = true
 			}
 		}
 	}
-	return n + len(shared)
+	return tables + len(shared), keys + len(specsKeyed)
 }
 
 // TestPlanCells pins how a sweep is cut into cells: a fig17 matrix's 91
-// lanes read 26 distinct tables and build each once; a sharing group larger
-// than a cell is cut so no cell exceeds cellTables; lanes that take
+// lanes read 26 distinct tables of 13 history specs, and one cell builds
+// each table once and keys each spec once (fig17's two matrices fill 26
+// key tapes a branch); a sharing group larger than a cell is cut so no cell
+// exceeds cellBytes of tapes or cellTables tables; lanes that take
 // Kernel.Run share nothing; and lanes built by Mk run last, in the caller's
 // order.
 func TestPlanCells(t *testing.T) {
@@ -264,24 +274,25 @@ func TestPlanCells(t *testing.T) {
 	mixed := []SweepSpec{{Mk: mk}, tableSpec(boundedConfig(3, bits.Reverse, "tagless", 64)), {Mk: mk}}
 
 	for _, tc := range []struct {
-		name   string
-		specs  []SweepSpec
-		tables int // built over all cells
+		name         string
+		specs        []SweepSpec
+		tables, keys int // built and keyed over all cells
 	}{
-		{"fig17", fig17, 26},
-		{"chain", chain, 20},
-		{"private", private, 2},
-		{"mixed", mixed, 3},
+		{"fig17", fig17, 26, 13},
+		{"chain", chain, 20, 20},
+		{"private", private, 2, 2},
+		{"mixed", mixed, 3, 3},
 	} {
 		cells := planCells(tc.specs)
 		var seen []int
-		tables := 0
+		tables, keys := 0, 0
 		for _, cell := range cells {
-			n := cellTableCount(tc.specs, cell)
-			if n > cellTables {
-				t.Errorf("%s: cell %v builds %d tables, more than %d", tc.name, cell, n, cellTables)
+			n, k := cellTableCount(tc.specs, cell)
+			if c := (cellCost{k*tapeKey + n*tapeAnswer, n}); !c.fits() {
+				t.Errorf("%s: cell %v takes %d B of tapes a branch and builds %d tables, more than %d B or %d", tc.name, cell, c.bytes, n, cellBytes, cellTables)
 			}
 			tables += n
+			keys += k
 			seen = append(seen, cell...)
 		}
 		slices.Sort(seen)
@@ -291,8 +302,8 @@ func TestPlanCells(t *testing.T) {
 		switch {
 		case tc.name == "chain" && tables <= tc.tables:
 			t.Errorf("chain: %d tables over %d cells; a 20-table group must be cut", tables, len(cells))
-		case tc.name != "chain" && tables != tc.tables:
-			t.Errorf("%s: cells %v build %d tables, want %d", tc.name, cells, tables, tc.tables)
+		case tc.name != "chain" && (tables != tc.tables || keys != tc.keys):
+			t.Errorf("%s: cells %v build %d tables and fill %d key tapes, want %d and %d", tc.name, cells, tables, keys, tc.tables, tc.keys)
 		}
 	}
 	if got := planCells(mixed); !slices.Equal(got[len(got)-1][1:], []int{0, 2}) {

@@ -32,7 +32,19 @@ type Register struct {
 	colClear uint32        // column holding the exiting target (interleaved schemes)
 	deposit  *depositTable // incoming target's field → pattern bits (interleaved schemes)
 	pat      uint32
+
+	// Rolling hash (see TrackSum): when enabled, sum is Σ Recent(i)·sumMul^i
+	// over the ring, kept on every push in O(1) — the leaving target's term
+	// comes off, the rest shift up one power — so an exact table places a
+	// key without reading the p targets it holds.
+	summed bool
+	sum    uint64
+	sumTop uint64 // sumMul^(p-1), the weight of the oldest target
 }
+
+// sumMul is the rolling hash's base: odd, so each power is invertible and no
+// target's term vanishes.
+const sumMul = 0xff51afd7ed558ccd
 
 // depositTable places the b-bit field of the incoming (youngest) target into
 // its column of an interleaved pattern, one field byte at a time: entry
@@ -112,13 +124,48 @@ func (r *Register) Push(target uint32) {
 	}
 }
 
-// pushRing records target in the ring, leaving the tracked pattern alone.
+// pushRing records target in the ring, and in the rolling hash when that is
+// kept, leaving the tracked pattern alone.
 func (r *Register) pushRing(target uint32) {
 	r.head--
 	if r.head < 0 {
 		r.head = len(r.buf) - 1
 	}
+	if r.summed {
+		// buf[head] still holds the target that leaves.
+		r.sum = (r.sum-uint64(r.buf[r.head])*r.sumTop)*sumMul + uint64(target)
+	}
 	r.buf[r.head] = target
+}
+
+// TrackSum enables the rolling hash Sum. Call it on a freshly created or
+// reset register, or any other: the hash starts from the current contents.
+func (r *Register) TrackSum() {
+	r.summed = true
+	r.sumTop = 1
+	for range max(len(r.buf)-1, 0) {
+		r.sumTop *= sumMul
+	}
+	r.rebuildSum()
+}
+
+// rebuildSum recomputes the rolling hash from the register contents.
+func (r *Register) rebuildSum() {
+	r.sum = 0
+	for i := len(r.buf) - 1; i >= 0; i-- {
+		r.sum = r.sum*sumMul + uint64(r.Recent(i))
+	}
+}
+
+// Sum returns the rolling hash of the register's contents: equal contents
+// give equal sums. It is valid only after TrackSum.
+func (r *Register) Sum() uint64 { return r.sum }
+
+// Path returns the register's contents, most recent target first, as the
+// ring's two pieces: newer, then older. They alias the ring, so they read
+// its contents until the next push.
+func (r *Register) Path() (newer, older []uint32) {
+	return r.buf[r.head:], r.buf[:r.head]
 }
 
 // KeyRun keys a run of indirect branches under s and records their targets,
@@ -223,6 +270,9 @@ func (r *Register) CopyFrom(src *Register) {
 	}
 	copy(r.buf, src.buf)
 	r.head = src.head
+	if r.summed {
+		r.rebuildSum()
+	}
 	if !r.track {
 		return
 	}
@@ -289,6 +339,7 @@ func (r *Register) Reset() {
 	}
 	r.head = 0
 	r.pat = 0
+	r.sum = 0
 }
 
 // File is a set of history registers shared per address region: all branches
@@ -302,6 +353,7 @@ type File struct {
 	regs      map[uint32]*Register
 	spec      Spec // incremental-pattern spec applied to registers (see Track)
 	track     bool
+	summed    bool // registers keep the rolling hash (see TrackSum)
 }
 
 // NewFile returns a history file with sharing parameter s and path length p.
@@ -343,6 +395,18 @@ func (f *File) Track(spec Spec) bool {
 	return true
 }
 
+// TrackSum enables the rolling hash (Register.TrackSum) on every register of
+// the file, present and future.
+func (f *File) TrackSum() {
+	f.summed = true
+	if f.global != nil {
+		f.global.TrackSum()
+	}
+	for _, r := range f.regs {
+		r.TrackSum()
+	}
+}
+
 // Get returns the register used by the branch at pc, creating it on first
 // use.
 func (f *File) Get(pc uint32) *Register {
@@ -355,6 +419,9 @@ func (f *File) Get(pc uint32) *Register {
 		r = NewRegister(f.depth)
 		if f.track {
 			r.Track(f.spec)
+		}
+		if f.summed {
+			r.TrackSum()
 		}
 		f.regs[set] = r
 	}

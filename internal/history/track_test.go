@@ -271,3 +271,41 @@ func TestKeyRunMatchesKeyAndPush(t *testing.T) {
 		}
 	}
 }
+
+// TestRollingSumMatchesContents: the rolling hash a summed register keeps on
+// every push equals the sum computed from its contents, Σ Recent(i)·B^i,
+// across path lengths, resets and copies, so equal contents always place an
+// exact key alike.
+func TestRollingSumMatchesContents(t *testing.T) {
+	rng := rand.New(rand.NewPCG(11, 12))
+	want := func(r *Register) uint64 {
+		var s, pow uint64 = 0, 1
+		for i := 0; i < r.Depth(); i++ {
+			s += uint64(r.Recent(i)) * pow
+			pow *= sumMul
+		}
+		return s
+	}
+	for p := 0; p <= 20; p++ {
+		r := NewRegister(p)
+		r.Push(7) // contents from before the hash is kept
+		r.TrackSum()
+		other := NewRegister(p)
+		other.TrackSum()
+		for i := range 200 {
+			switch i {
+			case 90:
+				r.Reset()
+			case 150:
+				other.CopyFrom(r)
+				if other.Sum() != r.Sum() {
+					t.Fatalf("p=%d: CopyFrom left sum %#x, source %#x", p, other.Sum(), r.Sum())
+				}
+			}
+			r.Push(rng.Uint32())
+			if got, w := r.Sum(), want(r); got != w {
+				t.Fatalf("p=%d, push %d: Sum = %#x, contents give %#x", p, i, got, w)
+			}
+		}
+	}
+}

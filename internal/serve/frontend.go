@@ -82,6 +82,10 @@ type FrontEndConfig struct {
 	// tuner policy of a Hello without its own.
 	Predictor cli.PredictorFlags
 	Policy    tuner.Policy
+	// Build has the handshake build each session's predictor (ibpserved);
+	// without it a handshake only checks and names the predictor (ibprouter,
+	// whose backends build it).
+	Build bool
 	Limits
 	// Pool backs the connection's frame reader, which Open inherits.
 	Pool *trace.BufferPool
@@ -106,9 +110,12 @@ type FrontEndConfig struct {
 // Handshake is a client's Hello resolved against the front end's defaults.
 type Handshake struct {
 	Hello Hello
-	// Predictor is the Hello's predictor or the default, validated; Pred is
-	// built from it.
+	// Predictor is the Hello's predictor or the default, checked to build
+	// (cli.PredictorFlags.CheckBuild); Name is the name of the predictor it
+	// builds, and Pred that predictor when the front end builds them
+	// (FrontEndConfig.Build), else nil.
 	Predictor cli.PredictorFlags
+	Name      string
 	Pred      core.Predictor
 	// Policy is the Hello's tuner policy, parsed, or the default.
 	Policy tuner.Policy
@@ -121,10 +128,7 @@ type Handshake struct {
 // NewFrontEnd checks that the default predictor builds and returns an idle
 // front end; Serve starts it.
 func NewFrontEnd(cfg FrontEndConfig) (*FrontEnd, error) {
-	if err := cfg.Predictor.Validate(); err != nil {
-		return nil, fmt.Errorf("default predictor: %w", err)
-	}
-	if _, err := cfg.Predictor.Build(); err != nil {
+	if err := cfg.Predictor.CheckBuild(); err != nil {
 		return nil, fmt.Errorf("default predictor: %w", err)
 	}
 	return &FrontEnd{cfg: cfg}, nil
@@ -140,7 +144,7 @@ func (fe *FrontEnd) Sessions() *sessiontrack.Registry { return fe.cfg.Sessions }
 func (fe *FrontEnd) AckHello(h Handshake, id uint64) []byte {
 	return marshalJSON(HelloAck{
 		Session:         id,
-		Predictor:       h.Pred.Name(),
+		Predictor:       h.Name,
 		Window:          h.Window,
 		MaxFramePayload: fe.cfg.MaxFramePayload,
 		MaxFrameRecords: fe.cfg.MaxFrameRecords,
@@ -347,11 +351,16 @@ func (fe *FrontEnd) handshake(fr *trace.FrameReader) (Handshake, *WireError) {
 	if h.Hello.Predictor != nil {
 		h.Predictor = *h.Hello.Predictor
 	}
-	if err := h.Predictor.Validate(); err != nil {
+	// CheckBuild refuses every spec Build would, so both daemons refuse
+	// the same Hellos whether or not they build the predictor.
+	if err := h.Predictor.CheckBuild(); err != nil {
 		return badHello(err.Error())
 	}
-	if h.Pred, err = h.Predictor.Build(); err != nil {
-		return badHello(err.Error())
+	h.Name = h.Predictor.Name()
+	if fe.cfg.Build {
+		if h.Pred, err = h.Predictor.Build(); err != nil {
+			return badHello(err.Error())
+		}
 	}
 	if h.Hello.Warmup < 0 {
 		return badHello("negative warmup")

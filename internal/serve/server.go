@@ -90,6 +90,7 @@ func New(cfg Config) (*Server, error) {
 	fe, err := NewFrontEnd(FrontEndConfig{
 		Predictor: cfg.Predictor,
 		Policy:    cfg.Tuner.DefaultPolicy(),
+		Build:     true,
 		Limits:    cfg.Limits,
 		Pool:      s.pool,
 		Flight:    cfg.Flight,

@@ -192,9 +192,9 @@ type keyedLane struct {
 // tables' and is counted through the same counts.account. It reports the
 // panic of a table the lane reads instead, the lane's own failure.
 //
-// The default case serves any lane. The plain table and the two-table
-// hybrid, which are nearly every lane of the paper's grids, each get the
-// same loop unrolled: at 80,000 branches on a 2-vCPU x86 VM, fig17 took
+// The default case serves any lane. The plain table, the two-table hybrid
+// and the plain table with a shadow, which are nearly every lane of the
+// paper's grids, each get the same loop unrolled: at 80,000 branches on a 2-vCPU x86 VM, fig17 took
 // 2.0-2.2 s with the default case alone against 1.6-1.7 s, and tableA1
 // 20-23 s against 15-17.5 s; a vote taken tape by tape into a scratch tape
 // did not win that back.
@@ -221,6 +221,13 @@ func (kl *keyedLane) run(k *Kernel, n int) error {
 		for j, a := range first {
 			a = a.Offer(second[j])
 			c = c.account(!a.Correct(), a.Predicted(), false)
+		}
+	case len(kl.votes) == 1 && len(kl.svotes) == 1:
+		// A plain table with its unbounded shadow (§5.1's capacity-miss
+		// attribution): two answers per branch, no vote.
+		shadow := kl.svotes[0][skip:n]
+		for j, a := range kl.votes[0][skip:n] {
+			c = c.account(!a.Correct(), a.Predicted(), shadow[j].Correct())
 		}
 	default:
 		for j := skip; j < n; j++ {

@@ -100,13 +100,13 @@ func TestUnboundedStats(t *testing.T) {
 		t.Errorf("unbounded64 reset: %+v", s)
 	}
 
-	str := NewUnboundedStr()
-	e, hit := str.ProbeOrInsert([]byte("abc"))
+	ex := NewExact(1)
+	e, hit := ex.ProbeOrInsert(&ExactKey{Hash: 1, Newer: []uint32{7}})
 	if hit || e == nil {
 		t.Fatal("fresh key must miss")
 	}
-	if s := str.Stats(); s.Inserts != 1 || s.Kind != "exact" || s.Capacity != -1 {
-		t.Errorf("unboundedStr: %+v", s)
+	if s := ex.Stats(); s.Inserts != 1 || s.Kind != "exact" || s.Capacity != -1 {
+		t.Errorf("exact: %+v", s)
 	}
 }
 

@@ -9,6 +9,8 @@ package table
 import (
 	"fmt"
 	"math/bits"
+	"strconv"
+	"strings"
 )
 
 // Entry is one target-table entry. Beyond the predicted target it carries
@@ -26,9 +28,9 @@ type Entry struct {
 	// §8.1 run-ahead extension); zero when unknown.
 	Next uint32
 	// gen stamps the generation of the owning table (Tagless, SetAssoc,
-	// Unbounded64) that wrote the entry: those tables reset in O(1) by
-	// bumping their generation, which makes every older entry read as
-	// invalid. FullAssoc and UnboundedStr leave it zero.
+	// Unbounded64, Exact) that wrote the entry: those tables reset in O(1)
+	// by bumping their generation, which makes every older entry read as
+	// invalid. FullAssoc leaves it zero.
 	gen   uint32
 	valid bool
 	// Hyst is the hysteresis state of the two-miss update rule: nonzero
@@ -177,9 +179,18 @@ type Bounded interface {
 	Counts() (inserts, evictions, resets uint64)
 }
 
-func checkPow2(n int, what string) {
+// checkPow2 reports a size that is not a positive power of two.
+func checkPow2(n int, what string) error {
 	if n <= 0 || n&(n-1) != 0 {
-		panic(fmt.Sprintf("table: %s must be a positive power of two, got %d", what, n))
+		return fmt.Errorf("table: %s must be a positive power of two, got %d", what, n)
+	}
+	return nil
+}
+
+// must panics with a constructor's argument error.
+func must(err error) {
+	if err != nil {
+		panic(err.Error())
 	}
 }
 
@@ -209,7 +220,7 @@ func (c *counters) counts() (inserts, evictions, resets uint64) {
 // NewTagless returns a tagless table with the given number of entries
 // (a power of two).
 func NewTagless(entries int) *Tagless {
-	checkPow2(entries, "entries")
+	must(Check("tagless", entries))
 	return &Tagless{slots: make([]Entry, entries), mask: uint64(entries - 1)}
 }
 
@@ -298,29 +309,26 @@ func (t *Tagless) Stats() Stats {
 // recency order (index 0 most recent), which is cheap for the small
 // associativities the paper studies (1, 2, 4).
 type SetAssoc struct {
-	ways      int
-	indexBits int
-	mask      uint64
-	slots     []Entry // sets * ways, set-major
-	gen       uint32
-	live      int // ways holding an entry of the current generation
-	stats     counters
+	ways    int
+	wayBits uint // log2(ways): a set starts at its index shifted by wayBits
+	mask    uint64
+	slots   []Entry // sets * ways, set-major
+	gen     uint32
+	live    int // ways holding an entry of the current generation
+	stats   counters
 }
 
 // NewSetAssoc returns a table with the given total entries (power of two)
 // and associativity (power of two, dividing entries).
 func NewSetAssoc(entries, ways int) *SetAssoc {
-	checkPow2(entries, "entries")
-	checkPow2(ways, "ways")
-	if ways > entries {
-		panic(fmt.Sprintf("table: ways %d exceeds entries %d", ways, entries))
-	}
+	must(checkPow2(entries, "entries"))
+	must(checkWays(ways, entries))
 	sets := entries / ways
 	return &SetAssoc{
-		ways:      ways,
-		indexBits: bits.TrailingZeros(uint(sets)),
-		mask:      uint64(sets - 1),
-		slots:     make([]Entry, entries),
+		ways:    ways,
+		wayBits: uint(bits.TrailingZeros(uint(ways))),
+		mask:    uint64(sets - 1),
+		slots:   make([]Entry, entries),
 	}
 }
 
@@ -329,7 +337,7 @@ func (t *SetAssoc) Ways() int { return t.ways }
 
 // set returns the slice of ways for key's set.
 func (t *SetAssoc) set(key uint64) []Entry {
-	i := int(key&t.mask) * t.ways
+	i := int(key&t.mask) << t.wayBits
 	return t.slots[i : i+t.ways]
 }
 
@@ -355,46 +363,82 @@ func (t *SetAssoc) Probe(key uint64) *Entry {
 func (t *SetAssoc) Insert(key uint64) *Entry {
 	set := t.set(key)
 	victim := set[t.ways-1]
-	t.stats.inserts++
-	if victim.valid && victim.gen == t.gen {
-		t.stats.evictions++
-	} else {
-		t.live++
-	}
 	copy(set[1:], set[:t.ways-1])
 	set[0] = victim
-	set[0].reset(key)
-	set[0].gen = t.gen
-	return &set[0]
+	return t.claim(&set[0], key)
 }
 
 // ProbeOrInsert implements Bounded: one walk of the set either promotes the
 // hit to most-recently-used (as Probe would) or claims the LRU way (as
-// Insert would).
+// Insert would). A hit on the most recently used way, the common case,
+// returns at once and inlines into the caller's loop; the rest of the walk
+// is walk's.
 func (t *SetAssoc) ProbeOrInsert(key uint64) (*Entry, bool) {
-	set := t.set(key)
-	for i := range set {
-		if set[i].key == key && set[i].valid && set[i].gen == t.gen {
-			if i != 0 {
-				hit := set[i]
-				copy(set[1:i+1], set[:i])
-				set[0] = hit
-			}
+	i := int(key&t.mask) << t.wayBits
+	if e := &t.slots[i]; t.holds(e, key) {
+		return e, true
+	}
+	return t.walk(i, key)
+}
+
+// walk is ProbeOrInsert past the set's first way, for the set at slots[i:].
+// The paper's 2-way and 4-way sets take a walk of their own, which moves a
+// hit or the LRU victim to the front by assignment.
+func (t *SetAssoc) walk(i int, key uint64) (*Entry, bool) {
+	switch t.ways {
+	case 2:
+		s := (*[2]Entry)(t.slots[i:])
+		s[0], s[1] = s[1], s[0]
+		if t.holds(&s[0], key) {
+			return &s[0], true
+		}
+		return t.claim(&s[0], key), false
+	case 4:
+		s := (*[4]Entry)(t.slots[i:])
+		switch {
+		case t.holds(&s[1], key):
+			s[0], s[1] = s[1], s[0]
+			return &s[0], true
+		case t.holds(&s[2], key):
+			s[0], s[1], s[2] = s[2], s[0], s[1]
+			return &s[0], true
+		}
+		hit := t.holds(&s[3], key)
+		s[0], s[1], s[2], s[3] = s[3], s[0], s[1], s[2]
+		if hit {
+			return &s[0], true
+		}
+		return t.claim(&s[0], key), false
+	}
+	set := t.slots[i : i+t.ways]
+	for j := 1; j < len(set); j++ {
+		if t.holds(&set[j], key) {
+			hit := set[j]
+			copy(set[1:j+1], set[:j])
+			set[0] = hit
 			return &set[0], true
 		}
 	}
-	victim := set[t.ways-1]
+	return t.Insert(key), false
+}
+
+// holds reports whether e is key's live entry.
+func (t *SetAssoc) holds(e *Entry, key uint64) bool {
+	return e.key == key && e.valid && e.gen == t.gen
+}
+
+// claim makes e, the LRU way of its set, which has just moved to the front,
+// key's entry, counting the insertion.
+func (t *SetAssoc) claim(e *Entry, key uint64) *Entry {
 	t.stats.inserts++
-	if victim.valid && victim.gen == t.gen {
+	if e.valid && e.gen == t.gen {
 		t.stats.evictions++
 	} else {
 		t.live++
 	}
-	copy(set[1:], set[:t.ways-1])
-	set[0] = victim
-	set[0].reset(key)
-	set[0].gen = t.gen
-	return &set[0], false
+	e.reset(key)
+	e.gen = t.gen
+	return e
 }
 
 // Victim implements Bounded.
@@ -488,9 +532,7 @@ const minFullAssoc = 8
 // NewFullAssoc returns a fully-associative LRU table with the given
 // capacity in entries (any positive count).
 func NewFullAssoc(entries int) *FullAssoc {
-	if entries <= 0 {
-		panic(fmt.Sprintf("table: capacity must be positive, got %d", entries))
-	}
+	must(Check("fullassoc", entries))
 	return &FullAssoc{
 		capacity: entries,
 		mru:      -1,
@@ -817,75 +859,234 @@ func (t *Unbounded64) Stats() Stats {
 // per path length, §5.1).
 func (t *Unbounded64) Len() int { return t.n }
 
-// UnboundedStr is the unbounded table over exact byte-string keys used by
-// the §3 full-precision predictors, where keys (selector + p full targets)
-// exceed 64 bits.
-type UnboundedStr struct {
-	m     map[string]*Entry
+// ExactKey is a key of an Exact table: the table selector followed by a
+// path of targets, most recent first, which a history ring holds as two
+// pieces (Newer, then Older). Hash is any function of the key that equal keys
+// share; the table places keys by it and confirms every hit by comparing the
+// whole key, so two keys never share an entry however their hashes collide.
+type ExactKey struct {
+	Hash         uint64
+	Sel          uint32
+	Newer, Older []uint32
+}
+
+// Exact is the unbounded table over exact keys used by the §3
+// full-precision predictors, where a key (selector + p full targets) exceeds
+// 64 bits. It is Unbounded64 with wide keys: entries live inline in one
+// power-of-two array, placed by Fibonacci hashing of the key's Hash with
+// linear probing, each slot's key field holding that Hash, and the keys
+// themselves live in a parallel arena of fixed-width words. Neither array
+// holds a pointer, so the collector never scans them. The array doubles at
+// 3/4 load; Reset is O(1) by generation bump, and a refill to an earlier size
+// allocates nothing.
+type Exact struct {
+	width int      // key words: the selector and the path's targets
+	slots []Entry  // a live slot's key field is its key's Hash
+	keys  []uint32 // keys[i*width:][:width] is slot i's key
+	shift uint     // fibHash shift for len(slots)
+	n     int      // live entries
+	gen   uint32   // generation of the live entries; never 0, so zeroed slots read as empty
 	stats counters
 }
 
-// NewUnboundedStr returns an empty table.
-func NewUnboundedStr() *UnboundedStr {
-	return &UnboundedStr{m: make(map[string]*Entry)}
+// NewExact returns an empty table for keys of a selector and pathLen
+// targets.
+func NewExact(pathLen int) *Exact {
+	if pathLen < 0 {
+		panic(fmt.Sprintf("table: negative exact path length %d", pathLen))
+	}
+	w := pathLen + 1
+	return &Exact{
+		width: w,
+		slots: make([]Entry, minUnbounded),
+		keys:  make([]uint32, minUnbounded*w),
+		shift: hashShift(minUnbounded),
+		gen:   1,
+	}
 }
 
-// Probe returns the entry for key or nil. The []byte key avoids allocation
-// on lookups.
-func (t *UnboundedStr) Probe(key []byte) *Entry { return t.m[string(key)] }
-
-// Insert allocates an entry for key.
-func (t *UnboundedStr) Insert(key []byte) *Entry {
-	t.stats.inserts++
-	e := t.m[string(key)]
-	if e == nil {
-		e = &Entry{}
-		t.m[string(key)] = e
+// find returns the slot holding k, or the empty slot where its probe ended;
+// the slot is live (gen == t.gen) exactly when k is present.
+func (t *Exact) find(k *ExactKey) int {
+	mask := uint64(len(t.slots) - 1)
+	for i := fibHash(k.Hash, t.shift); ; i = (i + 1) & mask {
+		e := &t.slots[i]
+		if e.gen != t.gen || e.key == k.Hash && t.holds(int(i), k) {
+			return int(i)
+		}
 	}
-	e.reset(0)
+}
+
+// holds reports whether slot i's key is k.
+func (t *Exact) holds(i int, k *ExactKey) bool {
+	w := t.keys[i*t.width:][:t.width]
+	if w[0] != k.Sel || len(k.Newer)+len(k.Older) != t.width-1 {
+		return false
+	}
+	w = w[1:]
+	for j, v := range k.Newer {
+		if w[j] != v {
+			return false
+		}
+	}
+	w = w[len(k.Newer):]
+	for j, v := range k.Older {
+		if w[j] != v {
+			return false
+		}
+	}
+	return true
+}
+
+// claim makes slot i, the empty slot find returned for k, k's entry and
+// stores k's words, doubling the arrays first if the insertion would pass
+// 3/4 load.
+func (t *Exact) claim(i int, k *ExactKey) *Entry {
+	if 4*(t.n+1) > 3*len(t.slots) {
+		t.grow()
+		i = t.find(k)
+	}
+	t.n++
+	t.stats.inserts++
+	w := t.keys[i*t.width:][:t.width]
+	w[0] = k.Sel
+	copy(w[1+copy(w[1:], k.Newer):], k.Older)
+	e := &t.slots[i]
+	e.reset(k.Hash)
+	e.gen = t.gen
 	return e
 }
 
-// ProbeOrInsert returns the existing entry for key (found=true) or allocates
-// a fresh one (found=false) with a single map lookup on the hit path. The
-// map is indexed by string(key) directly so probes never allocate; only a
-// genuine insertion materializes the key string.
-func (t *UnboundedStr) ProbeOrInsert(key []byte) (*Entry, bool) {
-	if e := t.m[string(key)]; e != nil {
+// grow doubles the arrays and moves every live entry, with its key, to its
+// place in them. Live keys are distinct, so a move compares hashes only.
+func (t *Exact) grow() {
+	oldSlots, oldKeys := t.slots, t.keys
+	t.slots = make([]Entry, 2*len(oldSlots))
+	t.keys = make([]uint32, len(t.slots)*t.width)
+	t.shift = hashShift(len(t.slots))
+	mask := uint64(len(t.slots) - 1)
+	for i := range oldSlots {
+		if oldSlots[i].gen != t.gen {
+			continue
+		}
+		j := fibHash(oldSlots[i].key, t.shift)
+		for t.slots[j].gen == t.gen {
+			j = (j + 1) & mask
+		}
+		t.slots[j] = oldSlots[i]
+		copy(t.keys[int(j)*t.width:][:t.width], oldKeys[i*t.width:])
+	}
+}
+
+// Probe returns the entry for k, or nil.
+func (t *Exact) Probe(k *ExactKey) *Entry {
+	if e := &t.slots[t.find(k)]; e.gen == t.gen {
+		return e
+	}
+	return nil
+}
+
+// Insert allocates an entry for k, resetting the one k already has.
+func (t *Exact) Insert(k *ExactKey) *Entry {
+	e, found := t.ProbeOrInsert(k)
+	if found {
+		t.stats.inserts++
+		e.reset(k.Hash)
+	}
+	return e
+}
+
+// ProbeOrInsert returns the existing entry for k (found=true) or allocates a
+// fresh one (found=false) with a single probe of the array. Only an
+// insertion writes the key's words.
+func (t *Exact) ProbeOrInsert(k *ExactKey) (*Entry, bool) {
+	i := t.find(k)
+	if e := &t.slots[i]; e.gen == t.gen {
 		return e, true
 	}
-	e := &Entry{}
-	e.reset(0)
-	t.m[string(key)] = e
-	t.stats.inserts++
-	return e, false
+	return t.claim(i, k), false
 }
 
 // Len returns the number of patterns stored.
-func (t *UnboundedStr) Len() int { return len(t.m) }
+func (t *Exact) Len() int { return t.n }
 
-// Reset clears the table.
-func (t *UnboundedStr) Reset() {
-	clear(t.m)
+// Reset clears the table in O(1) by generation bump, keeping the arrays
+// (see FullAssoc.Reset for the wrap).
+func (t *Exact) Reset() {
+	t.n = 0
 	t.stats.resets++
+	t.gen++
+	if t.gen == 0 {
+		clear(t.slots)
+		t.gen = 1
+	}
 }
 
 // Counts returns the raw behaviour counters (see Bounded.Counts).
-func (t *UnboundedStr) Counts() (inserts, evictions, resets uint64) { return t.stats.counts() }
+func (t *Exact) Counts() (inserts, evictions, resets uint64) { return t.stats.counts() }
 
 // Stats reports the exact table's behaviour counters (it is not a Bounded,
 // but predictors aggregate its stats the same way).
-func (t *UnboundedStr) Stats() Stats {
+func (t *Exact) Stats() Stats {
 	return Stats{
 		Kind: "exact", Capacity: -1, Occupancy: 1,
 		Inserts: t.stats.inserts, Resets: t.stats.resets,
 	}
 }
 
+// Check reports whether New(kind, entries) would build a table, without
+// building one: an unknown kind, or a size the organization cannot take.
+// Constructors panic on what Check rejects, so code that takes a kind and
+// size from a user checks them here first.
+func Check(kind string, entries int) error {
+	switch kind {
+	case "unbounded":
+		return nil
+	case "tagless":
+		return checkPow2(entries, "entries")
+	case "fullassoc":
+		if entries <= 0 {
+			return fmt.Errorf("table: fullassoc capacity must be positive, got %d", entries)
+		}
+		return nil
+	}
+	ways, ok := assocWays(kind)
+	if !ok {
+		return fmt.Errorf("table: unknown kind %q", kind)
+	}
+	if err := checkPow2(entries, "entries"); err != nil {
+		return err
+	}
+	return checkWays(ways, entries)
+}
+
+// assocWays parses the associativity of an "assoc<n>" kind, n written as
+// Kind writes it.
+func assocWays(kind string) (int, bool) {
+	n, ok := strings.CutPrefix(kind, "assoc")
+	ways, err := strconv.Atoi(n)
+	if !ok || err != nil || ways <= 0 || strconv.Itoa(ways) != n {
+		return 0, false
+	}
+	return ways, true
+}
+
+// checkWays reports an associativity a table of entries cannot have.
+func checkWays(ways, entries int) error {
+	if ways <= 0 || ways&(ways-1) != 0 || ways > entries {
+		return fmt.Errorf("table: invalid associativity %d for %d entries", ways, entries)
+	}
+	return nil
+}
+
 // New returns a Bounded table of the named organization: "tagless",
 // "assoc1", "assoc2", "assoc4" (or any assoc<2^k>), "fullassoc", or
-// "unbounded". It is the string form accepted by the CLI tools.
+// "unbounded". It is the string form accepted by the CLI tools, and it
+// returns what Check rejects as an error.
 func New(kind string, entries int) (Bounded, error) {
+	if err := Check(kind, entries); err != nil {
+		return nil, err
+	}
 	switch kind {
 	case "tagless":
 		return NewTagless(entries), nil
@@ -894,12 +1095,6 @@ func New(kind string, entries int) (Bounded, error) {
 	case "unbounded":
 		return NewUnbounded64(), nil
 	}
-	var ways int
-	if _, err := fmt.Sscanf(kind, "assoc%d", &ways); err == nil && ways > 0 {
-		if ways&(ways-1) != 0 || ways > entries {
-			return nil, fmt.Errorf("table: invalid associativity %d for %d entries", ways, entries)
-		}
-		return NewSetAssoc(entries, ways), nil
-	}
-	return nil, fmt.Errorf("table: unknown kind %q", kind)
+	ways, _ := assocWays(kind)
+	return NewSetAssoc(entries, ways), nil
 }

@@ -233,29 +233,32 @@ func TestUnbounded64NeverEvicts(t *testing.T) {
 	}
 }
 
-func TestUnboundedStr(t *testing.T) {
-	tb := NewUnboundedStr()
-	k1, k2 := []byte("abc"), []byte("abd")
+func TestExact(t *testing.T) {
+	tb := NewExact(3)
+	path := []uint32{1, 2, 3}
+	k1 := &ExactKey{Hash: 5, Sel: 9, Newer: path[:1], Older: path[1:]}
+	k2 := &ExactKey{Hash: 5, Sel: 9, Newer: []uint32{1, 2}, Older: []uint32{4}} // same hash, other key
 	if tb.Probe(k1) != nil {
 		t.Fatal("empty probe hit")
 	}
 	tb.Insert(k1).Target = 7
 	if tb.Probe(k2) != nil {
-		t.Error("distinct key hit")
+		t.Error("distinct key with an equal hash hit")
 	}
-	if got := tb.Probe(k1); got == nil || got.Target != 7 {
+	// The same key split at another ring position is the same key.
+	if got := tb.Probe(&ExactKey{Hash: 5, Sel: 9, Newer: path, Older: nil}); got == nil || got.Target != 7 {
 		t.Errorf("probe: %+v", got)
 	}
-	// Mutating the key slice after insert must not corrupt the table.
-	k1[0] = 'z'
-	if got := tb.Probe([]byte("abc")); got == nil || got.Target != 7 {
+	// Mutating the path after insert must not corrupt the table.
+	path[0] = 99
+	if got := tb.Probe(&ExactKey{Hash: 5, Sel: 9, Newer: []uint32{1, 2, 3}}); got == nil || got.Target != 7 {
 		t.Error("table aliased caller's key buffer")
 	}
 	if tb.Len() != 1 {
 		t.Errorf("Len = %d", tb.Len())
 	}
 	tb.Reset()
-	if tb.Len() != 0 {
+	if tb.Len() != 0 || tb.Probe(&ExactKey{Hash: 5, Sel: 9, Newer: []uint32{1, 2, 3}}) != nil {
 		t.Error("Reset did not clear")
 	}
 }

@@ -20,7 +20,7 @@ go build -o "$dir/ibpload" ./cmd/ibpload
 B1=$!
 "$dir/ibpserved" -addr 127.0.0.1:19771 -tag b2 -log warn &
 B2=$!
-"$dir/ibprouter" -addr 127.0.0.1:19780 \
+"$dir/ibprouter" -addr 127.0.0.1:19780 -metrics 127.0.0.1:19781 \
   -backends 127.0.0.1:19770,127.0.0.1:19771 \
   -probe 250ms -fails 2 -log warn \
   -summaryjson "$dir/router-summary.json" &
@@ -33,8 +33,23 @@ trap cleanup EXIT
 sleep 1
 
 # Small frames keep each session streaming long enough for the kill to land
-# mid-session; the killer waits until the load is in full flight.
-( sleep 2; echo "failover_smoke: SIGKILL backend b1 (pid $B1)"; kill -KILL "$B1" ) &
+# mid-session; the killer waits until the load is in full flight, then kills
+# whichever backend carries the most live sessions, as the router's
+# /sessions/local reports them, so the kill always cuts sessions mid-stream
+# wherever the router placed them.
+(
+  sleep 2
+  victim=$(curl -fsS 127.0.0.1:19781/sessions/local | python3 -c '
+import collections, json, sys
+live = collections.Counter(s.get("backend") for s in json.load(sys.stdin)["sessions"])
+live.pop(None, None)
+print(live.most_common(1)[0][0] if live else "")')
+  if [ "$victim" = 127.0.0.1:19771 ]; then
+    echo "failover_smoke: SIGKILL backend b2 (pid $B2)"; kill -KILL "$B2"
+  else
+    echo "failover_smoke: SIGKILL backend b1 (pid $B1)"; kill -KILL "$B1"
+  fi
+) &
 KILLER=$!
 
 "$dir/ibpload" -addr 127.0.0.1:19780 -router -bench all -n 60000 -frame 128 \

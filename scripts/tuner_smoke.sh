@@ -53,15 +53,39 @@ cleanup() {
 trap cleanup EXIT
 sleep 1
 
-# Run 1: the suite through the tuned fleet, with b1 SIGKILLed mid-run. The
-# pinned policy escalates every real workload (their miss rates are far
-# above 2%), so the kill lands on sessions that already hot-swapped and the
-# replacement backend must reproduce the swaps from the journal alone.
-( sleep 2; echo "tuner_smoke: SIGKILL backend b1 (pid $B1)"; kill -KILL "$B1" ) &
+# Run 1: the suite through the tuned fleet, with one backend SIGKILLed
+# mid-run: whichever carries the most live sessions at the 2 s mark, as the
+# router's /sessions/local reports them, so the kill always cuts sessions
+# wherever the router placed them. The pinned policy escalates every real
+# workload (their miss rates are far above 2%), so the kill lands on
+# sessions that already hot-swapped and the replacement backend must
+# reproduce the swaps from the journal alone. The other backend is the
+# survivor the rest of the script reads.
+(
+  sleep 2
+  victim=$(curl -fsS "http://$ROUTER_METRICS/sessions/local" | python3 -c '
+import collections, json, sys
+live = collections.Counter(s.get("backend") for s in json.load(sys.stdin)["sessions"])
+live.pop(None, None)
+print(live.most_common(1)[0][0] if live else "")')
+  if [ "$victim" = "$B2_ADDR" ]; then
+    echo b1 > "$dir/survivor"
+    echo "tuner_smoke: SIGKILL backend b2 (pid $B2)"; kill -KILL "$B2"
+  else
+    echo b2 > "$dir/survivor"
+    echo "tuner_smoke: SIGKILL backend b1 (pid $B1)"; kill -KILL "$B1"
+  fi
+) &
 KILLER=$!
 "$dir/ibpload" -addr "$ROUTER_ADDR" -router -bench all -n 60000 -frame 128 \
   -conns 8 -json > "$dir/load-report.json"
 wait "$KILLER"
+survivor=$(cat "$dir/survivor")
+if [ "$survivor" = b1 ]; then
+  SURV=$B1 SURV_METRICS=$B1_METRICS
+else
+  SURV=$B2 SURV_METRICS=$B2_METRICS
+fi
 
 # Run 2: the identical load against the degraded fleet. Determinism demands
 # summaries bit-identical to run 1 — same escalations at the same windows —
@@ -76,14 +100,14 @@ wait "$KILLER"
 LOAD=$!
 retuned=""
 for _ in $(seq 100); do
-  id=$(curl -fsS "http://$B2_METRICS/sessions" 2>/dev/null | python3 -c '
+  id=$(curl -fsS "http://$SURV_METRICS/sessions" 2>/dev/null | python3 -c '
 import json, sys
 for s in json.load(sys.stdin)["sessions"]:
     if s["kind"] == "serve" and s["state"] == "active":
         print(s["id"]); break
 ' || true)
   if [ -n "$id" ]; then
-    ok=$(curl -fsS -X POST "http://$B2_METRICS/sessions/$id/retune" | python3 -c \
+    ok=$(curl -fsS -X POST "http://$SURV_METRICS/sessions/$id/retune" | python3 -c \
       'import json,sys; print(json.load(sys.stdin)["ok"])' || echo False)
     if [ "$ok" = "True" ]; then retuned="yes"; break; fi
   fi
@@ -94,16 +118,16 @@ wait "$LOAD"
 
 # Drain the fleet so the backend summaries (with tuner_* metrics) flush.
 kill -TERM "$ROUTER"; wait "$ROUTER"
-kill -TERM "$B2"
-for _ in $(seq 100); do kill -0 "$B2" 2>/dev/null || break; sleep 0.1; done
+kill -TERM "$SURV"
+for _ in $(seq 100); do kill -0 "$SURV" 2>/dev/null || break; sleep 0.1; done
 
-python3 - "$dir" <<'EOF'
+python3 - "$dir" "$survivor" <<'EOF'
 import json, sys
-dir = sys.argv[1]
+dir, survivor = sys.argv[1], sys.argv[2]
 run1 = json.load(open(f"{dir}/load-report.json"))
 run2 = json.load(open(f"{dir}/load-report2.json"))
 router = json.load(open(f"{dir}/router-summary.json"))
-b2 = json.load(open(f"{dir}/b2-summary.json"))
+surv = json.load(open(f"{dir}/{survivor}-summary.json"))
 
 assert run1["failed"] == 0, f'run 1 lost sessions: {run1["failed"]}'
 assert run2["failed"] == 0, f'run 2 lost sessions: {run2["failed"]}'
@@ -120,7 +144,7 @@ for name, a in by1.items():
     for k in ("predictor", "executed", "misses", "missRate"):
         assert a[k] == b[k], f"{name}: {k} diverged across runs: {a[k]} vs {b[k]}"
 
-metrics = b2.get("metrics") or {}
+metrics = surv.get("metrics") or {}
 assert metrics.get("tuner_escalations_total", 0) >= 1, "survivor counted no escalations"
 assert metrics.get("tuner_swap_failed_total", 0) == 0, "a swap failed"
 rmetrics = router.get("metrics") or {}
