@@ -125,8 +125,9 @@ type report struct {
 	LatencyP99  float64       `json:"frameLatencyP99Ms"`
 	LatencyP999 float64       `json:"frameLatencyP999Ms"`
 	// Hops breaks the client's view of a frame's life into its local
-	// stages: window-wait (backpressure before the send), write (socket
-	// flush), and rtt (send to ack).
+	// stages: window-wait (backpressure before the send, with the flush of
+	// the frames buffered before it), write (encode and buffered write),
+	// and rtt (send to ack); see serve.FrameTiming.
 	Hops           map[string]hopStats `json:"hops,omitempty"`
 	Failed         int                 `json:"failed"`
 	Failovers      int                 `json:"failovers"`
@@ -134,7 +135,7 @@ type report struct {
 }
 
 func realMain(o options, stdout io.Writer) error {
-	if err := o.pf.Validate(); err != nil {
+	if err := o.pf.CheckBuild(); err != nil {
 		return err
 	}
 	if err := cli.ValidateSeed(o.seed); err != nil {

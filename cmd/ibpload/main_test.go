@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"net"
 	"strings"
@@ -123,5 +124,26 @@ func TestLoadRouterModeRejectsPlainServer(t *testing.T) {
 	}
 	if msg := rep.Benchmarks[0].Err; !strings.Contains(msg, "no router placement info") {
 		t.Errorf("session error %q, want the no-router-placement error", msg)
+	}
+}
+
+// TestUnbuildablePredictorIsFlagError: -p 64 with the default unbounded
+// table passes Validate, but every server would refuse the Hello. ibpload
+// must refuse it before it dials, as a *cli.FlagError that names its flag.
+func TestUnbuildablePredictorIsFlagError(t *testing.T) {
+	pf := defaultPredictor(t)
+	pf.Path = 64
+	o := options{
+		addr: "127.0.0.1:1", conns: 1, bench: "gcc", n: 2000, frame: 512,
+		timeout: time.Second, seed: 1, asJSON: true, pf: pf,
+	}
+	var out bytes.Buffer
+	err := realMain(o, &out)
+	var fe *cli.FlagError
+	if !errors.As(err, &fe) || !strings.Contains(err.Error(), "-"+fe.Flag) {
+		t.Fatalf("-p 64 with the unbounded table: %v, want a *cli.FlagError naming its flag", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("a refused predictor still wrote a report:\n%s", out.String())
 	}
 }

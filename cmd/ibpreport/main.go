@@ -150,7 +150,7 @@ func buildReport(o options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := o.pf.Validate(); err != nil {
+	if err := o.pf.CheckBuild(); err != nil {
 		return nil, err
 	}
 	probe, err := o.pf.Build()

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -229,5 +230,18 @@ func TestBadReportOptions(t *testing.T) {
 	o.format = "nonesuch"
 	if err := realMain(o); err == nil {
 		t.Error("unknown format accepted")
+	}
+}
+
+// TestUnbuildablePredictorIsFlagError: -p 64 with the default unbounded
+// table passes Validate but not Build; the report must refuse it up front
+// as a *cli.FlagError that names its flag.
+func TestUnbuildablePredictorIsFlagError(t *testing.T) {
+	o := reportOpts()
+	o.pf.Path, o.pf.Table, o.pf.Entries = 64, "unbounded", 0
+	_, err := buildReport(o)
+	var fe *cli.FlagError
+	if !errors.As(err, &fe) || !strings.Contains(err.Error(), "-"+fe.Flag) {
+		t.Fatalf("-p 64 with the unbounded table: %v, want a *cli.FlagError naming its flag", err)
 	}
 }

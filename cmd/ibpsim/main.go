@@ -81,6 +81,9 @@ func realMain(o options) error {
 		return err
 	}
 	log := telemetry.NewLogger(os.Stderr, level)
+	if err := o.pf.CheckBuild(); err != nil {
+		return err
+	}
 	if o.stats {
 		// Table snapshots on Results come from the telemetry layer.
 		telemetry.Enable(nil)
@@ -117,9 +120,6 @@ func realMain(o options) error {
 		}{cfg.Name, cfg.MustGenerate(o.n)})
 	}
 
-	if err := o.pf.Validate(); err != nil {
-		return err
-	}
 	probe, err := o.pf.Build()
 	if err != nil {
 		return err

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -159,6 +160,20 @@ func TestBadTableConfig(t *testing.T) {
 	o.pf.Entries = 64
 	if err := realMain(o); err == nil {
 		t.Fatal("unknown table kind accepted")
+	}
+}
+
+// TestUnbuildablePredictorIsFlagError: -p 64 with the default unbounded
+// table passes Validate, but the auto precision rule leaves no bits per
+// target and full precision needs -table exact. It must fail before any
+// trace is built, as a *cli.FlagError that names its flag.
+func TestUnbuildablePredictorIsFlagError(t *testing.T) {
+	o := baseOpts()
+	o.pf.Path = 64
+	err := realMain(o)
+	var fe *cli.FlagError
+	if !errors.As(err, &fe) || !strings.Contains(err.Error(), "-"+fe.Flag) {
+		t.Fatalf("-p 64 with the unbounded table: %v, want a *cli.FlagError naming its flag", err)
 	}
 }
 

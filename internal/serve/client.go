@@ -15,7 +15,8 @@ import (
 
 // DialOptions controls connection establishment.
 type DialOptions struct {
-	// Timeout bounds each dial attempt and every subsequent frame read.
+	// Timeout bounds each dial attempt, the handshake, each read or write
+	// system call while Stream runs, and each WriteFrame and Flush.
 	// Defaults to 30s.
 	Timeout time.Duration
 	// Retries is the number of re-dial attempts after a failed one.
@@ -77,22 +78,47 @@ var clientPool = trace.NewBufferPool()
 // Client is one prediction session against an ibpserved instance. It is not
 // safe for concurrent use; one Client drives one connection.
 type Client struct {
-	conn    net.Conn
-	fw      *trace.FrameWriter
-	fr      *trace.FrameReader
-	ack     HelloAck
-	timeout time.Duration
+	conn *streamConn
+	fw   *trace.FrameWriter
+	fr   *trace.FrameReader
+	ack  HelloAck
 
 	// OnEvents, when non-nil, receives the decoded per-branch outcomes of
 	// every events frame (sessions opened with Hello.Events). Called from
-	// Stream's receive goroutine.
+	// Stream's receive goroutine. evs is reused for the next events frame,
+	// so it is valid only during the call: copy what must outlive it.
 	OnEvents func(seq uint64, evs []EventRec)
 
 	// OnTiming, when non-nil, receives the client-side hop breakdown of
-	// every acknowledged frame (window wait, write, round trip). Like onAck
-	// it forces a flush per frame, so the RTT is an honest round trip.
-	// Called from Stream's receive goroutine.
+	// every acknowledged frame (window wait, write, round trip). Called from
+	// Stream's receive goroutine.
 	OnTiming func(FrameTiming)
+}
+
+// streamConn is a Client's connection. While stream is set, for as long as
+// Stream owns the connection, it arms a fresh deadline (the dial timeout
+// from now) before each read or write system call, so a window of small
+// frames pays one deadline per call that reaches the socket, not one per
+// frame. Otherwise it is the bare connection, and ReadFrame, WriteFrame and
+// Flush arm their own deadlines.
+type streamConn struct {
+	net.Conn
+	timeout time.Duration
+	stream  bool
+}
+
+func (c *streamConn) Read(p []byte) (int, error) {
+	if c.stream {
+		c.Conn.SetReadDeadline(time.Now().Add(c.timeout))
+	}
+	return c.Conn.Read(p)
+}
+
+func (c *streamConn) Write(p []byte) (int, error) {
+	if c.stream {
+		c.Conn.SetWriteDeadline(time.Now().Add(c.timeout))
+	}
+	return c.Conn.Write(p)
 }
 
 // FrameTiming is the client-side hop breakdown of one streamed frame: where
@@ -100,12 +126,16 @@ type Client struct {
 type FrameTiming struct {
 	// Seq is the frame's sequence number.
 	Seq uint64
-	// WindowWait is the time blocked waiting for a free window slot
-	// (including the flush that makes the server able to grant one).
+	// WindowWait is the time from the end of the previous frame's write to
+	// a free window slot, including the flush of the buffered frames that
+	// Stream makes before it waits for one.
 	WindowWait time.Duration
-	// Write is the frame encode + write + flush time.
+	// Write is the frame's encode and its write into the client's buffer;
+	// the buffer leaves in the flush that WindowWait of a later frame, or
+	// the end of the trace, counts.
 	Write time.Duration
-	// RTT is send → ack receipt.
+	// RTT is send → ack receipt. The send stamp is taken as the frame is
+	// queued, so RTT includes up to one window of buffering in the client.
 	RTT time.Duration
 	// SentAt and AckedAt are the wall-clock endpoints of the round trip,
 	// for fusing client-side spans with server flight-recorder dumps.
@@ -184,11 +214,11 @@ func handshake(conn net.Conn, hello Hello, timeout time.Duration) (*Client, erro
 	if _, err := conn.Write(append([]byte(Preamble), ProtocolVersion)); err != nil {
 		return nil, err
 	}
+	sc := &streamConn{Conn: conn, timeout: timeout}
 	c := &Client{
-		conn:    conn,
-		fw:      trace.NewFrameWriter(conn),
-		fr:      trace.NewPooledFrameReader(conn, 1<<24, clientPool),
-		timeout: timeout,
+		conn: sc,
+		fw:   trace.NewFrameWriter(sc),
+		fr:   trace.NewPooledFrameReader(sc, 1<<24, clientPool),
 	}
 	if err := c.fw.WriteFrame(FrameHello, marshalJSON(hello)); err != nil {
 		return nil, err
@@ -235,13 +265,13 @@ func (c *Client) Close() error { return c.conn.Close() }
 
 // WriteFrame buffers one raw protocol frame. Flush sends it.
 func (c *Client) WriteFrame(typ uint64, payload []byte) error {
-	c.conn.SetWriteDeadline(time.Now().Add(c.timeout))
+	c.conn.SetWriteDeadline(time.Now().Add(c.conn.timeout))
 	return c.fw.WriteFrame(typ, payload)
 }
 
 // Flush writes all buffered frames with the dial timeout as write deadline.
 func (c *Client) Flush() error {
-	c.conn.SetWriteDeadline(time.Now().Add(c.timeout))
+	c.conn.SetWriteDeadline(time.Now().Add(c.conn.timeout))
 	return c.fw.Flush()
 }
 
@@ -262,11 +292,17 @@ func (c *Client) ReadFrame(deadline time.Duration) (trace.Frame, error) {
 // (<=0 picks the server's maximum), keeping at most the granted window of
 // frames unacknowledged, and returns the server's final Summary.
 //
+// Frames collect in the client's write buffer. It is flushed only before
+// Stream waits for a window slot, since the server cannot ack what has not
+// left, and when the trace ends, so a window of small frames leaves in one
+// write whether or not anyone listens. While Stream runs, each read and
+// write system call arms its own deadline, the dial timeout from now.
+//
 // onAck, when non-nil, observes every acknowledgement together with the
-// frame's round-trip time (send of the records frame to receipt of its ack).
-// A server-initiated drain ends the stream early: Stream stops sending and
-// returns the drain Summary (Drained=true) with a nil error — every frame
-// acknowledged up to that point is reflected in it.
+// frame's round-trip time (the frame queued for sending to receipt of its
+// ack; see FrameTiming.RTT). A server-initiated drain ends the stream early:
+// Stream stops sending and returns the drain Summary (Drained=true) with a
+// nil error — every frame acknowledged up to that point is reflected in it.
 func (c *Client) Stream(tr trace.Trace, recsPerFrame int, onAck func(Ack, time.Duration)) (Summary, error) {
 	if recsPerFrame <= 0 || recsPerFrame > c.ack.MaxFrameRecords {
 		recsPerFrame = c.ack.MaxFrameRecords
@@ -287,11 +323,17 @@ func (c *Client) Stream(tr trace.Trace, recsPerFrame int, onAck func(Ack, time.D
 	sumCh := make(chan Summary, 1)
 	errCh := make(chan error, 1)
 
+	// Every return below follows the receive goroutine's last send, so it
+	// no longer reads the connection when the deadlines go back to the
+	// frame-level calls.
+	c.conn.stream = true
+	defer func() { c.conn.stream = false }()
+
 	// Receive side: acks release window slots; events feed OnEvents; a
 	// summary or error ends the session.
 	go func() {
+		var evs []EventRec // decoded in place, reused frame to frame
 		for {
-			c.conn.SetReadDeadline(time.Now().Add(c.timeout))
 			f, err := c.fr.Next()
 			if err != nil {
 				errCh <- fmt.Errorf("serve: response stream: %w", err)
@@ -334,7 +376,8 @@ func (c *Client) Stream(tr trace.Trace, recsPerFrame int, onAck func(Ack, time.D
 				default: // ack for a frame the send side already gave up on
 				}
 			case FrameEvents:
-				seq, evs, err := decodeEvents(f.Payload, c.ack.MaxFrameRecords)
+				var seq uint64
+				seq, evs, err = decodeEvents(evs, f.Payload, c.ack.MaxFrameRecords)
 				f.Release()
 				if err != nil {
 					errCh <- err
@@ -384,22 +427,20 @@ func (c *Client) Stream(tr trace.Trace, recsPerFrame int, onAck func(Ack, time.D
 	encBuf := clientPool.Get(recsPerFrame*16 + 2*binary.MaxVarintLen64)
 	defer encBuf.Release()
 	payload := encBuf.Bytes()[:0]
-	var seqNum uint64
+	var (
+		seqNum    uint64
+		waitStart time.Time // the previous frame's write end: one clock read serves both
+	)
+	if timing {
+		waitStart = time.Now()
+	}
 	for start := 0; start < len(tr); start += recsPerFrame {
 		end := min(start+recsPerFrame, len(tr))
-		var waitStart time.Time
-		if timing {
-			waitStart = time.Now()
-		}
-		// Acquire a window slot. When none is free, flush buffered frames
-		// first — the server cannot ack what is still sitting in our write
-		// buffer — then wait (or learn the session ended early). The fast
-		// path leaves frames buffered, so a full window's worth of frames
-		// coalesces into a few large writes.
+		// Acquire a window slot. When none is free, flush the buffered
+		// frames first, then wait (or learn the session ended early).
 		select {
 		case sem <- struct{}{}:
 		default:
-			c.conn.SetWriteDeadline(time.Now().Add(c.timeout))
 			if err := c.fw.Flush(); err != nil {
 				return finish()
 			}
@@ -411,36 +452,33 @@ func (c *Client) Stream(tr trace.Trace, recsPerFrame int, onAck func(Ack, time.D
 				return Summary{}, err
 			}
 		}
+		var acquired time.Time
+		if timing {
+			acquired = time.Now()
+		}
 		seqNum++
 		payload = appendRecordsFrame(payload[:0], seqNum, tr[start:end])
 		if timing {
-			// RTT/hop bookkeeping only when someone is listening: the map
-			// and clock reads are pure overhead otherwise. The entry lands
-			// before the write so a raced ack always finds it.
+			// The entry lands before the write, which can reach the socket
+			// when the buffer fills, so a raced ack always finds it.
 			now := time.Now()
 			mu.Lock()
-			sendTimes[seqNum] = sendInfo{sent: now, winWait: now.Sub(waitStart)}
+			sendTimes[seqNum] = sendInfo{sent: now, winWait: acquired.Sub(waitStart)}
 			mu.Unlock()
 		}
-		c.conn.SetWriteDeadline(time.Now().Add(c.timeout))
 		if err := c.fw.WriteFrame(FrameRecords, payload); err != nil {
 			return finish()
 		}
 		if timing {
-			// Per-frame flush keeps the reported RTT an honest frame
-			// round-trip rather than a measure of our own buffering.
-			if err := c.fw.Flush(); err != nil {
-				return finish()
-			}
+			waitStart = time.Now()
 			mu.Lock()
 			if info, ok := sendTimes[seqNum]; ok { // the ack may have raced us
-				info.write = time.Since(info.sent)
+				info.write = waitStart.Sub(acquired)
 				sendTimes[seqNum] = info
 			}
 			mu.Unlock()
 		}
 	}
-	c.conn.SetWriteDeadline(time.Now().Add(c.timeout))
 	if c.fw.WriteFrame(FrameDone, nil) == nil {
 		c.fw.Flush()
 	}

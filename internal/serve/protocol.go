@@ -35,11 +35,12 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"github.com/oocsb/ibp/internal/cli"
 	"github.com/oocsb/ibp/internal/ptrace"
@@ -256,56 +257,68 @@ func appendEvents(buf []byte, seq uint64, evs []EventRec) []byte {
 	return buf
 }
 
-// decodeEvents decodes a FrameEvents payload into events holding the wire
-// fields only. max bounds the declared count.
-func decodeEvents(payload []byte, max int) (seq uint64, evs []EventRec, err error) {
-	br := newByteReader(payload)
-	seq, err = binary.ReadUvarint(br)
-	if err != nil {
-		return 0, nil, fmt.Errorf("serve: events seq: %w", err)
+// eventFields names an event's three word deltas for decode errors.
+var eventFields = [3]string{"pc", "predicted", "actual"}
+
+// decodeEvents decodes a FrameEvents payload into dst[:0], growing it only
+// when the frame holds more events than it has room for, and returns the
+// events holding the wire fields only. It walks the payload slice in place,
+// like DecodeAck: the client decodes one events frame per records frame.
+// max bounds the declared count.
+func decodeEvents(dst []EventRec, payload []byte, max int) (seq uint64, evs []EventRec, err error) {
+	seq, off := binary.Uvarint(payload)
+	if off <= 0 {
+		return 0, dst, fmt.Errorf("serve: events seq: %w", varintErr(off))
 	}
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return 0, nil, fmt.Errorf("serve: events count: %w", err)
+	n, k := binary.Uvarint(payload[off:])
+	if k <= 0 {
+		return 0, dst, fmt.Errorf("serve: events count: %w", varintErr(k))
 	}
+	off += k
 	if n > uint64(max) {
-		return 0, nil, fmt.Errorf("serve: events frame declares %d events", n)
+		return 0, dst, fmt.Errorf("serve: events frame declares %d events", n)
 	}
-	evs = make([]EventRec, 0, n)
-	var prevPC, prevPred, prevAct uint32
-	for i := uint64(0); i < n; i++ {
-		pcd, err := binary.ReadVarint(br)
-		if err != nil {
-			return 0, nil, fmt.Errorf("serve: event %d pc: %w", i, err)
+	evs = slices.Grow(dst[:0], int(n))
+	var prev [3]uint32 // pc, predicted, actual: delta state starts at zero
+	for i := range int(n) {
+		var w [3]uint32
+		for j := range w {
+			d, k := binary.Varint(payload[off:])
+			if k <= 0 {
+				return 0, evs, fmt.Errorf("serve: event %d %s: %w", i, eventFields[j], varintErr(k))
+			}
+			off += k
+			w[j] = prev[j] + uint32(d*4)
 		}
-		prd, err := binary.ReadVarint(br)
-		if err != nil {
-			return 0, nil, fmt.Errorf("serve: event %d predicted: %w", i, err)
+		if off == len(payload) {
+			return 0, evs, fmt.Errorf("serve: event %d flags: %w", i, io.ErrUnexpectedEOF)
 		}
-		acd, err := binary.ReadVarint(br)
-		if err != nil {
-			return 0, nil, fmt.Errorf("serve: event %d actual: %w", i, err)
-		}
-		flags, err := br.ReadByte()
-		if err != nil {
-			return 0, nil, fmt.Errorf("serve: event %d flags: %w", i, err)
-		}
-		ev := EventRec{
-			PC:        prevPC + uint32(pcd*4),
-			Predicted: prevPred + uint32(prd*4),
-			Actual:    prevAct + uint32(acd*4),
+		flags := payload[off]
+		off++
+		evs = append(evs, EventRec{
+			PC:        w[0],
+			Predicted: w[1],
+			Actual:    w[2],
 			Component: -1, // no attribution on the wire
 			HasPred:   flags&evFlagHasPred != 0,
 			Miss:      flags&evFlagMiss != 0,
 			Warmup:    flags&evFlagWarmup != 0,
-		}
-		evs = append(evs, ev)
-		prevPC, prevPred, prevAct = ev.PC, ev.Predicted, ev.Actual
+		})
+		prev = w
 	}
-	if br.Len() != 0 {
-		return 0, nil, fmt.Errorf("serve: %d trailing bytes in events frame", br.Len())
+	if off != len(payload) {
+		return 0, evs, fmt.Errorf("serve: %d trailing bytes in events frame", len(payload)-off)
 	}
 	return seq, evs, nil
+}
+
+// varintErr is the error behind a failed binary.Uvarint or binary.Varint:
+// n == 0 ran out of bytes, n < 0 overflowed 64 bits.
+func varintErr(n int) error {
+	if n == 0 {
+		return io.ErrUnexpectedEOF
+	}
+	return errors.New("varint overflows 64 bits")
 }
 
 // appendAck encodes an Ack payload as uvarints.
@@ -388,6 +401,3 @@ func unmarshalPayload(data []byte, v any) error {
 	}
 	return nil
 }
-
-// newByteReader wraps a payload slice for varint decoding.
-func newByteReader(b []byte) *bytes.Reader { return bytes.NewReader(b) }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/hex"
 	"io"
+	"math/rand/v2"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -68,7 +70,7 @@ func TestEventsCodecRoundTrip(t *testing.T) {
 	if !bytes.Equal(appendEvents(nil, 42, withDetail), payload) {
 		t.Fatal("attribution fields changed the events wire bytes")
 	}
-	seq, got, err := decodeEvents(payload, 16)
+	seq, got, err := decodeEvents(nil, payload, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,19 +80,81 @@ func TestEventsCodecRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, evs) {
 		t.Fatalf("round trip\n got %+v\nwant %+v", got, evs)
 	}
-	if _, _, err := decodeEvents(payload, 2); err == nil {
+	if _, _, err := decodeEvents(nil, payload, 2); err == nil {
 		t.Fatal("count over max accepted")
 	}
-	if _, _, err := decodeEvents(append(payload, 9), 16); err == nil {
+	if _, _, err := decodeEvents(nil, append(payload, 9), 16); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
 	for cut := 1; cut < len(payload); cut++ {
-		if _, _, err := decodeEvents(payload[:cut], 16); err == nil {
+		if _, _, err := decodeEvents(nil, payload[:cut], 16); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
-	if _, evs, err := decodeEvents(appendEvents(nil, 7, nil), 16); err != nil || len(evs) != 0 {
+	if _, evs, err := decodeEvents(nil, appendEvents(nil, 7, nil), 16); err != nil || len(evs) != 0 {
 		t.Fatalf("empty events frame: %v, %d events", err, len(evs))
+	}
+}
+
+// TestEventsCodecRandomRoundTrip round-trips random events through
+// appendEvents and decodeEvents, decoding every frame into the one slice
+// the client's receive loop would reuse, and rejects every cut of each
+// payload and a trailing byte.
+func TestEventsCodecRandomRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewPCG(28, 1))
+	word := func() uint32 { return rng.Uint32() &^ 3 } // targets are word aligned
+	var dst []EventRec
+	for round := range 300 {
+		evs := make([]EventRec, rng.IntN(48))
+		for i := range evs {
+			evs[i] = EventRec{
+				PC: word(), Predicted: word(), Actual: word(), Component: -1,
+				HasPred: rng.IntN(2) == 0, Miss: rng.IntN(2) == 0, Warmup: rng.IntN(4) == 0,
+			}
+			if rng.IntN(3) == 0 && i > 0 { // small deltas too, as real traces have
+				evs[i].PC = evs[i-1].PC + 4*uint32(rng.IntN(16))
+			}
+		}
+		seq := rng.Uint64()
+		payload := appendEvents(nil, seq, evs)
+		gotSeq, got, err := decodeEvents(dst, payload, len(evs))
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if gotSeq != seq || !slices.Equal(got, evs) {
+			t.Fatalf("round %d: seq %d, %d events; want seq %d, %d events\n got %+v\nwant %+v", round, gotSeq, len(got), seq, len(evs), got, evs)
+		}
+		dst = got
+		for cut := range len(payload) {
+			if _, _, err := decodeEvents(dst, payload[:cut], len(evs)); err == nil {
+				t.Fatalf("round %d: cut at byte %d of %d accepted", round, cut, len(payload))
+			}
+		}
+		if _, _, err := decodeEvents(dst, append(payload, 0), len(evs)); err == nil {
+			t.Fatalf("round %d: trailing byte accepted", round)
+		}
+	}
+}
+
+// TestDecodeEventsZeroAllocs pins the client's events decode at zero
+// allocations per frame once the slice it reuses has grown to the frame.
+func TestDecodeEventsZeroAllocs(t *testing.T) {
+	evs := make([]EventRec, 256)
+	for i := range evs {
+		evs[i] = EventRec{PC: 0x1000 + 4*uint32(i%17), Predicted: 0x2000, Actual: 0x2000 + 8*uint32(i%3), HasPred: true, Miss: i%3 != 0, Component: -1}
+	}
+	payload := appendEvents(nil, 77, evs)
+	_, dst, err := decodeEvents(nil, payload, len(evs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		_, dst, err = decodeEvents(dst, payload, len(evs))
+		if err != nil || len(dst) != len(evs) {
+			t.Fatalf("%d events, %v", len(dst), err)
+		}
+	}); avg != 0 {
+		t.Fatalf("decoding a %d-event frame into a warm slice allocates %.1f times, want 0", len(evs), avg)
 	}
 }
 
@@ -101,14 +165,19 @@ func TestRecordsFrameCodecRoundTrip(t *testing.T) {
 	if we != nil {
 		t.Fatal(we)
 	}
-	got, err := trace.DecodeRecords(chunk, len(tr))
+	it, err := trace.NewRecordIter(chunk, len(tr))
 	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(trace.Trace, it.Len())
+	got = got[:it.NextBatch(got)]
+	if err := it.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, tr) {
 		t.Fatal("records round trip mismatch")
 	}
-	if _, err := trace.DecodeRecords(chunk, len(tr)-1); err == nil {
+	if _, err := trace.NewRecordIter(chunk, len(tr)-1); err == nil {
 		t.Fatal("record count over max accepted")
 	}
 	if _, we := SplitRecordsFrame(payload, 8); we == nil || we.Code != CodeBadSeq {

@@ -3,7 +3,6 @@ package trace
 import (
 	"bufio"
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
 	"io"
 )
@@ -20,7 +19,7 @@ import (
 //
 // FrameWriter and FrameReader expose that framing for stream protocols (the
 // internal/serve prediction service is the consumer), and AppendRecords /
-// DecodeRecords expose the count-prefixed record-chunk codec used for
+// RecordIter expose the count-prefixed record-chunk codec used for
 // secRecords payloads, so a network frame carries branch records in exactly
 // the bytes a v2 trace file would. Frame type numbers are the protocol's
 // business; the file decoder's section types (1..3) are reserved.
@@ -177,18 +176,4 @@ func AppendRecords(buf []byte, recs []Record) []byte {
 		prevPC, prevTgt = r.PC, r.Target
 	}
 	return buf
-}
-
-// DecodeRecords decodes a payload produced by AppendRecords. maxRecords
-// bounds the count the payload may declare (<= 0 selects the v2 file chunk
-// limit); trailing bytes after the declared records are rejected. Failures
-// wrap ErrBadFormat or describe the truncation. It is a convenience wrapper
-// over RecordIter for callers that want a materialized Trace; the hot path
-// iterates in place instead.
-func DecodeRecords(payload []byte, maxRecords int) (Trace, error) {
-	tr, err := decodeChunk(payload, maxRecords)
-	if err != nil {
-		return nil, fmt.Errorf("trace: records payload: %w", err)
-	}
-	return tr, nil
 }

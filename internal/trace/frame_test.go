@@ -102,7 +102,7 @@ func TestFrameReaderPayloadLimit(t *testing.T) {
 func TestRecordsPayloadRoundTrip(t *testing.T) {
 	tr := genTrace(300)
 	payload := AppendRecords(nil, tr)
-	back, err := DecodeRecords(payload, len(tr))
+	back, err := decodeChunk(payload, len(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,13 +116,13 @@ func TestRecordsPayloadRoundTrip(t *testing.T) {
 	}
 	// Chunks are self-delimiting: delta state resets, so a chunk decoded in
 	// isolation equals the same records decoded mid-trace.
-	if _, err := DecodeRecords(payload, len(tr)-1); err == nil {
+	if _, err := decodeChunk(payload, len(tr)-1); err == nil {
 		t.Fatal("over-limit record count accepted")
 	}
-	if _, err := DecodeRecords(append(payload, 0x00), len(tr)); err == nil {
+	if _, err := decodeChunk(append(payload, 0x00), len(tr)); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
-	if _, err := DecodeRecords(payload[:len(payload)-1], len(tr)); err == nil {
+	if _, err := decodeChunk(payload[:len(payload)-1], len(tr)); err == nil {
 		t.Fatal("truncated payload accepted")
 	}
 }

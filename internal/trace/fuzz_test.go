@@ -128,11 +128,11 @@ func FuzzWireFrame(f *testing.F) {
 			// and an accepted decode must survive a re-encode/decode cycle
 			// unchanged (varints may be non-canonical on the wire, so byte
 			// identity is not required — record identity is).
-			recs, derr := DecodeRecords(frame.Payload, 4096)
+			recs, derr := decodeChunk(frame.Payload, 4096)
 
 			// Cross-check the in-place iterator against the batch decode:
 			// walking the same payload one record at a time must yield the
-			// same records and the same typed verdict (DecodeRecords runs on
+			// same records and the same typed verdict (decodeChunk runs on
 			// NextBatch, so this pins Next and NextBatch to each other too).
 			var itRecs Trace
 			it, itErr := NewRecordIter(frame.Payload, 4096)
@@ -147,24 +147,24 @@ func FuzzWireFrame(f *testing.F) {
 				itErr = it.Err()
 			}
 			if (derr == nil) != (itErr == nil) {
-				t.Fatalf("iterator and DecodeRecords disagree: %v vs %v", itErr, derr)
+				t.Fatalf("iterator and decodeChunk disagree: %v vs %v", itErr, derr)
 			}
 			if derr != nil {
 				if errors.Is(derr, ErrBadFormat) != errors.Is(itErr, ErrBadFormat) ||
 					errors.Is(derr, io.ErrUnexpectedEOF) != errors.Is(itErr, io.ErrUnexpectedEOF) {
-					t.Fatalf("iterator and DecodeRecords error types disagree: %v vs %v", itErr, derr)
+					t.Fatalf("iterator and decodeChunk error types disagree: %v vs %v", itErr, derr)
 				}
 				continue
 			}
 			if len(itRecs) != len(recs) {
-				t.Fatalf("iterator decoded %d records, DecodeRecords %d", len(itRecs), len(recs))
+				t.Fatalf("iterator decoded %d records, decodeChunk %d", len(itRecs), len(recs))
 			}
 			for i := range recs {
 				if itRecs[i] != recs[i] {
 					t.Fatalf("iterator record %d: %+v != %+v", i, itRecs[i], recs[i])
 				}
 			}
-			back, rerr := DecodeRecords(AppendRecords(nil, recs), 4096)
+			back, rerr := decodeChunk(AppendRecords(nil, recs), 4096)
 			if rerr != nil {
 				t.Fatalf("re-encoded records failed to decode: %v", rerr)
 			}

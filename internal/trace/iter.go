@@ -13,8 +13,7 @@ import (
 // materialized and nothing is allocated on the happy path. It is the one
 // decoder of a record chunk. A serve session drives its predictor straight
 // off the iterator while the payload sits in a borrowed frame buffer, and
-// DecodeRecords and the v2 file reader's chunk decode are append loops over
-// it.
+// the v2 file reader's chunk decode (decodeChunk) is an append loop over it.
 
 // RecordIter iterates the records of one chunk payload in place. Create with
 // NewRecordIter; the iterator keeps a reference to the payload slice, so with

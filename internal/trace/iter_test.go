@@ -24,19 +24,19 @@ func iterAll(payload []byte, max int) (Trace, error) {
 	return out, it.Err()
 }
 
-func TestRecordIterMatchesDecodeRecords(t *testing.T) {
+func TestRecordIterMatchesDecodeChunk(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 7, 256, 4096} {
 		payload := AppendRecords(nil, genTrace(n))
-		want, derr := DecodeRecords(payload, 0)
+		want, derr := decodeChunk(payload, 0)
 		if derr != nil {
-			t.Fatalf("n=%d: DecodeRecords: %v", n, derr)
+			t.Fatalf("n=%d: decodeChunk: %v", n, derr)
 		}
 		got, ierr := iterAll(payload, 0)
 		if ierr != nil {
 			t.Fatalf("n=%d: iterator: %v", n, ierr)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("n=%d: iterator %d records, DecodeRecords %d", n, len(got), len(want))
+			t.Fatalf("n=%d: iterator %d records, decodeChunk %d", n, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
@@ -84,7 +84,7 @@ func TestRecordIterNextBatchMatchesNext(t *testing.T) {
 }
 
 // TestRecordIterTypedErrors pins the error contract shared by the iterator
-// and DecodeRecords: truncations report io.ErrUnexpectedEOF, structural
+// and decodeChunk: truncations report io.ErrUnexpectedEOF, structural
 // violations report ErrBadFormat — and both decoders agree on every case.
 func TestRecordIterTypedErrors(t *testing.T) {
 	valid := AppendRecords(nil, genTrace(2))
@@ -108,9 +108,9 @@ func TestRecordIterTypedErrors(t *testing.T) {
 			if !errors.Is(ierr, tc.want) {
 				t.Fatalf("iterator error %v, want %v", ierr, tc.want)
 			}
-			_, derr := DecodeRecords(tc.payload, 4096)
+			_, derr := decodeChunk(tc.payload, 4096)
 			if !errors.Is(derr, tc.want) {
-				t.Fatalf("DecodeRecords error %v, want %v", derr, tc.want)
+				t.Fatalf("decodeChunk error %v, want %v", derr, tc.want)
 			}
 		})
 	}
@@ -123,9 +123,9 @@ func TestRecordIterTruncationEveryPrefix(t *testing.T) {
 	for cut := 0; cut < len(payload); cut++ {
 		prefix := payload[:cut]
 		_, ierr := iterAll(prefix, 0)
-		_, derr := DecodeRecords(prefix, 0)
+		_, derr := decodeChunk(prefix, 0)
 		if (ierr == nil) != (derr == nil) {
-			t.Fatalf("cut %d: iterator %v, DecodeRecords %v", cut, ierr, derr)
+			t.Fatalf("cut %d: iterator %v, decodeChunk %v", cut, ierr, derr)
 		}
 		if ierr != nil {
 			if errors.Is(ierr, ErrBadFormat) != errors.Is(derr, ErrBadFormat) ||
