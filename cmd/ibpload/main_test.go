@@ -128,8 +128,9 @@ func TestLoadRouterModeRejectsPlainServer(t *testing.T) {
 }
 
 // TestUnbuildablePredictorIsFlagError: -p 64 with the default unbounded
-// table passes Validate, but every server would refuse the Hello. ibpload
-// must refuse it before it dials, as a *cli.FlagError that names its flag.
+// table is in range flag by flag, but every server would refuse the Hello.
+// ibpload must refuse it before it dials, as a *cli.FlagError that names its
+// flag.
 func TestUnbuildablePredictorIsFlagError(t *testing.T) {
 	pf := defaultPredictor(t)
 	pf.Path = 64

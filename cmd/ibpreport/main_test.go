@@ -234,8 +234,8 @@ func TestBadReportOptions(t *testing.T) {
 }
 
 // TestUnbuildablePredictorIsFlagError: -p 64 with the default unbounded
-// table passes Validate but not Build; the report must refuse it up front
-// as a *cli.FlagError that names its flag.
+// table is in range flag by flag, but Build refuses it; the report must
+// refuse it up front as a *cli.FlagError that names its flag.
 func TestUnbuildablePredictorIsFlagError(t *testing.T) {
 	o := reportOpts()
 	o.pf.Path, o.pf.Table, o.pf.Entries = 64, "unbounded", 0

@@ -164,8 +164,8 @@ func TestBadTableConfig(t *testing.T) {
 }
 
 // TestUnbuildablePredictorIsFlagError: -p 64 with the default unbounded
-// table passes Validate, but the auto precision rule leaves no bits per
-// target and full precision needs -table exact. It must fail before any
+// table is in range flag by flag, but the auto precision rule leaves no bits
+// per target and full precision needs -table exact. It must fail before any
 // trace is built, as a *cli.FlagError that names its flag.
 func TestUnbuildablePredictorIsFlagError(t *testing.T) {
 	o := baseOpts()

@@ -154,15 +154,17 @@ func (f PredictorFlags) bounded() bool {
 	return f.Table != "" && f.Table != "unbounded" && f.Table != "exact"
 }
 
-// Validate rejects out-of-range or unknown flag values with a *FlagError
+// CheckBuild rejects, with a *FlagError, every flag set Build would refuse,
 // before any predictor construction happens, so every tool reports the same
 // typed usage error for the same mistake: unknown -pred, -p outside [0,
-// MaxPathLength], unknown -table, negative -entries, malformed -hybrid, and
-// a table size the predictor's table organization cannot take
-// (table.Check), which its constructor would panic on. Build still refuses
-// configurations whose flags are each in range, such as a path too long for
-// the auto precision rule; CheckBuild rejects those too.
-func (f PredictorFlags) Validate() error {
+// MaxPathLength], unknown -table, negative -entries, malformed -hybrid, a
+// table size the predictor's table organization cannot take (table.Check),
+// which its constructor would panic on, a family without the operands it
+// needs, and a two-level configuration core.Config.Validate rejects, such as
+// a path too long for the auto precision rule. ParseITTAGE checks the ittage
+// family as core.NewITTAGE does. A daemon takes a spec that passes as one it
+// can build.
+func (f PredictorFlags) CheckBuild() error {
 	if _, _, _, isIttage, reason := ParseITTAGE(f.Pred); isIttage {
 		if reason != "" {
 			return &FlagError{Flag: "pred", Value: f.Pred, Reason: reason}
@@ -179,9 +181,9 @@ func (f PredictorFlags) Validate() error {
 	if f.Entries < 0 {
 		return &FlagError{Flag: "entries", Value: fmt.Sprint(f.Entries), Reason: "entry count cannot be negative"}
 	}
+	p1, p2, pairErr := ParsePair(f.Hybrid)
 	if f.Hybrid != "" {
-		p1, p2, err := ParsePair(f.Hybrid)
-		if err != nil {
+		if pairErr != nil {
 			return &FlagError{Flag: "hybrid", Value: f.Hybrid, Reason: `want "p1,p2"`}
 		}
 		if p1 < 0 || p1 > MaxPathLength || p2 < 0 || p2 > MaxPathLength {
@@ -195,34 +197,17 @@ func (f PredictorFlags) Validate() error {
 		}
 	case "tcache":
 		return f.checkTable(f.tcache())
-	case "shared":
-		return f.checkTable(f.Table, f.Entries)
-	}
-	return nil
-}
-
-// CheckBuild rejects, with a *FlagError, every flag set Build would refuse,
-// without building anything: what Validate rejects, a family without the
-// operands it needs, and a two-level configuration core.Config.Validate
-// rejects. ParseITTAGE already checks the ittage family as core.NewITTAGE
-// does. A daemon takes a spec that passes as one it can build.
-func (f PredictorFlags) CheckBuild() error {
-	if err := f.Validate(); err != nil {
-		return err
-	}
-	p1, p2, pairErr := ParsePair(f.Hybrid)
-	switch f.Pred {
 	case "ppm", "shared":
 		if pairErr != nil {
 			return &FlagError{Flag: "hybrid", Value: f.Hybrid, Reason: fmt.Sprintf(`-pred %s needs -hybrid "p1,p2"`, f.Pred)}
 		}
-		if f.Pred == "shared" {
-			if p1 == p2 {
-				return &FlagError{Flag: "hybrid", Value: f.Hybrid, Reason: "shared hybrid components must differ in path length"}
-			}
-			return nil
+		if f.Pred == "ppm" {
+			return f.checkConfigs(core.DualPathConfig(p1, f.Table, f.Entries), core.DualPathConfig(p2, f.Table, f.Entries))
 		}
-		return f.checkConfigs(core.DualPathConfig(p1, f.Table, f.Entries), core.DualPathConfig(p2, f.Table, f.Entries))
+		if p1 == p2 {
+			return &FlagError{Flag: "hybrid", Value: f.Hybrid, Reason: "shared hybrid components must differ in path length"}
+		}
+		return f.checkTable(f.Table, f.Entries)
 	case "2lev":
 		if f.Hybrid != "" {
 			return f.checkConfigs(core.DualPathConfig(p1, f.Table, f.Entries), core.DualPathConfig(p2, f.Table, f.Entries))

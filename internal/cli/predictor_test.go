@@ -24,7 +24,7 @@ func defaults(t *testing.T) PredictorFlags {
 
 func TestValidateAcceptsDefaults(t *testing.T) {
 	f := defaults(t)
-	if err := f.Validate(); err != nil {
+	if err := f.CheckBuild(); err != nil {
 		t.Fatalf("default flags rejected: %v", err)
 	}
 	if _, err := f.Build(); err != nil {
@@ -51,7 +51,7 @@ func TestValidateRejectsOutOfRange(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			f := defaults(t)
 			tc.mutate(&f)
-			err := f.Validate()
+			err := f.CheckBuild()
 			if err == nil {
 				t.Fatal("invalid flags accepted")
 			}
@@ -72,11 +72,11 @@ func TestValidateAcceptsKnownShapes(t *testing.T) {
 		func(f *PredictorFlags) { f.Table = "exact"; f.Path = 0 },
 		func(f *PredictorFlags) { f.Pred = "btb-2bc" },
 		func(f *PredictorFlags) { f.Hybrid = "3,1"; f.Table = "assoc4"; f.Entries = 1024 },
-		func(f *PredictorFlags) { f.Path = MaxPathLength },
+		func(f *PredictorFlags) { f.Path = MaxPathLength; f.Table = "exact" },
 	} {
 		f := defaults(t)
 		mutate(&f)
-		if err := f.Validate(); err != nil {
+		if err := f.CheckBuild(); err != nil {
 			t.Fatalf("valid flags %+v rejected: %v", f, err)
 		}
 	}
@@ -129,7 +129,7 @@ func TestParseITTAGESpec(t *testing.T) {
 func TestValidateITTAGE(t *testing.T) {
 	f := defaults(t)
 	f.Pred = "ittage"
-	if err := f.Validate(); err != nil {
+	if err := f.CheckBuild(); err != nil {
 		t.Fatalf("bare ittage rejected: %v", err)
 	}
 	p, err := f.Build()
@@ -141,7 +141,7 @@ func TestValidateITTAGE(t *testing.T) {
 	}
 
 	f.Pred = "ittage:2,128,4"
-	if err := f.Validate(); err != nil {
+	if err := f.CheckBuild(); err != nil {
 		t.Fatalf("explicit spec rejected: %v", err)
 	}
 	if _, err := f.Build(); err != nil {
@@ -149,7 +149,7 @@ func TestValidateITTAGE(t *testing.T) {
 	}
 
 	f.Pred = "ittage:8,500,2"
-	err = f.Validate()
+	err = f.CheckBuild()
 	var fe *FlagError
 	if !errors.As(err, &fe) || fe.Flag != "pred" {
 		t.Fatalf("malformed spec: want *FlagError on -pred, got %v", err)
@@ -170,8 +170,8 @@ func TestValidateSeed(t *testing.T) {
 }
 
 // TestValidateRejectsTablesConstructorsRefuse pins the specs whose table
-// constructor panicked past Validate (and, on a daemon, killed the process
-// from the connection goroutine): each is a *FlagError now.
+// constructor once panicked past flag validation (and, on a daemon, killed
+// the process from the connection goroutine): each is a *FlagError now.
 func TestValidateRejectsTablesConstructorsRefuse(t *testing.T) {
 	for _, tc := range []struct {
 		pred, table string
@@ -189,8 +189,8 @@ func TestValidateRejectsTablesConstructorsRefuse(t *testing.T) {
 		f := defaults(t)
 		f.Pred, f.Table, f.Entries, f.Hybrid = tc.pred, tc.table, tc.entries, tc.hybrid
 		var fe *FlagError
-		if err := f.Validate(); !errors.As(err, &fe) {
-			t.Errorf("%+v: Validate = %v, want a *FlagError", tc, err)
+		if err := f.CheckBuild(); !errors.As(err, &fe) {
+			t.Errorf("%+v: CheckBuild = %v, want a *FlagError", tc, err)
 		}
 	}
 }

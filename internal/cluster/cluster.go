@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"net"
 	"sync"
 	"time"
 
@@ -216,9 +215,9 @@ func (r *Router) updateBackendsUpGauge() {
 }
 
 // open runs an accepted session on the connection's goroutine: it
-// registers the proxy session, starts the forwarder, which dials the
-// session's backend at once, authors the HelloAck, and reads client frames.
-func (r *Router) open(conn net.Conn, fr *trace.FrameReader, h serve.Handshake) {
+// registers the proxy session, writes the HelloAck, starts the forwarder,
+// which dials the session's backend at once, and reads client frames.
+func (r *Router) open(c *serve.Conn, h serve.Handshake) {
 	// Every backend the session lands on, failover replacements included,
 	// must build the identical predictor, run the identical tuner policy,
 	// and tag its spans with the router's trace ID.
@@ -234,7 +233,7 @@ func (r *Router) open(conn net.Conn, fr *trace.FrameReader, h serve.Handshake) {
 	ctx, cancel := context.WithCancel(r.ctx)
 	sess := &proxySession{
 		r:      r,
-		conn:   conn,
+		conn:   c.Conn,
 		hello:  hello,
 		window: h.Window,
 		ctx:    ctx,
@@ -245,9 +244,9 @@ func (r *Router) open(conn net.Conn, fr *trace.FrameReader, h serve.Handshake) {
 		// ack, so window+2 slots never wrap onto a live span.
 		spans:  make([]flight.Span, h.Window+2),
 		notify: make(chan struct{}, 1),
-		out:    make(chan serve.OutFrame, 2*h.Window+8),
 		closed: make(chan struct{}),
 	}
+	sess.w = serve.Writer{Conn: c.Conn, Timeout: r.cfg.WriteTimeout, Publish: sess.publish}
 	entry := r.track.NewSession(sess, sessiontrack.Meta{
 		Kind:      sessiontrack.KindProxy,
 		Benchmark: hello.Benchmark,
@@ -266,28 +265,20 @@ func (r *Router) open(conn net.Conn, fr *trace.FrameReader, h serve.Handshake) {
 	r.m.sessionsActive.Add(1)
 	if err := r.track.Register(entry); err != nil { // draining: no new sessions
 		sess.close()
-		conn.Close()
 		return
 	}
 	r.m.sessionsTotal.Inc()
 
-	w := &serve.Writer{
-		Conn:    conn,
-		Out:     sess.out,
-		Stop:    sess.closed,
-		Timeout: r.cfg.WriteTimeout,
-		Publish: sess.publish,
-		// The writer ends the session: after its final frame, a failed
-		// flush or a close, which this repeats harmlessly.
-		Exit: func(error) { sess.close() },
+	// The HelloAck is on the wire before the forwarder exists, so none of
+	// its verdicts (no-backend, a relayed rejection) can overtake it.
+	sess.w.Add(serve.FrameHelloAck, r.AckHello(h, sess.id), nil)
+	if sess.flushClient() != nil {
+		return
 	}
-	r.Go(w.Run)
 	r.Go(sess.forward)
-
-	sess.relay(serve.OutFrame{Type: serve.FrameHelloAck, Payload: r.AckHello(h, sess.id)})
 	r.log.Info("session open", "session", sess.id, "benchmark", hello.Benchmark,
 		"predictor", h.Name, "window", h.Window)
-	sess.readLoop(fr)
+	sess.readLoop(c.Frames)
 }
 
 // unregister removes the session from the live set exactly once (keyed on
@@ -358,9 +349,8 @@ func (r *Router) connectSession(sess *proxySession, avoid *backend) (*backend, *
 				if errors.As(err, &we) && we.Code != serve.CodeOverload {
 					// Deterministic rejection (bad hello, predictor, ...):
 					// every backend would refuse identically.
-					sess.markDropped()
 					payload, _ := json.Marshal(we)
-					sess.relay(serve.OutFrame{Type: serve.FrameError, Payload: payload, Final: true})
+					sess.end(serve.FrameError, payload, nil)
 					return nil, nil, errSessionOver
 				}
 				lastErr = err

@@ -39,12 +39,12 @@ var errSessionOver = errors.New("cluster: session over")
 //   - the reader (the connection's own, after the FrontEnd handshake)
 //     parses client frames, journals records payloads, and flags Done or
 //     client loss;
-//   - the writer, serve's session Writer, drains out to the client
-//     connection, batching frames per flush;
 //   - the forwarder owns the backend side: it dials a backend at once, then
-//     pumps — a sender streaming journal frames forward and a receiver
-//     relaying acks/events back — and on backend death loops around to a
-//     survivor, replaying the journaled prefix.
+//     receives — relaying acks and events into the client batch, which it
+//     flushes before it waits on the backend — and on backend death loops
+//     around to a survivor, replaying the journaled prefix;
+//   - the sender, one per backend attempt, streams journal frames forward,
+//     flushing them before it waits for a window slot or the next frame.
 //
 // Correctness hinges on the journal invariant (see trace.FrameLog): as long
 // as the complete prefix is retained, a replacement backend that replays
@@ -72,12 +72,19 @@ type proxySession struct {
 	// failover/replay state. Set before the session is registered.
 	track *sessiontrack.Session
 
+	// wmu guards the client batch: the forwarder relays into it, and
+	// whoever ends the session writes its final frame through it and closes
+	// the session under wmu, so nothing leaves after that frame. No
+	// goroutine takes wmu while it holds mu.
+	wmu sync.Mutex
+	w   serve.Writer
+
 	mu sync.Mutex
 	j  *trace.FrameLog
 	// spans holds each frame's span, at seq modulo its length, from the
 	// journal append until the first ack for it arrives: the reader, the
-	// sender and the receiver stamp it under mu, and the ack's OutFrame
-	// carries it to the writer.
+	// sender and the receiver stamp it under mu, and the ack carries it into
+	// the client batch, whose flush publishes it.
 	spans      []flight.Span
 	done       bool      // client sent Done
 	clientGone bool      // client connection failed before Done
@@ -87,13 +94,11 @@ type proxySession struct {
 	// events at or below it are replay duplicates and are suppressed.
 	relayedThrough atomic.Uint64
 
-	notify chan struct{}       // collapsed reader→forwarder signal
-	out    chan serve.OutFrame // writer queue
+	notify chan struct{} // collapsed reader→forwarder signal
 	closed chan struct{}
 	close1 sync.Once
 
-	finalQueued atomic.Bool // a final frame has been queued (exactly-once)
-	dropped     atomic.Bool // counted in router_sessions_dropped_total
+	dropped atomic.Bool // counted in router_sessions_dropped_total
 
 	// Owned by the forwarder/sender chain (attempts are sequenced by
 	// wg.Wait, which establishes happens-before between them).
@@ -123,13 +128,14 @@ func (sess *proxySession) isClosed() bool {
 	}
 }
 
-// close tears the session down: wakes the writer (which owns closing the
-// client connection), ends any backend dial, severs the live backend
-// connection, and unregisters. Idempotent; safe from any goroutine.
+// close tears the session down: closes the client connection, ends any
+// backend dial, severs the live backend connection, and unregisters.
+// Idempotent; safe from any goroutine that does not hold mu.
 func (sess *proxySession) close() {
 	sess.close1.Do(func() {
 		close(sess.closed)
 		sess.cancel()
+		sess.conn.Close()
 		sess.mu.Lock()
 		bc := sess.curConn
 		sess.mu.Unlock()
@@ -165,51 +171,56 @@ func (sess *proxySession) markDropped() {
 	}
 }
 
-// relay queues a frame for the client, blocking for backpressure. f.Buf is
-// the payload's pooled buffer (nil for unpooled payloads): on success its
-// reference moves to the writer, on failure relay releases it. It returns
-// false when the session closed (or a final frame already went out and this
-// one is final too).
-func (sess *proxySession) relay(f serve.OutFrame) bool {
-	if f.Final && !sess.finalQueued.CompareAndSwap(false, true) {
-		f.Buf.Release()
+// flushClient writes the batch to the client; a failed write (the client
+// gone, or not reading for WriteTimeout) closes the session.
+func (sess *proxySession) flushClient() error {
+	sess.wmu.Lock()
+	defer sess.wmu.Unlock()
+	err := sess.w.Flush()
+	if err != nil {
+		sess.close()
+	}
+	return err
+}
+
+// end writes the session's final frame, a Summary or an Error, behind what
+// the batch holds and closes the session, unless it has closed already. It
+// reports whether it wrote the frame; an Error it writes counts the session
+// in router_sessions_dropped_total.
+func (sess *proxySession) end(typ uint64, payload []byte, buf *trace.PooledBuf) bool {
+	sess.wmu.Lock()
+	defer sess.wmu.Unlock()
+	if sess.isClosed() {
+		buf.Release()
 		return false
 	}
-	select {
-	case sess.out <- f:
-		return true
-	case <-sess.closed:
-		f.Buf.Release()
-		return false
+	if typ == serve.FrameError {
+		sess.markDropped()
 	}
+	sess.w.Add(typ, payload, buf)
+	sess.w.Flush()
+	sess.close()
+	return true
 }
 
 // failClient ends the session with a WireError, if no final frame went out
-// yet. Non-blocking: a client that stopped reading gets a hard close.
+// yet.
 func (sess *proxySession) failClient(code, msg string) {
-	if !sess.finalQueued.CompareAndSwap(false, true) {
-		return
-	}
-	sess.markDropped()
-	sess.r.log.Warn("session failed", "session", sess.id, "code", code, "err", msg)
 	payload, _ := json.Marshal(&serve.WireError{Code: code, Msg: msg})
-	select {
-	case sess.out <- serve.OutFrame{Type: serve.FrameError, Payload: payload, Final: true}:
-	default:
-		sess.close()
+	if sess.end(serve.FrameError, payload, nil) {
+		sess.r.log.Warn("session failed", "session", sess.id, "code", code, "err", msg)
 	}
 }
 
 // publish is the one place a relayed frame's stamps go, once its ack is on
 // the client's wire: the frame histograms, the session's stats and the
 // flight recorder.
-func (sess *proxySession) publish(f *serve.OutFrame, flushedNS int64) {
-	sp := &f.Span
+func (sess *proxySession) publish(a serve.Ack, sp *flight.Span, flushedNS int64) {
 	sp.StampAt(flight.HopRouterAckRelay, flushedNS)
 	m := sess.r.m
 	m.frameLatency.Observe(sp.Between(flight.HopRouterRecv, flight.HopRouterAckRelay))
 	m.backendRTT.Observe(sp.Between(flight.HopRouterRelay, flight.HopRouterAckRecv))
-	sess.track.FrameAcked(flushedNS, f.Ack.Records, f.Ack.Executed, f.Ack.Misses,
+	sess.track.FrameAcked(flushedNS, a.Records, a.Executed, a.Misses,
 		sp.Between(flight.HopRouterRecv, flight.HopRouterRelay))
 	sp.Finish()
 }
@@ -297,13 +308,7 @@ func (sess *proxySession) readLoop(fr *trace.FrameReader) {
 // opens, pump, and on backend loss fail over — dial the next candidate and
 // replay the journaled prefix.
 func (sess *proxySession) forward() {
-	defer func() {
-		// If a final frame is queued the writer finishes and closes; a
-		// session ending without one (client loss) is torn down here.
-		if !sess.finalQueued.Load() {
-			sess.close()
-		}
-	}()
+	defer sess.close() // a no-op after a final frame
 	var avoid *backend
 	for {
 		if sess.isClosed() {
@@ -356,14 +361,16 @@ func (sess *proxySession) forward() {
 type pumpResult int
 
 const (
-	pumpTerminal pumpResult = iota // session finished (final frame queued) or client gone
+	pumpTerminal pumpResult = iota // session finished (final frame written) or client gone
 	pumpRetry                      // backend lost; fail over
 )
 
 // pump runs one backend attempt: a sender goroutine streams journal frames
 // (from seq 1 — a replay on every attempt after the first) and Done, while
 // the receiver relays acks and events past the relayedThrough watermark and
-// terminates on the backend's Summary or WireError.
+// terminates on the backend's Summary or WireError. Each side flushes what
+// it has batched before it waits: the sender before a window slot or the
+// next journal frame, the receiver before a read from the backend.
 func (sess *proxySession) pump(b *backend, bc *serve.Client) pumpResult {
 	r := sess.r
 	window := bc.Session().Window
@@ -376,13 +383,33 @@ func (sess *proxySession) pump(b *backend, bc *serve.Client) pumpResult {
 	} else {
 		sess.track.SetState(sessiontrack.StateActive)
 	}
-	// Backend-side in-flight window, released one slot per ack received.
-	sem := make(chan struct{}, window)
-	abort := make(chan struct{})
-	var abortOnce sync.Once
-	stopSender := func() { abortOnce.Do(func() { close(abort) }) }
-	defer stopSender()
+	// Backend-side in-flight window: a token per free slot, back per ack.
+	slots := make(chan struct{}, window)
+	for range window {
+		slots <- struct{}{}
+	}
+	abort := make(chan struct{}) // closed when the attempt ends
 
+	// take receives a window slot or the reader's signal from ch, flushing
+	// the frames written so far before it waits (the backend cannot ack what
+	// has not left); false when the attempt ends first or the flush fails.
+	take := func(ch <-chan struct{}) bool {
+		select {
+		case <-ch:
+			return true
+		default:
+		}
+		if bc.Flush() != nil {
+			return false
+		}
+		select {
+		case <-ch:
+			return true
+		case <-abort:
+		case <-sess.closed:
+		}
+		return false
+	}
 	var senderSawGone atomic.Bool
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -400,12 +427,7 @@ func (sess *proxySession) pump(b *backend, bc *serve.Client) pumpResult {
 			sess.mu.Unlock()
 			switch {
 			case payload != nil:
-				select {
-				case sem <- struct{}{}:
-				case <-abort:
-					pbuf.Release()
-					return
-				case <-sess.closed:
+				if !take(slots) {
 					pbuf.Release()
 					return
 				}
@@ -426,17 +448,15 @@ func (sess *proxySession) pump(b *backend, bc *serve.Client) pumpResult {
 					sess.mu.Unlock()
 				}
 				err := bc.WriteFrame(serve.FrameRecords, payload)
-				if err == nil {
-					err = bc.Flush()
-				}
 				pbuf.Release()
 				if err != nil {
 					return // receiver sees the conn error
 				}
 				next++
 			case doneAll:
-				bc.WriteFrame(serve.FrameDone, nil)
-				bc.Flush()
+				if bc.WriteFrame(serve.FrameDone, nil) == nil {
+					bc.Flush()
+				}
 				return
 			case gone:
 				// No Summary is coming from the client's perspective; wake
@@ -445,21 +465,18 @@ func (sess *proxySession) pump(b *backend, bc *serve.Client) pumpResult {
 				bc.Close()
 				return
 			default:
-				select {
-				case <-sess.notify:
-				case <-abort:
-					return
-				case <-sess.closed:
+				if !take(sess.notify) {
 					return
 				}
 			}
 		}
 	}()
 
+	flush := sess.flushClient
 	result := pumpRetry
 recv:
 	for {
-		f, err := bc.ReadFrame(0)
+		f, err := bc.ReadFrame(flush)
 		if err != nil {
 			if senderSawGone.Load() || sess.isClosed() {
 				result = pumpTerminal
@@ -473,13 +490,13 @@ recv:
 			// introspection view carries real miss/throughput windows, not
 			// just byte counters.
 			ack, aerr := serve.DecodeAck(f.Payload)
+			f.Release() // the client batch re-encodes the ack in place
 			if aerr != nil {
-				f.Release()
 				break recv // corrupt ack; treat as backend loss
 			}
 			seq := ack.Seq
 			select {
-			case <-sem:
+			case slots <- struct{}{}:
 			default:
 			}
 			// The first ack for seq is the one past the relayed watermark
@@ -503,30 +520,23 @@ recv:
 			}
 			if first {
 				sp.StampAt(flight.HopRouterAckRecv, time.Now().UnixNano())
-				// The ack payload relays as-is; its buffer reference moves
-				// to the client writer, which publishes the span after the
-				// flush.
-				if !sess.relay(serve.OutFrame{Type: serve.FrameAck, Payload: f.Payload, Buf: f.Buffer(), Ack: ack, Span: sp}) {
-					result = pumpTerminal
-					break recv
-				}
+				sess.wmu.Lock()
+				sess.w.Ack(ack, sp)
+				sess.wmu.Unlock()
 				sess.relayedThrough.Store(seq)
 				if jmax >= seq {
 					sess.track.SetInflight(int32(jmax - seq))
 				}
 				r.m.acksRelayed.Inc()
-			} else {
-				f.Release() // replay duplicate, suppressed
 			}
 		case serve.FrameEvents:
 			// Events for a frame precede its ack, so the ack watermark also
 			// identifies replay-duplicate event frames.
 			seq, n := binary.Uvarint(f.Payload)
 			if n > 0 && seq > sess.relayedThrough.Load() {
-				if !sess.relay(serve.OutFrame{Type: serve.FrameEvents, Payload: f.Payload, Buf: f.Buffer()}) {
-					result = pumpTerminal
-					break recv
-				}
+				sess.wmu.Lock()
+				sess.w.Add(serve.FrameEvents, f.Payload, f.Buffer())
+				sess.wmu.Unlock()
 			} else {
 				f.Release()
 			}
@@ -553,7 +563,7 @@ recv:
 				ReplayedFrames: int(sess.replayed.Load()),
 			}
 			payload, _ := json.Marshal(sum)
-			sess.relay(serve.OutFrame{Type: serve.FrameSummary, Payload: payload, Final: true})
+			sess.end(serve.FrameSummary, payload, nil)
 			result = pumpTerminal
 			break recv
 		case serve.FrameError:
@@ -565,15 +575,14 @@ recv:
 			}
 			// Deterministic rejection — a replay would fail identically, so
 			// relay the backend's verdict as the session's final frame.
-			sess.markDropped()
-			sess.relay(serve.OutFrame{Type: serve.FrameError, Payload: f.Payload, Buf: f.Buffer(), Final: true})
+			sess.end(serve.FrameError, f.Payload, f.Buffer())
 			result = pumpTerminal
 			break recv
 		default:
 			f.Release()
 		}
 	}
-	stopSender()
+	close(abort)
 	bc.Close() // wakes a sender blocked in a write
 	wg.Wait()
 	return result

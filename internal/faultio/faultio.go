@@ -1,11 +1,13 @@
-// Package faultio provides fault injection for robustness tests at two
+// Package faultio provides fault injection for robustness tests at three
 // levels: io.Reader and io.Writer wrappers for stream codecs (readers that
 // fail or truncate after a byte budget, readers that flip bits mid-stream,
 // writers that fail or perform short writes — the trace format's
-// corruption-recovery tests are the primary consumer), and a network fault
+// corruption-recovery tests are the primary consumer), a network fault
 // Proxy that forwards TCP connections while injecting drops, latency,
 // partial writes, and abrupt resets (the cluster router's chaos matrix is
-// the primary consumer).
+// the primary consumer), and a server-side StallConn whose writes block as
+// they do for a peer that stopped reading (the daemons' slow-reader tests),
+// with the goroutine counts their leak checks settle on.
 package faultio
 
 import (

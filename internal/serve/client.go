@@ -99,10 +99,10 @@ type Client struct {
 // Stream owns the connection, it arms a fresh deadline (the dial timeout
 // from now) before each read or write system call, so a window of small
 // frames pays one deadline per call that reaches the socket, not one per
-// frame. Otherwise it is the bare connection, and ReadFrame, WriteFrame and
-// Flush arm their own deadlines.
+// frame. Otherwise WriteFrame and Flush arm their own deadlines, and the
+// flush ReadFrame sets runs before each read system call.
 type streamConn struct {
-	net.Conn
+	flushConn
 	timeout time.Duration
 	stream  bool
 }
@@ -111,7 +111,7 @@ func (c *streamConn) Read(p []byte) (int, error) {
 	if c.stream {
 		c.Conn.SetReadDeadline(time.Now().Add(c.timeout))
 	}
-	return c.Conn.Read(p)
+	return c.flushConn.Read(p)
 }
 
 func (c *streamConn) Write(p []byte) (int, error) {
@@ -214,7 +214,7 @@ func handshake(conn net.Conn, hello Hello, timeout time.Duration) (*Client, erro
 	if _, err := conn.Write(append([]byte(Preamble), ProtocolVersion)); err != nil {
 		return nil, err
 	}
-	sc := &streamConn{Conn: conn, timeout: timeout}
+	sc := &streamConn{flushConn: flushConn{Conn: conn}, timeout: timeout}
 	c := &Client{
 		conn: sc,
 		fw:   trace.NewFrameWriter(sc),
@@ -275,16 +275,14 @@ func (c *Client) Flush() error {
 	return c.fw.Flush()
 }
 
-// ReadFrame reads the next server frame. A non-zero deadline bounds the
-// wait; zero blocks until a frame arrives or the connection dies. The
-// frame's payload is borrowed from the client buffer pool: the caller owns
-// it and must Release (or Retain/Copy) it — see trace.Frame.
-func (c *Client) ReadFrame(deadline time.Duration) (trace.Frame, error) {
-	if deadline > 0 {
-		c.conn.SetReadDeadline(time.Now().Add(deadline))
-	} else {
-		c.conn.SetReadDeadline(time.Time{})
-	}
+// ReadFrame reads the next server frame, blocking until one arrives or the
+// connection dies. flush, when non-nil, runs before each read system call
+// the wait makes, and its error fails the read: a relay's batched replies
+// leave before it waits on the server. The frame's payload is borrowed from
+// the client buffer pool: the caller owns it and must Release (or Retain)
+// it — see trace.Frame.
+func (c *Client) ReadFrame(flush func() error) (trace.Frame, error) {
+	c.conn.flush = flush
 	return c.fr.Next()
 }
 

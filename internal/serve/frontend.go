@@ -44,8 +44,9 @@ type Limits struct {
 	MaxFramePayload int
 	MaxFrameRecords int
 	// ReadTimeout bounds the wait for the next client frame, the preamble
-	// and Hello included; WriteTimeout bounds each flush to the client
-	// (default 30s each).
+	// and Hello included, and the flush of replies a serve session makes
+	// in that wait; WriteTimeout bounds each flush to the client (default
+	// 30s each).
 	ReadTimeout  time.Duration
 	WriteTimeout time.Duration
 }
@@ -96,15 +97,42 @@ type FrontEndConfig struct {
 	// Sessions is the owner's live set. Shutdown drains it and a cut kills
 	// what is left.
 	Sessions *sessiontrack.Registry
-	// Open takes over an accepted handshake on the connection's goroutine.
-	// It owns conn from then on, and fr is positioned after the Hello.
-	Open func(conn net.Conn, fr *trace.FrameReader, h Handshake)
+	// Open takes over an accepted handshake on the connection's goroutine,
+	// and owns c from then on.
+	Open func(c *Conn, h Handshake)
 	// OnCut, when set, runs when a stop gives up on draining (Close, or
 	// Shutdown's ctx ending), before the live sessions are killed. OnStop,
 	// when set, runs once every connection goroutine has exited. Both may
 	// run more than once.
 	OnCut  func()
 	OnStop func()
+}
+
+// Conn is an accepted connection whose handshake passed, as Open takes it
+// over. A serve session sets its flush to its reply batch's.
+type Conn struct {
+	flushConn
+	// Frames reads the client's frames, from the one after the Hello,
+	// through Read.
+	Frames *trace.FrameReader
+}
+
+// flushConn runs flush, when set, before each read system call, and its
+// error fails the read: the replies its reader has batched leave before it
+// waits on its peer. A serve session reads its client and the router's
+// forwarder its backend through one.
+type flushConn struct {
+	net.Conn
+	flush func() error
+}
+
+func (c *flushConn) Read(p []byte) (int, error) {
+	if c.flush != nil {
+		if err := c.flush(); err != nil {
+			return 0, err
+		}
+	}
+	return c.Conn.Read(p)
 }
 
 // Handshake is a client's Hello resolved against the front end's defaults.
@@ -309,18 +337,18 @@ func (fe *FrontEnd) handle(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	fr := trace.NewPooledFrameReader(conn, fe.cfg.MaxFramePayload, fe.cfg.Pool)
-	h, we := fe.handshake(fr)
+	c := &Conn{flushConn: flushConn{Conn: conn}}
+	c.Frames = trace.NewPooledFrameReader(c, fe.cfg.MaxFramePayload, fe.cfg.Pool)
+	h, we := fe.handshake(c.Frames)
 	if we != nil {
 		log.Debug("handshake rejected", "code", we.Code, "err", we.Msg)
-		conn.SetWriteDeadline(time.Now().Add(fe.cfg.WriteTimeout))
-		fw := trace.NewFrameWriter(conn)
-		fw.WriteFrame(FrameError, marshalJSON(we))
-		fw.Flush()
+		w := Writer{Conn: conn, Timeout: fe.cfg.WriteTimeout}
+		w.Add(FrameError, marshalJSON(we), nil)
+		w.Flush()
 		conn.Close()
 		return
 	}
-	fe.cfg.Open(conn, fr, h)
+	fe.cfg.Open(c, h)
 }
 
 // handshake reads the Hello and resolves it, or says why it cannot.

@@ -55,8 +55,8 @@ func openOne(t *testing.T, build bool, pf cli.PredictorFlags) Handshake {
 		Log:       log,
 		Pool:      trace.NewBufferPool(),
 		Sessions:  sessiontrack.NewRegistry(sessiontrack.Options{}),
-		Open: func(conn net.Conn, _ *trace.FrameReader, h Handshake) {
-			conn.Close()
+		Open: func(c *Conn, h Handshake) {
+			c.Close()
 			got <- h
 		},
 	})

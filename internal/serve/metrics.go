@@ -24,7 +24,7 @@ type metrics struct {
 	frameLatency *telemetry.Histogram // serve_frame_latency: read → ack queued
 	queueWait    *telemetry.Histogram // serve_frame_queue_wait: read → predictor slot taken
 	predictTime  *telemetry.Histogram // serve_frame_predict: predictor walk per frame
-	ackFlush     *telemetry.Histogram // serve_ack_flush: one vectored writer flush
+	ackFlush     *telemetry.Histogram // serve_ack_flush: one vectored session flush
 }
 
 // newMetrics resolves the handles against r (nil handles when r is nil).

@@ -321,6 +321,9 @@ func varintErr(n int) error {
 	return errors.New("varint overflows 64 bits")
 }
 
+// ackPayloadMax is an Ack payload's encoded size bound: seven uvarints.
+const ackPayloadMax = 7 * binary.MaxVarintLen64
+
 // appendAck encodes an Ack payload as uvarints.
 func appendAck(buf []byte, a Ack) []byte {
 	buf = binary.AppendUvarint(buf, a.Seq)

@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"log/slog"
-	"net"
 	"runtime"
 
 	"github.com/oocsb/ibp/internal/cli"
@@ -106,11 +105,11 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// open registers an accepted session, starts its writer, queues the
-// HelloAck, and runs the session — its reads and its predictions — on the
+// open registers an accepted session, batches its HelloAck, and runs the
+// session — its reads, its predictions and its replies — on the
 // connection's goroutine.
-func (s *Server) open(conn net.Conn, fr *trace.FrameReader, h Handshake) {
-	sess := newSession(s, conn, h.Pred, h.Hello, h.Window)
+func (s *Server) open(c *Conn, h Handshake) {
+	sess := newSession(s, c.Conn, h.Pred, h.Hello)
 	meta := sessiontrack.Meta{
 		Kind:      sessiontrack.KindServe,
 		Benchmark: h.Hello.Benchmark,
@@ -143,29 +142,20 @@ func (s *Server) open(conn net.Conn, fr *trace.FrameReader, h Handshake) {
 	s.m.sessionsActive.Add(1)
 	if err := s.track.Register(entry); err != nil {
 		s.cfg.Log.Debug("session open failed", "err", err) // draining
-		s.unregister(sess)
-		conn.Close()
+		sess.end(0, nil)
 		return
 	}
 	s.m.sessionsTotal.Inc()
 
-	w := &Writer{
-		Conn:      conn,
-		Out:       sess.out,
-		Stop:      sess.stop,
-		Timeout:   s.cfg.WriteTimeout,
-		Publish:   sess.publish,
-		Exit:      sess.writerExit,
-		BatchSize: s.m.ackBatchSize,
-		FlushTime: s.m.ackFlush,
-	}
-	s.Go(w.Run)
-	sess.send(OutFrame{Type: FrameHelloAck, Payload: s.AckHello(h, sess.id)})
+	// The HelloAck leaves with the flush before the session's first read
+	// system call.
+	sess.w.Add(FrameHelloAck, s.AckHello(h, sess.id), nil)
+	c.flush = sess.w.Flush
 	s.cfg.Log.Info("session open", "session", sess.id, "benchmark", h.Hello.Benchmark,
 		"predictor", sess.predName, "events", sess.events, "window", h.Window)
-	sess.readLoop(fr)
-	// The reader was the tuner history's only user, so it goes now, however
-	// the session ended.
+	sess.readLoop(c.Frames)
+	// The session was the tuner history's only user, so it goes now,
+	// however the session ended.
 	if sess.hist != nil {
 		sess.hist.Release()
 	}
@@ -173,8 +163,8 @@ func (s *Server) open(conn net.Conn, fr *trace.FrameReader, h Handshake) {
 
 // unregister removes the session from the live set. The registry's
 // exactly-once Unregister keys the gauge decrement, so no combination of
-// exit paths (summary, fail, shed, hard close, drain race) can decrement
-// twice or leave serve_sessions_active elevated.
+// exit paths (summary, fail, hard close, drain race) can decrement twice or
+// leave serve_sessions_active elevated.
 func (s *Server) unregister(sess *session) {
 	if s.track.Unregister(sess.track) {
 		s.m.sessionsActive.Add(-1)

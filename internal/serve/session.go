@@ -6,7 +6,6 @@ import (
 	"io"
 	"net"
 	"runtime/debug"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -19,9 +18,10 @@ import (
 )
 
 // session is one client connection's state. The connection's own goroutine,
-// after the FrontEnd handshake, reads each frame and runs it through the
-// predictor before it reads the next, so it owns the predictor and the
-// accounting; the writer goroutine owns the connection's write side.
+// after the FrontEnd handshake, reads each frame, runs it through the
+// predictor and adds its replies to the session's batch before it reads the
+// next, so it owns the predictor, the accounting and the connection's write
+// side. The batch is flushed before each read system call that could block.
 type session struct {
 	id   uint64
 	srv  *Server
@@ -40,15 +40,13 @@ type session struct {
 	track *sessiontrack.Session
 
 	// shared
-	dead     atomic.Bool
+	killed   atomic.Bool
 	draining atomic.Bool
-	out      chan OutFrame
-	stop     chan struct{}
-	stopOnce sync.Once
 
-	// reader-owned: the last frame seq, the prediction kernel (predictor
-	// and sim accounting), and evs, the kernel's event output for the frame
-	// in progress.
+	// session-owned: the reply batch, the last frame seq, the prediction
+	// kernel (predictor and sim accounting), and evs, the kernel's event
+	// output for the frame in progress.
+	w       Writer
 	nextSeq uint64
 	kern    *sim.Kernel
 	frames  int
@@ -59,12 +57,12 @@ type session struct {
 	// fed by kern as its miss observer. hist (non-nil exactly when tun is)
 	// retains the session's processed record chunks in their pooled frame
 	// buffers for the swap replay, within the policy's histmax budget.
-	// Reader-owned like the kernel, so a hot swap needs no locks.
+	// Session-owned like the kernel, so a hot swap needs no locks.
 	tun  *tuner.SessionTuner
 	hist *trace.FrameLog
 }
 
-func newSession(s *Server, conn net.Conn, pred core.Predictor, hello Hello, window int) *session {
+func newSession(s *Server, conn net.Conn, pred core.Predictor, hello Hello) *session {
 	sess := &session{
 		srv:      s,
 		conn:     conn,
@@ -72,13 +70,13 @@ func newSession(s *Server, conn net.Conn, pred core.Predictor, hello Hello, wind
 		kern:     sim.NewKernel(pred, sim.Options{Warmup: hello.Warmup}),
 		predName: pred.Name(),
 		events:   hello.Events,
-		// Each processed frame queues at most two messages (events + ack);
-		// the handshake and final summary ride in the slack. The writer
-		// drains continuously, so the channel only fills when the client
-		// stops reading — which send turns into a shed session rather than
-		// a reader stalled holding a predictor slot.
-		out:  make(chan OutFrame, 2*window+8),
-		stop: make(chan struct{}),
+	}
+	sess.w = Writer{
+		Conn:      conn,
+		Timeout:   s.cfg.WriteTimeout,
+		Publish:   sess.publish,
+		BatchSize: s.m.ackBatchSize,
+		FlushTime: s.m.ackFlush,
 	}
 	if sess.events {
 		sess.kern.SetEvents(&sess.evs)
@@ -86,48 +84,29 @@ func newSession(s *Server, conn net.Conn, pred core.Predictor, hello Hello, wind
 	return sess
 }
 
-// send queues a frame for the writer without ever blocking the caller (a
-// reader must not stall on its own slow client). A full queue means the client
-// stopped consuming acks faster than the window allows: the session is shed.
-// A message that does not make it to the writer has its buffer released here.
-func (sess *session) send(m OutFrame) bool {
-	if sess.dead.Load() {
-		// The writer may already be gone; do not strand a pooled buffer in
-		// the queue.
-		m.Buf.Release()
-		return false
+// end finishes the session: it leaves the live set, its final frame (when
+// final is non-nil) leaves with whatever replies are still batched, and the
+// connection closes.
+func (sess *session) end(typ uint64, final []byte) {
+	sess.srv.unregister(sess)
+	if final != nil {
+		sess.w.Add(typ, final, nil)
 	}
-	select {
-	case sess.out <- m:
-		return true
-	default:
-		m.Buf.Release()
-		sess.fail(CodeOverload, "response queue overflow: client not consuming acks")
-		return false
-	}
+	sess.w.Flush()
+	sess.conn.Close()
 }
 
-// fail marks the session dead exactly once and tears the connection down.
-// The session counts as dropped (it will never get a Summary).
+// fail ends the session with a WireError. The session counts as dropped (it
+// will never get a Summary).
 func (sess *session) fail(code, msg string) {
-	if !sess.dead.CompareAndSwap(false, true) {
-		return
-	}
 	sess.srv.m.sessionsDropped.Inc()
 	sess.srv.cfg.Log.Warn("session dropped", "session", sess.id, "code", code, "err", msg)
-	sess.srv.unregister(sess)
-	// Best effort: tell the client why. If the writer is gone or the queue
-	// is full the close alone has to do.
-	select {
-	case sess.out <- OutFrame{Type: FrameError, Payload: marshalJSON(&WireError{Code: code, Msg: msg}), Final: true}:
-	default:
-		sess.stopOnce.Do(func() { close(sess.stop) })
-	}
+	sess.end(FrameError, marshalJSON(&WireError{Code: code, Msg: msg}))
 }
 
 // Drain implements sessiontrack.Conn's graceful drain: it marks the session
-// draining and kicks its reader off the socket (an immediate read deadline).
-// The reader has already predicted every frame it read, so it writes the
+// draining and kicks it off the socket (an immediate read deadline). The
+// session has already predicted every frame it read, so it writes the
 // final summary at once, and everything acknowledged lands in it.
 func (sess *session) Drain() {
 	sess.draining.Store(true)
@@ -135,11 +114,11 @@ func (sess *session) Drain() {
 }
 
 // Kill implements sessiontrack.Conn's hard close (forced shutdown): the
-// session is cut without ceremony.
+// connection closes, and the session ends without ceremony at its next read
+// or flush.
 func (sess *session) Kill() {
-	sess.dead.Store(true)
-	sess.srv.unregister(sess)
-	sess.stopOnce.Do(func() { close(sess.stop) })
+	sess.killed.Store(true)
+	sess.conn.Close()
 }
 
 // Retune implements sessiontrack.Retuner: the /sessions/{id}/retune admin
@@ -150,34 +129,24 @@ func (sess *session) Retune() bool { return sess.tun.Retune() }
 // wire: the frame histograms, the session's stats and the flight recorder.
 // A frame whose ack never flushes (the session shed, killed or cut first)
 // counts in serve_frames_total but reaches none of them.
-func (sess *session) publish(f *OutFrame, flushedNS int64) {
-	sp := &f.Span
+func (sess *session) publish(a Ack, sp *flight.Span, flushedNS int64) {
 	sp.StampAt(flight.HopServerAckWrite, flushedNS)
 	wait := sp.Between(flight.HopServerRecv, flight.HopServerDequeue)
 	m := sess.srv.m
 	m.queueWait.Observe(wait)
 	m.predictTime.Observe(sp.Between(flight.HopServerDequeue, flight.HopServerPredict))
 	m.frameLatency.Observe(sp.Between(flight.HopServerRecv, flight.HopServerPredict))
-	sess.track.FrameAcked(flushedNS, f.Ack.Records, f.Ack.Executed, f.Ack.Misses, wait)
+	sess.track.FrameAcked(flushedNS, a.Records, a.Executed, a.Misses, wait)
 	sp.Finish()
 }
 
-// writerExit sheds the session when a flush failed; a Final frame or a stop
-// has already settled it.
-func (sess *session) writerExit(err error) {
-	if err != nil {
-		sess.fail(CodeOverload, fmt.Sprintf("write: %v", err))
-	}
-}
-
 // readLoop reads client frames and predicts each before it reads the next,
-// until Done, drain, or failure; then it writes the Summary.
+// until Done, drain, or failure; then it ends the session. Its reads go
+// through the session's Conn, which flushes the batched replies before each
+// read system call.
 func (sess *session) readLoop(fr *trace.FrameReader) {
 	s := sess.srv
 	for {
-		if sess.dead.Load() {
-			return
-		}
 		if sess.draining.Load() {
 			break
 		}
@@ -192,15 +161,16 @@ func (sess *session) readLoop(fr *trace.FrameReader) {
 		}
 		f, err := fr.Next()
 		if err != nil {
-			if sess.draining.Load() {
-				break
-			}
-			if sess.dead.Load() {
-				return
-			}
-			if err == io.EOF {
+			switch {
+			case sess.draining.Load():
+				sess.emitSummary(true)
+			case sess.killed.Load():
+				sess.end(0, nil)
+			case sess.w.err != nil:
+				sess.fail(CodeOverload, fmt.Sprintf("write: %v", sess.w.err))
+			case err == io.EOF:
 				sess.fail(CodeBadFrame, "client closed before Done")
-			} else {
+			default:
 				sess.fail(CodeBadFrame, err.Error())
 			}
 			return
@@ -217,7 +187,10 @@ func (sess *session) readLoop(fr *trace.FrameReader) {
 				return
 			}
 			sess.nextSeq = seq
-			sess.processFrame(seq, chunk, f.Buffer())
+			if we := sess.processFrame(seq, chunk, f.Buffer()); we != nil {
+				sess.fail(we.Code, we.Msg)
+				return
+			}
 		case FrameDone:
 			f.Release()
 			sess.emitSummary(false)
@@ -232,11 +205,12 @@ func (sess *session) readLoop(fr *trace.FrameReader) {
 }
 
 // processFrame runs the session kernel (DESIGN.md §5b) straight off a
-// RecordIter over the borrowed chunk while holding a predictor slot, then
-// queues the (events and) ack frames from pooled payload buffers and
-// releases the chunk's buffer. A predictor panic is confined to this
-// session, like a sim lane's.
-func (sess *session) processFrame(seq uint64, chunk []byte, buf *trace.PooledBuf) {
+// RecordIter over the borrowed chunk while holding a predictor slot, adds
+// the frame's replies to the batch and releases the chunk's buffer. It
+// writes nothing, so a client slow to read never holds a slot. A predictor
+// panic is confined to this session, like a sim lane's, and returned as
+// its verdict.
+func (sess *session) processFrame(seq uint64, chunk []byte, buf *trace.PooledBuf) (we *WireError) {
 	s := sess.srv
 	m := s.m
 	// One clock read per frame (amortized over its ~thousands of records)
@@ -252,7 +226,7 @@ func (sess *session) processFrame(seq uint64, chunk []byte, buf *trace.PooledBuf
 	defer func() {
 		if r := recover(); r != nil {
 			m.panics.Inc()
-			sess.fail(CodePredictor, fmt.Sprintf("predictor panicked: %v\n%s", r, debug.Stack()))
+			we = &WireError{Code: CodePredictor, Msg: fmt.Sprintf("predictor panicked: %v\n%s", r, debug.Stack())}
 		}
 	}()
 	sp.StampAt(flight.HopServerDequeue, time.Now().UnixNano())
@@ -262,8 +236,7 @@ func (sess *session) processFrame(seq uint64, chunk []byte, buf *trace.PooledBuf
 		// The predictor may already have seen the frame's valid prefix, but a
 		// session that ships a malformed chunk never reaches a Summary, so
 		// the bit-identical accounting contract is unaffected.
-		sess.fail(CodeBadFrame, err.Error())
-		return
+		return &WireError{Code: CodeBadFrame, Msg: err.Error()}
 	}
 	res := sess.kern.Result()
 	executed, misses := res.Executed-before.Executed, res.Misses-before.Misses
@@ -272,7 +245,7 @@ func (sess *session) processFrame(seq uint64, chunk []byte, buf *trace.PooledBuf
 	sp.StampAt(flight.HopServerPredict, time.Now().UnixNano())
 	sp.SetRecords(nrecs)
 	// The (allocating) table stats refresh is amortized to every 16th
-	// frame — the predictor is reader-owned, so only this goroutine may
+	// frame — the predictor is session-owned, so only this goroutine may
 	// read it.
 	if sess.frames&0xf == 0 {
 		sess.updateTables()
@@ -280,7 +253,7 @@ func (sess *session) processFrame(seq uint64, chunk []byte, buf *trace.PooledBuf
 	m.frames.Inc()
 	m.records.Add(uint64(nrecs))
 	m.misses.Add(uint64(misses))
-	ack := Ack{
+	sess.reply(Ack{
 		Seq:               seq,
 		Records:           nrecs,
 		Executed:          executed,
@@ -288,29 +261,28 @@ func (sess *session) processFrame(seq uint64, chunk []byte, buf *trace.PooledBuf
 		TotalExecuted:     res.Executed,
 		TotalMisses:       res.Misses,
 		TotalNoPrediction: res.NoPrediction,
-	}
-	if sess.events {
-		// Worst case per event: three 5-byte varints plus the flags byte.
-		eb := s.pool.Get(16*len(sess.evs) + 2*binary.MaxVarintLen64)
-		payload := appendEvents(eb.Bytes()[:0], seq, sess.evs)
-		sess.evs = sess.evs[:0] // keep the grown buffer for the next frame
-		if !sess.send(OutFrame{Type: FrameEvents, Payload: payload, Buf: eb}) {
-			return
-		}
-	}
-	ab := s.pool.Get(ackPayloadMax)
-	payload := appendAck(ab.Bytes()[:0], ack)
-	// The span rides the ack to the writer, which publishes it after the
-	// flush; a shed message simply drops the span.
-	if sess.send(OutFrame{Type: FrameAck, Payload: payload, Buf: ab, Ack: ack, Span: sp}) {
-		m.acks.Inc()
-	}
+	}, sp)
+	m.acks.Inc()
 	// The frame boundary is the tuner's only legal act point; the ack above
 	// still carries the pre-swap totals, the next one reflects the replayed
 	// accounting.
 	if sess.tun != nil {
 		sess.tunerFrameEnd(seq, chunk, buf, executed, misses)
 	}
+	return nil
+}
+
+// reply adds a processed frame's replies to the batch: its events, from a
+// pooled payload buffer, then its ack, whose span the flush that writes it
+// publishes.
+func (sess *session) reply(ack Ack, sp flight.Span) {
+	if sess.events {
+		// Worst case per event: three 5-byte varints plus the flags byte.
+		eb := sess.srv.pool.Get(16*len(sess.evs) + 2*binary.MaxVarintLen64)
+		sess.w.Add(FrameEvents, appendEvents(eb.Bytes()[:0], ack.Seq, sess.evs), eb)
+		sess.evs = sess.evs[:0] // keep the grown buffer for the next frame
+	}
+	sess.w.Ack(ack, sp)
 }
 
 // runChunk runs k over an encoded record chunk in place, a RecordIter batch
@@ -344,12 +316,8 @@ func (sess *session) updateTables() {
 	}
 }
 
-// ackPayloadMax is an Ack payload's encoded size bound: seven uvarints.
-const ackPayloadMax = 7 * binary.MaxVarintLen64
-
-// emitSummary finishes the session: the final Summary frame reflects every
-// frame the reader processed (every acknowledged frame in particular), then
-// the writer closes the connection.
+// emitSummary ends the session with its Summary, which reflects every frame
+// the session processed (every acknowledged frame in particular).
 func (sess *session) emitSummary(drained bool) {
 	if drained {
 		sess.srv.m.drains.Inc()
@@ -372,6 +340,5 @@ func (sess *session) emitSummary(drained bool) {
 		"benchmark", sum.Benchmark, "frames", sum.Frames, "records", sum.Records,
 		"executed", sum.Executed, "misses", sum.Misses, "missRate", sum.MissRate,
 		"drained", drained)
-	sess.srv.unregister(sess)
-	sess.send(OutFrame{Type: FrameSummary, Payload: marshalJSON(sum), Final: true})
+	sess.end(FrameSummary, marshalJSON(sum))
 }

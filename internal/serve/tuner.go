@@ -7,8 +7,8 @@ import (
 )
 
 // tunerFrameEnd is the act side of the adaptation plane, run at every frame
-// boundary of a tuned session (the session's reader, after the frame's ack is
-// queued): retain the frame for replay, let the policy vote, and apply any
+// boundary of a tuned session (the session goroutine, after the frame's ack is
+// batched): retain the frame for replay, let the policy vote, and apply any
 // decision as a hot swap.
 //
 // Swap-determinism contract: a swap replays the session's entire retained

@@ -18,9 +18,9 @@ import (
 // loop on buffer ownership: a frame added with its PooledBuf is released as
 // soon as the batch no longer needs the bytes.
 //
-// A FrameBatcher is not safe for concurrent use; each connection writer owns
-// one. The zero value is ready to use, and all internal storage is reused
-// across batches, so a steady-state writer allocates nothing.
+// A FrameBatcher is not safe for concurrent use; each session's reply batch
+// owns one. The zero value is ready to use, and all internal storage is
+// reused across batches, so a steady-state session allocates nothing.
 
 // inlineLimit is the payload size up to which Add copies into the arena.
 // Beyond it, splicing by reference (one more iovec) is cheaper than the

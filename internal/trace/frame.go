@@ -68,7 +68,7 @@ func (f *Frame) Buffer() *PooledBuf { return f.buf }
 func (f *Frame) Copy() []byte { return append([]byte(nil), f.Payload...) }
 
 // FrameWriter emits checksummed frames onto a stream. It buffers; callers
-// decide flush points (a network writer flushes after each response batch).
+// decide flush points (a client flushes before it waits on the server).
 // The v2 file writer frames its sections through it too.
 type FrameWriter struct {
 	bw *bufio.Writer
@@ -148,9 +148,6 @@ func (fr *FrameReader) Next() (Frame, error) {
 	}
 	return Frame{Type: sec.typ, Payload: sec.payload, Start: sec.start, buf: sec.buf}, nil
 }
-
-// Offset returns the stream offset of the next unread byte.
-func (fr *FrameReader) Offset() int64 { return fr.s.off }
 
 // AppendRecords appends the count-prefixed delta-encoding of recs to buf and
 // returns the extended slice. Delta state starts at zero, so every encoded

@@ -20,7 +20,7 @@ import (
 //     reference must Release it or the buffer is merely garbage-collected
 //     instead of reused (correct, but slow).
 //   - Retain adds a reference before handing the buffer to another holder
-//     (a FrameLog, a writer queue); each holder Releases independently.
+//     (a FrameLog, a reply batch); each holder Releases independently.
 //   - After the final Release the bytes must not be touched. Bytes and
 //     Release check the reference count and panic on use-after-release and
 //     double-release — cheap (one atomic load) and loud, instead of the

@@ -102,20 +102,15 @@ func DefaultPolicy() Policy {
 }
 
 // PredictorFor resolves a -pred spec into buildable PredictorFlags with the
-// non-pred flags at their Register defaults, verifying construction once so
-// a bad target fails at policy-parse time, not at swap time.
+// non-pred flags at their Register defaults, checked to build
+// (cli.PredictorFlags.CheckBuild) so a bad target fails at policy-parse
+// time, not at swap time.
 func PredictorFor(pred string) (cli.PredictorFlags, error) {
 	var f cli.PredictorFlags
 	fs := flag.NewFlagSet("tuner", flag.ContinueOnError)
 	f.Register(fs)
 	f.Pred = pred
-	if err := f.Validate(); err != nil {
-		return f, err
-	}
-	if _, err := f.Build(); err != nil {
-		return f, err
-	}
-	return f, nil
+	return f, f.CheckBuild()
 }
 
 // ParsePolicy parses a -tunerpolicy spec: semicolon-separated key=value

@@ -69,17 +69,41 @@ curl -fsS "http://$ROUTER_METRICS/sessions/stream?ticks=3&interval=500ms&sort=rp
 # 3. The router's own proxy view for the cross-check.
 curl -fsS "http://$ROUTER_METRICS/sessions/local" > "$dir/router-local.json"
 
-# 4. One session detail off a backend (tables + window live here).
-first_backend_session=$(curl -fsS "http://$B1_METRICS/sessions" | python3 -c \
-  'import json,sys; s=json.load(sys.stdin)["sessions"]; print(s[0]["id"] if s else "")')
-if [ -n "$first_backend_session" ]; then
-  curl -fsS "http://$B1_METRICS/sessions/$first_backend_session" > "$dir/session-detail.json"
-fi
+# 4. One session detail off a backend (tables + window live here). A listed
+# session can end before its detail is fetched: its 404 is accepted only
+# when a fresh listing no longer carries it, and then the next live session
+# is tried. Any other failure fails the smoke. The detail check is skipped
+# only when b1 lists no live session.
+b1_sessions() {
+  curl -fsS "http://$B1_METRICS/sessions" | python3 -c \
+    'import json,sys; print(*[s["id"] for s in json.load(sys.stdin)["sessions"]])'
+}
+rm -f "$dir/session-detail.json" "$dir/no-b1-session"
+for _ in $(seq 20); do
+  ids=$(b1_sessions)
+  if [ -z "$ids" ]; then
+    : > "$dir/no-b1-session"
+    break
+  fi
+  for id in $ids; do
+    code=$(curl -sS -o "$dir/detail.tmp" -w '%{http_code}' "http://$B1_METRICS/sessions/$id")
+    if [ "$code" = 200 ]; then
+      mv "$dir/detail.tmp" "$dir/session-detail.json"
+      break 2
+    fi
+    now=$(b1_sessions)
+    if [ "$code" != 404 ] || [[ " $now " == *" $id "* ]]; then
+      echo "sessions smoke: /sessions/$id answered HTTP $code" >&2
+      exit 1
+    fi
+  done
+done
+rm -f "$dir/detail.tmp"
 
 wait "$LOAD"
 
 python3 - "$dir" "$B1_ADDR" "$B2_ADDR" <<'EOF'
-import json, sys
+import json, os, sys
 d, b1, b2 = sys.argv[1], sys.argv[2], sys.argv[3]
 
 # Stream: >= 3 ticks, and every session that appeared had a delta line with
@@ -129,12 +153,13 @@ for s in serve_rows:
         checked += 1
 assert checked >= 1, "no merged session could be cross-checked against the proxy view"
 
-# Session detail: window stats and identity present.
-try:
+# Session detail: window stats and identity present. It is missing only
+# when backend b1 held no session when sampled.
+if os.path.exists(f"{d}/session-detail.json"):
     det = json.load(open(f"{d}/session-detail.json"))
     assert det["win"]["seconds"] > 0 and det["state"], "detail missing window stats"
-except FileNotFoundError:
-    pass  # backend b1 happened to hold no session when sampled
+else:
+    assert os.path.exists(f"{d}/no-b1-session"), "no session detail fetched off b1"
 
 load = json.load(open(f"{d}/load-report.json"))
 assert load["failed"] == 0, f'load lost sessions: {load["failed"]}'
