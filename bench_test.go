@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	ibp "github.com/oocsb/ibp"
+	"github.com/oocsb/ibp/internal/core"
 	"github.com/oocsb/ibp/internal/experiment"
 	"github.com/oocsb/ibp/internal/workload"
 )
@@ -97,9 +98,10 @@ func BenchmarkLimits(b *testing.B)                  { runExperiment(b, "limits",
 func BenchmarkVMWorkloads(b *testing.B)             { runExperiment(b, "vm", 1000) }
 func BenchmarkContextSwitch(b *testing.B)           { runExperiment(b, "ctxswitch", 1000) }
 
-// Raw predictor throughput: nanoseconds per predicted branch. Predictor
-// construction happens outside the timed sections so ns/branch and allocs/op
-// measure the steady-state predict/update loop, not table allocation.
+// Raw predictor throughput: nanoseconds per predicted branch, timing the one
+// Update call per branch the simulation kernel makes. Predictor construction
+// happens outside the timed sections so ns/branch and allocs/op measure the
+// steady-state loop, not table allocation.
 func benchPredictor(b *testing.B, mk func() ibp.Predictor) {
 	b.Helper()
 	tr := ibp.MustBenchmark("eqn", 50_000).Indirect()
@@ -110,7 +112,6 @@ func benchPredictor(b *testing.B, mk func() ibp.Predictor) {
 		p := mk()
 		b.StartTimer()
 		for _, r := range tr {
-			p.Predict(r.PC)
 			p.Update(r.PC, r.Target)
 		}
 	}
@@ -143,6 +144,18 @@ func BenchmarkPredictorHybrid(b *testing.B) {
 			b.Fatal(err)
 		}
 		return h
+	})
+}
+
+// BenchmarkPredictorITTAGE times the tuner's escalation target, the
+// daemons' bare "-pred ittage".
+func BenchmarkPredictorITTAGE(b *testing.B) {
+	benchPredictor(b, func() ibp.Predictor {
+		it, err := core.NewITTAGE(8, 512, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return it
 	})
 }
 

@@ -42,7 +42,8 @@ import (
 
 // Core predictor types and configuration.
 type (
-	// Predictor is the predict/update contract shared by all predictors.
+	// Predictor is the contract shared by all predictors: one Update call
+	// per branch returns the prediction, then trains.
 	Predictor = core.Predictor
 	// Component is a predictor usable inside hybrids (adds confidence).
 	Component = core.Component

@@ -1,13 +1,12 @@
 package core
 
 // AttribState is the per-prediction attribution detail a predictor records
-// for the most recent Predict/Update pair while attribution recording is
-// enabled: the raw material of the event-tracing layer (internal/ptrace) and
+// in each Update while attribution recording is enabled: the raw material of the event-tracing layer (internal/ptrace) and
 // its miss classifier (internal/analysis). Recording is off by default — it
 // costs a handful of stores per branch — and is switched on by sim.Kernel
 // when an event recorder or a miss observer is attached.
 type AttribState struct {
-	// Pattern is the key the prediction probed the target table with (the
+	// Pattern is the key the branch probed the target table with (the
 	// folded history pattern + branch address; a hash of the exact key in
 	// full-precision mode; the word-aligned address for a BTB).
 	Pattern uint64
@@ -15,10 +14,10 @@ type AttribState struct {
 	// confidence vote, -1 for non-hybrid predictors or when no component
 	// predicted.
 	Component int16
-	// Conf is the predicting entry's confidence counter at probe time.
+	// Conf is the predicting entry's confidence counter before training.
 	Conf uint8
-	// TableHit reports whether the predict-time probe found a live entry
-	// (for hybrids: in the winning component's table).
+	// TableHit reports whether the probe found a live entry (for hybrids:
+	// in the winning component's table).
 	TableHit bool
 	// NewEntry reports that the update allocated a fresh entry for Pattern.
 	NewEntry bool
@@ -31,8 +30,8 @@ type AttribState struct {
 
 // Attributor is implemented by predictors that can report per-prediction
 // attribution detail. SetAttribution(true) turns recording on; Attribution
-// returns the state of the most recent Predict/Update pair and is only
-// meaningful while recording is enabled and after a completed pair.
+// returns the state the most recent Update recorded and is only meaningful
+// while recording is enabled. Predict records nothing.
 type Attributor interface {
 	SetAttribution(on bool)
 	Attribution() AttribState

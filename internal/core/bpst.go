@@ -21,6 +21,9 @@ func NewBPSTHybrid(a, b Component, selectorEntries int) (*BPSTHybrid, error) {
 	if selectorEntries <= 0 || selectorEntries&(selectorEntries-1) != 0 {
 		return nil, fmt.Errorf("core: BPST selector size must be a positive power of two, got %d", selectorEntries)
 	}
+	if repeated([]Component{a}, b) {
+		return nil, fmt.Errorf("core: BPST hybrid components are one instance (%s)", a.Name())
+	}
 	return &BPSTHybrid{
 		a:    a,
 		b:    b,
@@ -35,21 +38,30 @@ func (h *BPSTHybrid) idx(pc uint32) uint32 { return (pc >> 2) & h.mask }
 // Predict implements Predictor: the selected component's prediction is used;
 // if it has none, the other component's prediction is used instead.
 func (h *BPSTHybrid) Predict(pc uint32) (uint32, bool) {
-	first, second := h.a, h.b
-	if h.sel[h.idx(pc)] >= 2 {
-		first, second = h.b, h.a
-	}
-	if t, ok := first.Predict(pc); ok {
-		return t, true
-	}
-	return second.Predict(pc)
-}
-
-// Update implements Predictor: both components train, and the selector
-// counter moves toward the component that was correct when exactly one was.
-func (h *BPSTHybrid) Update(pc, target uint32) {
 	ta, oka := h.a.Predict(pc)
 	tb, okb := h.b.Predict(pc)
+	return h.pick(pc, ta, oka, tb, okb)
+}
+
+// pick is the prediction from the components' (target, ok) pairs under the
+// branch's selector counter.
+func (h *BPSTHybrid) pick(pc uint32, ta uint32, oka bool, tb uint32, okb bool) (uint32, bool) {
+	if h.sel[h.idx(pc)] >= 2 {
+		ta, oka, tb, okb = tb, okb, ta, oka
+	}
+	if oka {
+		return ta, true
+	}
+	return tb, okb
+}
+
+// Update implements Predictor: both components step, the prediction is
+// picked from their pre-training predictions, and the selector counter
+// moves toward the component that was correct when exactly one was.
+func (h *BPSTHybrid) Update(pc, target uint32) (uint32, bool) {
+	ta, oka := h.a.Update(pc, target)
+	tb, okb := h.b.Update(pc, target)
+	pred, ok := h.pick(pc, ta, oka, tb, okb)
 	aCorrect := oka && ta == target
 	bCorrect := okb && tb == target
 	i := h.idx(pc)
@@ -63,8 +75,7 @@ func (h *BPSTHybrid) Update(pc, target uint32) {
 			h.sel[i]--
 		}
 	}
-	h.a.Update(pc, target)
-	h.b.Update(pc, target)
+	return pred, ok
 }
 
 // Name implements Predictor.

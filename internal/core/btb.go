@@ -50,57 +50,47 @@ func BTBName(rule UpdateRule, kind string, capacity int) string {
 // the two low bits are dropped).
 func (b *BTB) key(pc uint32) uint64 { return uint64(pc >> 2) }
 
-// probe looks up the branch's entry, recording attribution when enabled.
-func (b *BTB) probe(pc uint32) *table.Entry {
-	e := b.tab.Probe(b.key(pc))
-	if b.attrib {
-		b.att = AttribState{Pattern: b.key(pc), Component: -1, TableHit: e != nil}
-		if e != nil {
-			b.att.Conf = e.Conf
-		}
-	}
-	return e
-}
-
 // Predict implements Predictor.
 func (b *BTB) Predict(pc uint32) (uint32, bool) {
-	e := b.probe(pc)
-	if e == nil {
-		return 0, false
-	}
-	return e.Target, true
+	pred, _, ok := b.PredictConf(pc)
+	return pred, ok
 }
 
 // PredictConf implements Component, so a BTB can serve as a hybrid
 // component (a BTB is the p=0 end of the path-length spectrum).
 func (b *BTB) PredictConf(pc uint32) (uint32, uint8, bool) {
-	e := b.probe(pc)
+	e := b.tab.Probe(b.key(pc))
 	if e == nil {
 		return 0, 0, false
 	}
 	return e.Target, e.Conf, true
 }
 
-// Update implements Predictor: a single combined probe-or-insert walk trains
-// the entry (the paper's hot loop previously paid a Probe in Predict and a
-// second Probe here).
-func (b *BTB) Update(pc, target uint32) {
+// Update implements Predictor.
+func (b *BTB) Update(pc, target uint32) (uint32, bool) {
+	pred, _, ok := b.UpdateConf(pc, target)
+	return pred, ok
+}
+
+// UpdateConf implements Component: one ProbeOrInsert walk serves the
+// prediction and the training.
+func (b *BTB) UpdateConf(pc, target uint32) (uint32, uint8, bool) {
+	key := b.key(pc)
 	var ev0 uint64
 	if b.attrib {
 		_, ev0, _ = b.tab.Counts()
 	}
-	e, found := b.tab.ProbeOrInsert(b.key(pc))
-	if !found {
-		e.Target = target
-		if b.attrib {
-			b.att.NewEntry = true
+	e, found := b.tab.ProbeOrInsert(key)
+	pred, conf := e.Target, e.Conf
+	train(e, found, target, b.rule, confMax(2))
+	if b.attrib {
+		b.att = AttribState{Pattern: key, Component: -1, Conf: conf, TableHit: found, NewEntry: !found}
+		if !found {
 			_, ev1, _ := b.tab.Counts()
 			b.att.Evicted = ev1 > ev0
 		}
-		return
 	}
-	correct := applyTarget(e, target, b.rule)
-	bumpConf(e, correct, confMax(2))
+	return pred, conf, found
 }
 
 // SetAttribution implements Attributor.

@@ -71,11 +71,17 @@ func (c *Cascade) Predict(pc uint32) (uint32, bool) {
 }
 
 // Update implements Predictor: all components train on every branch, as in
-// a PPM model where every context order is updated.
-func (c *Cascade) Update(pc, target uint32) {
+// a PPM model where every context order is updated, and the first
+// (longest-path) component with a prediction wins.
+func (c *Cascade) Update(pc, target uint32) (uint32, bool) {
+	var pred uint32
+	ok := false
 	for _, comp := range c.comps {
-		comp.Update(pc, target)
+		if t, hit := comp.Update(pc, target); hit && !ok {
+			pred, ok = t, true
+		}
 	}
+	return pred, ok
 }
 
 // Name implements Predictor.

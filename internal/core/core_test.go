@@ -14,15 +14,14 @@ type access struct {
 	pc, target uint32
 }
 
-// run drives a predictor over the stream and returns (misses, total).
+// run drives a predictor over the stream, one Update per branch as the
+// simulation kernel does, and returns (misses, total).
 func run(p Predictor, stream []access) (int, int) {
 	misses := 0
 	for _, a := range stream {
-		t, ok := p.Predict(a.pc)
-		if !ok || t != a.target {
+		if t, ok := p.Update(a.pc, a.target); !ok || t != a.target {
 			misses++
 		}
-		p.Update(a.pc, a.target)
 	}
 	return misses, len(stream)
 }
@@ -434,12 +433,12 @@ func TestTwoLevelIncludeAddress(t *testing.T) {
 func TestTwoLevelResetAndAccessors(t *testing.T) {
 	tl := mustTL(t, Config{PathLength: 2, Precision: AutoPrecision, Scheme: bits.Reverse, TableKind: "assoc2", Entries: 64})
 	run(tl, repeat(0x1000, []uint32{0x2000, 0x3000}, 50))
-	if u := tl.Utilization(); u <= 0 {
-		t.Errorf("Utilization = %v", u)
+	if u := tl.TableStats()[0].Occupancy; u <= 0 {
+		t.Errorf("Occupancy = %v", u)
 	}
 	tl.Reset()
-	if u := tl.Utilization(); u != 0 {
-		t.Errorf("Utilization after Reset = %v", u)
+	if u := tl.TableStats()[0].Occupancy; u != 0 {
+		t.Errorf("Occupancy after Reset = %v", u)
 	}
 	if _, ok := tl.Predict(0x1000); ok {
 		t.Error("prediction survived Reset")
@@ -457,8 +456,8 @@ func TestTwoLevelResetAndAccessors(t *testing.T) {
 	if ex.Patterns() <= 0 {
 		t.Errorf("exact Patterns = %d", ex.Patterns())
 	}
-	if ex.Utilization() != 1 {
-		t.Errorf("exact Utilization = %v", ex.Utilization())
+	if u := ex.TableStats()[0].Occupancy; u != 1 {
+		t.Errorf("exact Occupancy = %v", u)
 	}
 	ex.Reset()
 	if ex.Patterns() != 0 {

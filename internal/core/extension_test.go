@@ -136,8 +136,12 @@ func TestITTAGEStorageAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := it.Storage(); got != 4*256+512 {
-		t.Errorf("Storage = %d", got)
+	storage := 0
+	for _, st := range it.TableStats() {
+		storage += st.Capacity
+	}
+	if storage != 4*256+512 {
+		t.Errorf("Storage = %d", storage)
 	}
 	if !strings.HasPrefix(it.Name(), "ittage[4x256") {
 		t.Errorf("Name = %q", it.Name())

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 
@@ -14,15 +15,19 @@ import (
 // (§6.1).
 type Component interface {
 	Predictor
-	// PredictConf returns the component's prediction together with the
-	// value of the predicting entry's confidence counter.
+	// PredictConf is Predict together with the value of the predicting
+	// entry's confidence counter.
 	PredictConf(pc uint32) (target uint32, conf uint8, ok bool)
+	// UpdateConf is Update together with the value the predicting entry's
+	// confidence counter had before training.
+	UpdateConf(pc, target uint32) (pred uint32, conf uint8, ok bool)
 }
 
 // Hybrid combines two or more component predictors with per-entry confidence
 // metaprediction (§6): on each access every component predicts, and the
 // target with the highest confidence wins; ties are broken by component
 // order (earlier components win). All components train on every branch.
+// The components must be distinct instances: each steps once per branch.
 //
 // The paper evaluates two-component hybrids of equal table size and
 // different path lengths; NewHybrid accepts any number of components, which
@@ -31,23 +36,18 @@ type Hybrid struct {
 	comps []Component
 	name  string
 	// tables holds the components that are keyed tables, and keyable
-	// whether every component is one and no two are the same instance:
-	// the hybrid's precondition for being Keyed.
+	// whether every component is one: the hybrid's precondition for being
+	// Keyed.
 	tables  []KeyedTable
 	keyable bool
 
-	// Attribution recording (see core.Attributor); off by default. While
-	// enabled, Predict keeps every component's prediction in the
-	// preallocated attPred/attOK so Update can detect metapredictor
-	// mis-steers (a non-chosen component that was right).
-	attrib  bool
-	att     AttribState
-	attPred []uint32
-	attOK   []bool
-	// attComp is the chosen component's attribution view for the current
-	// Predict→Update pair, fetched lazily in Attribution() so per-record
-	// cost stays a pointer store (the component's own lazy work — pattern
-	// hashing — then only happens for records someone asks about).
+	// Attribution recording (see core.Attributor); off by default.
+	attrib bool
+	att    AttribState
+	// attComp is the chosen component's attribution view for the latest
+	// Update, fetched lazily in Attribution() so per-record cost stays a
+	// pointer store (the component's own lazy work — pattern hashing —
+	// then only happens for records someone asks about).
 	attComp Attributor
 }
 
@@ -61,16 +61,26 @@ func NewHybrid(comps ...Component) (*Hybrid, error) {
 	var tables []KeyedTable
 	keyable := true
 	for i, c := range comps {
-		names[i] = c.Name()
-		t, ok := c.(KeyedTable)
-		if !ok || slices.Contains(tables, t) {
-			keyable = false
+		if repeated(comps[:i], c) {
+			return nil, fmt.Errorf("core: hybrid component %d (%s) is an earlier component's instance", i, c.Name())
 		}
-		if ok {
+		names[i] = c.Name()
+		if t, ok := c.(KeyedTable); ok {
 			tables = append(tables, t)
+		} else {
+			keyable = false
 		}
 	}
 	return &Hybrid{comps: comps, name: HybridName(names...), tables: tables, keyable: keyable}, nil
+}
+
+// repeated reports whether c is one of the instances in prev. Two values of
+// one type the language cannot compare are taken for distinct.
+func repeated(prev []Component, c Component) bool {
+	if !reflect.TypeOf(c).Comparable() {
+		return false
+	}
+	return slices.Contains(prev, c)
 }
 
 // HybridName is the name of a Hybrid over components of the given names.
@@ -100,9 +110,9 @@ func rank(conf uint8, ok bool) uint16 {
 // Predict's vote and Vote both choose by it.
 func beats(r, w uint16) bool { return r > w }
 
-// vote is the metapredictor (§6.1) as Predict runs it: among the components
-// that predict, the highest confidence wins, and an earlier component wins
-// a tie.
+// vote is the metapredictor (§6.1) as Predict and Update run it: among the
+// components that predict, the highest confidence wins, and an earlier
+// component wins a tie.
 type vote struct {
 	target uint32
 	rank   uint16 // the winner's rank, 0 while no component predicts
@@ -123,18 +133,37 @@ func (v vote) offer(i int, target uint32, conf uint8, ok bool) vote {
 // Predict implements Predictor.
 func (h *Hybrid) Predict(pc uint32) (uint32, bool) {
 	v := newVote()
-	if !h.attrib {
-		for i, c := range h.comps {
-			t, conf, ok := c.PredictConf(pc)
-			v = v.offer(i, t, conf, ok)
-		}
-		return v.target, v.comp >= 0
-	}
 	for i, c := range h.comps {
 		t, conf, ok := c.PredictConf(pc)
-		h.attPred[i], h.attOK[i] = t, ok
 		v = v.offer(i, t, conf, ok)
 	}
+	return v.target, v.comp >= 0
+}
+
+// Update implements Predictor: every component steps once, and the vote is
+// over their pre-training predictions. With attribution enabled it also
+// records whether a component other than the chosen one had the right
+// target (the metapredictor mis-steer signal); how the chosen component's
+// table moved is read lazily by Attribution.
+func (h *Hybrid) Update(pc, target uint32) (uint32, bool) {
+	v := newVote()
+	right := 0
+	for i, c := range h.comps {
+		t, conf, ok := c.UpdateConf(pc, target)
+		v = v.offer(i, t, conf, ok)
+		if ok && t == target {
+			right++
+		}
+	}
+	if h.attrib {
+		h.attribute(v, right, target)
+	}
+	return v.target, v.comp >= 0
+}
+
+// attribute records the attribution of the vote v, right being the number
+// of components that predicted the resolved target.
+func (h *Hybrid) attribute(v vote, right int, target uint32) {
 	h.att = AttribState{Component: int16(v.comp)}
 	h.attComp = nil
 	if v.comp >= 0 {
@@ -143,8 +172,11 @@ func (h *Hybrid) Predict(pc uint32) (uint32, bool) {
 		if a, ok := h.comps[v.comp].(Attributor); ok {
 			h.attComp = a
 		}
+		if v.target == target {
+			right--
+		}
 	}
-	return v.target, v.comp >= 0
+	h.att.AltCorrect = right > 0
 }
 
 // Tables implements Keyed: a hybrid's vote is over its components' answers.
@@ -162,7 +194,7 @@ func (h *Hybrid) Tables(dst []KeyedTable) ([]KeyedTable, bool) {
 
 // Vote returns the answer of a Keyed predictor whose tables answered
 // tapes[i][j] to branch j: the one its metapredictor picks, by the rank and
-// tie-break Predict's vote uses, or the one table's answer.
+// tie-break Update's vote uses, or the one table's answer.
 func Vote(tapes [][]Answer, j int) Answer {
 	w := tapes[0][j]
 	for _, t := range tapes[1:] {
@@ -180,34 +212,10 @@ func (w Answer) Offer(a Answer) Answer {
 	return w
 }
 
-// Update implements Predictor: every component resolves the branch. With
-// attribution enabled it additionally records whether a non-chosen component
-// had the right target (the metapredictor mis-steer signal); how the chosen
-// component's table moved is read lazily by Attribution.
-func (h *Hybrid) Update(pc, target uint32) {
-	for _, c := range h.comps {
-		c.Update(pc, target)
-	}
-	if !h.attrib {
-		return
-	}
-	chosen := int(h.att.Component)
-	for i := range h.comps {
-		if i != chosen && h.attOK[i] && h.attPred[i] == target {
-			h.att.AltCorrect = true
-			break
-		}
-	}
-}
-
 // SetAttribution implements Attributor, propagating to every component that
 // records attribution itself.
 func (h *Hybrid) SetAttribution(on bool) {
 	h.attrib = on
-	if on && h.attPred == nil {
-		h.attPred = make([]uint32, len(h.comps))
-		h.attOK = make([]bool, len(h.comps))
-	}
 	for _, c := range h.comps {
 		if a, ok := c.(Attributor); ok {
 			a.SetAttribution(on)
@@ -217,7 +225,7 @@ func (h *Hybrid) SetAttribution(on bool) {
 
 // Attribution implements Attributor. The chosen component's detail is
 // merged here, lazily — its attribution state stays valid until the next
-// Predict, so a caller asking right after Update sees the pair's view.
+// Update.
 func (h *Hybrid) Attribution() AttribState {
 	if h.attComp != nil {
 		ca := h.attComp.Attribution()

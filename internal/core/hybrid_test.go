@@ -101,6 +101,45 @@ func TestHybridErrorsAndName(t *testing.T) {
 	MustHybrid(&fakeComponent{})
 }
 
+// sliceComponent is a Component the language cannot compare.
+type sliceComponent []uint32
+
+func (s sliceComponent) Predict(pc uint32) (uint32, bool) { return 0, false }
+func (s sliceComponent) PredictConf(pc uint32) (uint32, uint8, bool) {
+	return 0, 0, false
+}
+func (s sliceComponent) Update(pc, target uint32) (uint32, bool) { return 0, false }
+func (s sliceComponent) UpdateConf(pc, target uint32) (uint32, uint8, bool) {
+	return 0, 0, false
+}
+func (s sliceComponent) Name() string { return "slice" }
+
+// TestHybridRejectsRepeatedInstance: a hybrid steps each component once
+// per branch, so one instance named twice would push every target into its
+// history twice and predict from a history no configuration describes.
+func TestHybridRejectsRepeatedInstance(t *testing.T) {
+	a := MustTwoLevel(Config{PathLength: 2, Precision: AutoPrecision})
+	b := NewBTB(nil, UpdateTwoMiss)
+	if _, err := NewHybrid(a, a); err == nil {
+		t.Error("NewHybrid(a, a) accepted")
+	}
+	if _, err := NewHybrid(a, b, a); err == nil {
+		t.Error("NewHybrid(a, b, a) accepted")
+	}
+	if _, err := NewBPSTHybrid(b, b, 64); err == nil {
+		t.Error("NewBPSTHybrid(b, b) accepted")
+	}
+	if _, err := NewHybrid(a, b); err != nil {
+		t.Errorf("NewHybrid over distinct instances: %v", err)
+	}
+	if _, err := NewBPSTHybrid(a, b, 64); err != nil {
+		t.Errorf("NewBPSTHybrid over distinct instances: %v", err)
+	}
+	if _, err := NewHybrid(sliceComponent{1}, sliceComponent{2}); err != nil {
+		t.Errorf("NewHybrid over incomparable components: %v", err)
+	}
+}
+
 func TestHybridReset(t *testing.T) {
 	h := MustHybrid(
 		MustTwoLevel(Config{PathLength: 1, Precision: AutoPrecision}),
@@ -171,8 +210,15 @@ func (f *fakeComponent) Predict(pc uint32) (uint32, bool) { return f.target, f.o
 func (f *fakeComponent) PredictConf(pc uint32) (uint32, uint8, bool) {
 	return f.target, f.conf, f.ok
 }
-func (f *fakeComponent) Update(pc, target uint32) { f.updates++ }
-func (f *fakeComponent) Name() string             { return "fake" }
+func (f *fakeComponent) Update(pc, target uint32) (uint32, bool) {
+	pred, _, ok := f.UpdateConf(pc, target)
+	return pred, ok
+}
+func (f *fakeComponent) UpdateConf(pc, target uint32) (uint32, uint8, bool) {
+	f.updates++
+	return f.target, f.conf, f.ok
+}
+func (f *fakeComponent) Name() string { return "fake" }
 
 func TestBPSTHybridLearnsSelection(t *testing.T) {
 	// Component a is always wrong, b always right: the selector must

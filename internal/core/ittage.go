@@ -78,8 +78,8 @@ const ittageSeed = 0x2545F491
 // geometrically from minHist by factor two, over a base table of
 // 2*bankEntries entries.
 func NewITTAGE(numBanks, bankEntries, minHist int) (*ITTAGE, error) {
-	if numBanks < 1 || numBanks > 16 {
-		return nil, fmt.Errorf("core: ittage banks %d out of range [1,16]", numBanks)
+	if numBanks < 1 || numBanks > ittageMaxBanks {
+		return nil, fmt.Errorf("core: ittage banks %d out of range [1,%d]", numBanks, ittageMaxBanks)
 	}
 	if bankEntries <= 0 || bankEntries&(bankEntries-1) != 0 {
 		return nil, fmt.Errorf("core: ittage bank size must be a power of two, got %d", bankEntries)
@@ -169,75 +169,89 @@ func (t *ITTAGE) hash(pc uint32, b int) uint32 {
 	return idx&0xffff | tag<<16
 }
 
-// lookup finds the provider (longest matching bank) and the alternate
-// prediction. provider == -1 means the base table provides; altBank is the
-// alternate's bank index, -1 when the alternate is the base entry.
-func (t *ITTAGE) lookup(pc uint32) (provider int, pe *ittageEntry, alt *ittageEntry, altBank int) {
-	provider = -1
+// ittageMaxBanks bounds NewITTAGE's bank count.
+const ittageMaxBanks = 16
+
+// ittageWalk is what one walk of the banks finds for a branch: the provider
+// (the longest matching bank, -1 when the base table provides), its entry,
+// the alternate prediction's entry and bank (-1 for the base table; a nil
+// alt when the base provides), and the hash of every bank the walk visited,
+// each above the provider among them.
+type ittageWalk struct {
+	provider int
+	pe, alt  *ittageEntry
+	altBank  int
+	hash     [ittageMaxBanks]uint32
+}
+
+// lookup walks the banks from the longest history down to the alternate.
+func (t *ITTAGE) lookup(pc uint32, w *ittageWalk) {
+	w.provider, w.pe, w.alt, w.altBank = -1, nil, nil, -1
 	for b := len(t.banks) - 1; b >= 0; b-- {
 		bank := &t.banks[b]
 		h := t.hash(pc, b)
+		w.hash[b] = h
 		e := &bank.entries[h&bank.mask]
 		if t.live(e) && e.tag == uint16(h>>16) {
-			if pe == nil {
-				provider = b
-				pe = e
-			} else {
-				return provider, pe, e, b
+			if w.pe != nil {
+				w.alt, w.altBank = e, b
+				return
 			}
+			w.provider, w.pe = b, e
 		}
 	}
 	be := &t.base[(pc>>2)&t.baseMask]
-	if pe == nil {
-		return -1, be, nil, -1
+	if w.pe == nil {
+		w.pe = be
+	} else {
+		w.alt = be
 	}
-	return provider, pe, be, -1
+}
+
+// choose returns the entry whose target the walk predicts and its bank (-1
+// for the base table), or nil when nothing predicts. A freshly allocated
+// (weak) provider defers to a confident alternate, the standard TAGE "use
+// alt on new entry" heuristic.
+func (t *ITTAGE) choose(w *ittageWalk) (*ittageEntry, int) {
+	switch {
+	case w.provider < 0 && !t.live(w.pe):
+		return nil, -1
+	case w.provider >= 0 && w.pe.conf == 0 && t.live(w.alt) && w.alt.conf > 0:
+		return w.alt, w.altBank
+	}
+	return w.pe, w.provider
 }
 
 // Predict implements Predictor.
 func (t *ITTAGE) Predict(pc uint32) (uint32, bool) {
-	provider, pe, alt, altBank := t.lookup(pc)
-	if t.attrib {
-		t.att = AttribState{Component: int16(provider)}
-		if provider < 0 {
-			t.att.Pattern = uint64(pc >> 2)
-			t.att.TableHit = t.live(pe)
-		} else {
-			h := t.hash(pc, provider)
-			t.att.Pattern = uint64(h) | uint64(provider+1)<<32
-			t.att.TableHit = true
-		}
-		if t.live(pe) {
-			t.att.Conf = pe.conf
-		}
+	var w ittageWalk
+	t.lookup(pc, &w)
+	if e, _ := t.choose(&w); e != nil {
+		return e.target, true
 	}
-	if provider < 0 {
-		if !t.live(pe) {
-			return 0, false
-		}
-		return pe.target, true
-	}
-	// A freshly allocated (weak) provider defers to a confident
-	// alternate, the standard TAGE "use alt on new entry" heuristic.
-	if pe.conf == 0 && alt != nil && t.live(alt) && alt.conf > 0 {
-		if t.attrib {
-			t.att.Component = int16(altBank)
-			t.att.Conf = alt.conf
-		}
-		return alt.target, true
-	}
-	return pe.target, true
+	return 0, false
 }
 
-// Update implements Predictor.
-func (t *ITTAGE) Update(pc, target uint32) {
-	provider, pe, alt, _ := t.lookup(pc)
-	predicted, havePred := t.Predict(pc)
-	correct := havePred && predicted == target
+// Update implements Predictor: one walk of the banks yields the
+// prediction, the entries to train and the hashes allocation reuses.
+func (t *ITTAGE) Update(pc, target uint32) (uint32, bool) {
+	var w ittageWalk
+	t.lookup(pc, &w)
+	chosen, bank := t.choose(&w)
+	var pred uint32
+	ok := chosen != nil
+	if ok {
+		pred = chosen.target
+	}
+	if t.attrib {
+		t.attribute(pc, &w, chosen, bank)
+	}
+	correct := ok && pred == target
+	provider, pe, alt := w.provider, w.pe, w.alt
 
 	if provider >= 0 {
-		provCorrect := t.live(pe) && pe.target == target
-		altCorrect := alt != nil && t.live(alt) && alt.target == target
+		provCorrect := pe.target == target
+		altCorrect := t.live(alt) && alt.target == target
 		if t.attrib && !correct && (provCorrect || altCorrect) {
 			t.att.AltCorrect = true
 		}
@@ -295,14 +309,32 @@ func (t *ITTAGE) Update(pc, target uint32) {
 
 	// On a misprediction, try to allocate a longer-history entry.
 	if !correct && provider < len(t.banks)-1 {
-		t.allocate(pc, target, provider+1)
+		t.allocate(&w, target, provider+1)
 	}
 	t.pushHist(target)
+	return pred, ok
+}
+
+// attribute records the attribution of the branch Update is stepping: the
+// walk w, and the entry that predicted and its bank (choose's answer).
+func (t *ITTAGE) attribute(pc uint32, w *ittageWalk, chosen *ittageEntry, bank int) {
+	t.att = AttribState{Component: int16(bank)}
+	if w.provider < 0 {
+		t.att.Pattern = uint64(pc >> 2)
+		t.att.TableHit = t.live(w.pe)
+	} else {
+		t.att.Pattern = uint64(w.hash[w.provider]) | uint64(w.provider+1)<<32
+		t.att.TableHit = true
+	}
+	if chosen != nil {
+		t.att.Conf = chosen.conf
+	}
 }
 
 // allocate claims a not-useful entry in one of the banks at or above
-// fromBank for (pc, history), decaying useful bits when none is free.
-func (t *ITTAGE) allocate(pc, target uint32, fromBank int) {
+// fromBank for the walk's branch, decaying useful bits when none is free.
+// Every bank above the provider was hashed by the walk.
+func (t *ITTAGE) allocate(w *ittageWalk, target uint32, fromBank int) {
 	// Randomize the starting bank a little so allocations spread.
 	start := fromBank
 	if start < len(t.banks)-1 && t.nextRand()&1 == 0 {
@@ -310,7 +342,7 @@ func (t *ITTAGE) allocate(pc, target uint32, fromBank int) {
 	}
 	for b := start; b < len(t.banks); b++ {
 		bank := &t.banks[b]
-		h := t.hash(pc, b)
+		h := w.hash[b]
 		e := &bank.entries[h&bank.mask]
 		if !t.live(e) || e.useful == 0 {
 			if t.live(e) {
@@ -334,8 +366,7 @@ func (t *ITTAGE) allocate(pc, target uint32, fromBank int) {
 	// Nothing free: age the candidates so a future allocation succeeds.
 	for b := fromBank; b < len(t.banks); b++ {
 		bank := &t.banks[b]
-		h := t.hash(pc, b)
-		e := &bank.entries[h&bank.mask]
+		e := &bank.entries[w.hash[b]&bank.mask]
 		if t.live(e) && e.useful > 0 {
 			e.useful--
 		}
@@ -356,16 +387,6 @@ func (t *ITTAGE) Name() string { return t.name }
 // ITTAGEName is the name of NewITTAGE(numBanks, bankEntries, minHist).
 func ITTAGEName(numBanks, bankEntries, minHist int) string {
 	return fmt.Sprintf("ittage[%dx%d,hist>=%d]", numBanks, bankEntries, minHist)
-}
-
-// Storage returns the total entry count (base plus banks), for
-// equal-budget comparisons.
-func (t *ITTAGE) Storage() int {
-	n := len(t.base)
-	for _, b := range t.banks {
-		n += len(b.entries)
-	}
-	return n
 }
 
 // SetAttribution implements Attributor.

@@ -92,9 +92,10 @@ func (n *NextBranch) PredictNext(pc uint32) (uint32, bool) {
 	return e.Next, true
 }
 
-// Update implements Predictor: it trains the current entry's target, trains
-// the previous entry's next-branch address with pc, and shifts the history.
-func (n *NextBranch) Update(pc, target uint32) {
+// Update implements Predictor: it trains the previous entry's next-branch
+// address with pc, predicts and trains the current entry's target, and
+// shifts the history.
+func (n *NextBranch) Update(pc, target uint32) (uint32, bool) {
 	if n.pendingValid {
 		if pe := n.tab.Probe(n.pendingKey); pe != nil {
 			// The next-branch field follows the same two-miss
@@ -108,16 +109,18 @@ func (n *NextBranch) Update(pc, target uint32) {
 		}
 	}
 	key := n.key(pc)
-	e := n.tab.Probe(key)
-	if e == nil {
-		e = n.tab.Insert(key)
-		e.Target = target
-	} else {
+	e, found := n.tab.ProbeOrInsert(key)
+	var pred uint32
+	if found {
+		pred = e.Target
 		applyTarget(e, target, n.update)
+	} else {
+		e.Target = target
 	}
 	n.pendingKey = key
 	n.pendingValid = true
 	n.hist.Push(target)
+	return pred, found
 }
 
 // Name implements Predictor.

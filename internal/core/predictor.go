@@ -18,19 +18,21 @@ import (
 
 // Predictor is the contract shared by every predictor in this package.
 //
-// The simulator calls Predict for each dynamic indirect branch and then
-// Update with the resolved target. Predict must not modify architectural
-// predictor state (histories shift in Update, after resolution, as the
-// hardware pipeline would once the branch retires). Update may be called
-// without a preceding Predict; predictors recompute whatever they need.
+// The simulator is trace-driven: each dynamic indirect branch is predicted
+// and resolved with nothing in between (§3.2), so it makes one call per
+// branch, Update, which returns the prediction made under the pre-branch
+// history and then trains on the resolved target with one table walk.
+// Histories shift in Update, after resolution, as the hardware pipeline's
+// would once the branch retires.
 type Predictor interface {
-	// Predict returns the predicted target for the branch at pc and
-	// whether the predictor produced a prediction at all. A prediction of
-	// the wrong target and a missing prediction both count as
-	// mispredictions.
+	// Predict returns what Update(pc, ·) would return now, and changes
+	// nothing a later prediction can see: a query for tests and probes.
 	Predict(pc uint32) (target uint32, ok bool)
-	// Update informs the predictor of the branch's resolved target.
-	Update(pc, target uint32)
+	// Update returns the predicted target for the branch at pc and whether
+	// the predictor produced a prediction at all, then trains on the
+	// branch's resolved target. A prediction of the wrong target and a
+	// missing prediction both count as mispredictions.
+	Update(pc, target uint32) (pred uint32, ok bool)
 	// Name returns a short configuration string for reports.
 	Name() string
 }
@@ -64,7 +66,7 @@ type TableHistory struct {
 // branch's resolved target.
 type Answer uint16
 
-// answer is the Answer of a prediction — PredictConf's pred, conf and ok —
+// answer is the Answer of a prediction — UpdateConf's pred, conf and ok —
 // for a branch resolved to target.
 func answer(pred uint32, conf uint8, ok bool, target uint32) Answer {
 	a := Answer(rank(conf, ok)) << 1
@@ -95,8 +97,8 @@ type KeyedTable interface {
 	// StepKeyed predicts and resolves a run of indirect branches in
 	// order, keys[j] being branch j's key under its pre-branch history and
 	// targets[j] its resolved target: out[j] receives the Answer of what
-	// PredictConf would have returned, then the table trains as Update
-	// would. It leaves the register alone; the caller pushes the targets
+	// UpdateConf would have returned, and the table trains as UpdateConf
+	// does. It leaves the register alone; the caller pushes the targets
 	// into it, or into a copy it writes back.
 	StepKeyed(keys []uint64, targets []uint32, out []Answer)
 }
@@ -178,6 +180,19 @@ func bumpConf(e *table.Entry, correct bool, max uint8) {
 	} else if e.Conf > 0 {
 		e.Conf--
 	}
+}
+
+// train applies the resolved target to e, the entry a ProbeOrInsert walk
+// returned for the branch: a fresh entry (found false) takes the target; a
+// found one goes through the update rule, and its confidence counter moves.
+// The caller reads the prediction, e's Target and Conf, first; a fresh
+// entry reads as 0 and 0, no prediction.
+func train(e *table.Entry, found bool, target uint32, rule UpdateRule, max uint8) {
+	if !found {
+		e.Target = target
+		return
+	}
+	bumpConf(e, applyTarget(e, target, rule), max)
 }
 
 // confMax returns the saturation value of an n-bit confidence counter.

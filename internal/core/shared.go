@@ -110,10 +110,11 @@ func (s *SharedHybrid) Predict(pc uint32) (uint32, bool) {
 	return target, sel >= 0
 }
 
-// Update implements Predictor.
-func (s *SharedHybrid) Update(pc, target uint32) {
+// Update implements Predictor: the prediction is Predict's choice, made
+// before either component trains.
+func (s *SharedHybrid) Update(pc, target uint32) (uint32, bool) {
 	keys := s.keys(pc)
-	sel, _ := s.choose(keys)
+	sel, pred := s.choose(keys)
 	// Entry pointers can be invalidated by table mutations (set shuffles,
 	// LRU evictions), so each component re-probes by key before training.
 	for i := range keys {
@@ -142,6 +143,7 @@ func (s *SharedHybrid) Update(pc, target uint32) {
 		bumpConf(e, applyTarget(e, target, s.update), s.max)
 	}
 	s.hist.Get(pc).Push(target)
+	return pred, sel >= 0
 }
 
 // Name implements Predictor.

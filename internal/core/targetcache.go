@@ -58,15 +58,15 @@ func (t *TargetCache) Predict(pc uint32) (uint32, bool) {
 }
 
 // Update implements Predictor.
-func (t *TargetCache) Update(pc, target uint32) {
-	k := t.key(pc)
-	e := t.tab.Probe(k)
-	if e == nil {
-		e = t.tab.Insert(k)
+func (t *TargetCache) Update(pc, target uint32) (uint32, bool) {
+	e, found := t.tab.ProbeOrInsert(t.key(pc))
+	if !found {
 		e.Target = target
-		return
+		return 0, false
 	}
+	pred := e.Target
 	applyTarget(e, target, t.rule)
+	return pred, true
 }
 
 // ObserveCond implements CondObserver: each conditional branch shifts its

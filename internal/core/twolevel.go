@@ -192,8 +192,8 @@ type TwoLevel struct {
 	exact   *table.Exact  // full-precision mode
 	max     uint8
 	scratch []uint32
-	// keyBuf holds an exact key's bytes for attribution's Pattern hash;
-	// nothing else builds them.
+	// keyBuf holds the last exact key's bytes for attribution's Pattern
+	// hash; nothing else builds them.
 	keyBuf []byte
 	// tracked is decided once, at construction: the history file keeps
 	// every register's compressed pattern current on push, so key reads it
@@ -212,22 +212,9 @@ type TwoLevel struct {
 	field    bool
 	hashMask uint64
 
-	// Probe memo: the simulator calls Predict(pc) immediately followed by
-	// Update(pc, target), and nothing moves the history in between, so the
-	// key (and the entry it selects) computed by the prediction probe is
-	// still valid when the update arrives. Caching it halves the per-branch
-	// key-assembly and table-lookup work — the hot loop of every
-	// figure-class sweep. The memo is invalidated by anything that shifts
-	// the history or mutates the table (Update itself, ObserveCond, Reset).
-	memoPC    uint32
-	memoKey   uint64
-	memoReg   *history.Register
-	memoEntry *table.Entry
-	memoValid bool
-
 	// Attribution recording (see core.Attributor): disabled by default so
-	// the hot loop pays only a flag check; when enabled, probe and Update
-	// fill att with the detail of the current Predict/Update pair.
+	// the hot loop pays only a flag check; when enabled, UpdateConf fills
+	// att with the detail of the branch it stepped.
 	attrib bool
 	att    AttribState
 	// attPatStale marks att.Pattern as not yet hashed from keyBuf (exact
@@ -298,18 +285,13 @@ var exactHashMask = ^uint64(0)
 const selMul = 0x9E3779B97F4A7C15
 
 // exactKey sets k to the full-precision key of the branch at pc under reg's
-// contents, which it reads in place; with attribution on, keyBuf also takes
-// the key's bytes. (Filling the caller's key, rather than returning one,
-// keeps the compiler from copying it through a stall on the hot path.)
+// contents, which it reads in place. (Filling the caller's key, rather than
+// returning one, keeps the compiler from copying it through a stall on the
+// hot path.)
 func (t *TwoLevel) exactKey(k *table.ExactKey, reg *history.Register, pc uint32) {
 	var sel uint32
 	if !t.selAll {
 		sel = pc >> t.selShift
-	}
-	if t.attrib {
-		// The register already holds the kept fields, so the key takes
-		// each whole.
-		t.keyBuf = history.FullKey(t.keyBuf[:0], reg, pc, t.cfg.TableShare, t.cfg.StartBit, 0)
 	}
 	k.Newer, k.Older = reg.Path()
 	k.Hash, k.Sel = (reg.Sum()^uint64(sel)*selMul)&t.hashMask, sel
@@ -335,45 +317,22 @@ func (t *TwoLevel) key(reg *history.Register, pc uint32) uint64 {
 	return t.spec.Fold(pat, pc)
 }
 
-// probe locates the entry for the branch at pc under the current history,
-// without modifying prediction state beyond recency, and memoizes the result
-// for the Update call that typically follows (see the memo fields).
+// probe returns the entry the branch at pc selects under the current
+// history, or nil, changing nothing but the table's recency state.
 func (t *TwoLevel) probe(pc uint32) *table.Entry {
 	reg := t.hist.Get(pc)
-	var e *table.Entry
 	if t.exact != nil {
 		var k table.ExactKey
 		t.exactKey(&k, reg, pc)
-		e = t.exact.Probe(&k)
-	} else {
-		t.memoKey = t.key(reg, pc)
-		e = t.tab.Probe(t.memoKey)
+		return t.exact.Probe(&k)
 	}
-	t.memoPC, t.memoReg, t.memoEntry, t.memoValid = pc, reg, e, true
-	if t.attrib {
-		t.att = AttribState{Component: -1, TableHit: e != nil}
-		if t.exact != nil {
-			// Hashing the full key is the expensive part of attribution;
-			// defer it to Attribution(), which miss-driven consumers (the
-			// tuner) call far less than once per record.
-			t.attPatStale = true
-		} else {
-			t.att.Pattern = t.memoKey
-		}
-		if e != nil {
-			t.att.Conf = e.Conf
-		}
-	}
-	return e
+	return t.tab.Probe(t.key(reg, pc))
 }
 
 // Predict implements Predictor.
 func (t *TwoLevel) Predict(pc uint32) (uint32, bool) {
-	e := t.probe(pc)
-	if e == nil {
-		return 0, false
-	}
-	return e.Target, true
+	pred, _, ok := t.PredictConf(pc)
+	return pred, ok
 }
 
 // PredictConf implements Component: it additionally returns the entry's
@@ -386,67 +345,64 @@ func (t *TwoLevel) PredictConf(pc uint32) (uint32, uint8, bool) {
 	return e.Target, e.Conf, true
 }
 
-// Update implements Predictor: it trains the table entry under the
-// pre-branch history, then shifts the history. When the immediately
-// preceding Predict/PredictConf probed the same branch, its memoized key and
-// entry are reused instead of recomputed (the history cannot have moved in
-// between — only Update, ObserveCond, and Reset shift it, and each clears
-// the memo).
-func (t *TwoLevel) Update(pc, target uint32) {
+// Update implements Predictor.
+func (t *TwoLevel) Update(pc, target uint32) (uint32, bool) {
+	pred, _, ok := t.UpdateConf(pc, target)
+	return pred, ok
+}
+
+// UpdateConf implements Component. It is StepKeyed's loop body on the
+// predictor's own register: the branch's key under the pre-branch history,
+// one ProbeOrInsert walk that yields the prediction and the entry to train,
+// and the push of the resolved target.
+func (t *TwoLevel) UpdateConf(pc, target uint32) (uint32, uint8, bool) {
+	reg := t.hist.Get(pc)
 	var (
-		reg   *history.Register
 		e     *table.Entry
 		found bool
+		key   uint64
 		ev0   uint64
 	)
 	if t.attrib && t.tabEvicts {
 		_, ev0, _ = t.tab.Counts()
 	}
-	if t.memoValid && t.memoPC == pc {
-		reg, e, found = t.memoReg, t.memoEntry, t.memoEntry != nil
-		if !found {
-			if t.exact != nil {
-				var k table.ExactKey
-				t.exactKey(&k, reg, pc) // the probe's key: the history has not moved
-				e = t.exact.Insert(&k)
-			} else {
-				e = t.tab.Insert(t.memoKey)
-			}
-		}
+	if t.exact != nil {
+		var k table.ExactKey
+		t.exactKey(&k, reg, pc)
+		e, found = t.exact.ProbeOrInsert(&k)
 	} else {
-		reg = t.hist.Get(pc)
-		if t.exact != nil {
-			var k table.ExactKey
-			t.exactKey(&k, reg, pc)
-			e, found = t.exact.ProbeOrInsert(&k)
-		} else {
-			e, found = t.tab.ProbeOrInsert(t.key(reg, pc))
-		}
+		key = t.key(reg, pc)
+		e, found = t.tab.ProbeOrInsert(key)
 	}
-	t.train(e, found, target)
-	if t.attrib && !found {
-		t.att.NewEntry = true
-		if t.tabEvicts {
-			_, ev1, _ := t.tab.Counts()
-			t.att.Evicted = ev1 > ev0
-		}
+	pred, conf := e.Target, e.Conf
+	train(e, found, target, t.cfg.Update, t.max)
+	if t.attrib {
+		t.attribute(reg, pc, key, conf, found, ev0)
 	}
-	t.memoValid = false
 	if t.cfg.IncludeAddress {
 		reg.Push(t.kept(pc))
 	}
 	reg.Push(t.kept(target))
+	return pred, conf, found
 }
 
-// train applies the resolved target to e, the entry the branch's key
-// selected: a fresh entry (found false) takes the target; a found one goes
-// through the update rule, and its confidence counter moves.
-func (t *TwoLevel) train(e *table.Entry, found bool, target uint32) {
-	if !found {
-		e.Target = target
-		return
+// attribute records the attribution of the branch UpdateConf is stepping,
+// before its target enters reg. key is the compressed-mode key; ev0 the
+// table's eviction count before the walk.
+func (t *TwoLevel) attribute(reg *history.Register, pc uint32, key uint64, conf uint8, found bool, ev0 uint64) {
+	t.att = AttribState{Pattern: key, Component: -1, Conf: conf, TableHit: found, NewEntry: !found}
+	if t.exact != nil {
+		// Hashing the full key is the expensive part of attribution;
+		// keep its bytes for Attribution(), which miss-driven consumers
+		// (the tuner) call far less than once per record. The register
+		// already holds the kept fields, so the key takes each whole.
+		t.keyBuf = history.FullKey(t.keyBuf[:0], reg, pc, t.cfg.TableShare, t.cfg.StartBit, 0)
+		t.attPatStale = true
 	}
-	bumpConf(e, applyTarget(e, target, t.cfg.Update), t.max)
+	if !found && t.tabEvicts {
+		_, ev1, _ := t.tab.Counts()
+		t.att.Evicted = ev1 > ev0
+	}
 }
 
 // KeyHistory implements KeyedTable: a TwoLevel is keyed when its
@@ -461,44 +417,43 @@ func (t *TwoLevel) Tables(dst []KeyedTable) ([]KeyedTable, bool) {
 	return append(dst, t), ok
 }
 
-// StepKeyed implements KeyedTable. One ProbeOrInsert walk per branch serves
-// both the prediction and the update, as Predict's probe and Update's
-// insert on a miss would. Each table organisation gets a loop of its own,
-// so the walk is a direct call rather than one through table.Bounded.
+// StepKeyed implements KeyedTable: UpdateConf's walk and training over a
+// run of keys built elsewhere. Each table organisation gets a loop of its
+// own, so the walk is a direct call rather than one through table.Bounded.
 func (t *TwoLevel) StepKeyed(keys []uint64, targets []uint32, out []Answer) {
-	t.memoValid = false // the walks may move the memoized entry
 	out = out[:len(keys)]
 	targets = targets[:len(keys)]
+	rule, max := t.cfg.Update, t.max
 	switch tab := t.tab.(type) {
 	case *table.SetAssoc:
 		for j, key := range keys {
 			e, found := tab.ProbeOrInsert(key)
 			out[j] = answer(e.Target, e.Conf, found, targets[j])
-			t.train(e, found, targets[j])
+			train(e, found, targets[j], rule, max)
 		}
 	case *table.Tagless:
 		for j, key := range keys {
 			e, found := tab.ProbeOrInsert(key)
 			out[j] = answer(e.Target, e.Conf, found, targets[j])
-			t.train(e, found, targets[j])
+			train(e, found, targets[j], rule, max)
 		}
 	case *table.FullAssoc:
 		for j, key := range keys {
 			e, found := tab.ProbeOrInsert(key)
 			out[j] = answer(e.Target, e.Conf, found, targets[j])
-			t.train(e, found, targets[j])
+			train(e, found, targets[j], rule, max)
 		}
 	case *table.Unbounded64:
 		for j, key := range keys {
 			e, found := tab.ProbeOrInsert(key)
 			out[j] = answer(e.Target, e.Conf, found, targets[j])
-			t.train(e, found, targets[j])
+			train(e, found, targets[j], rule, max)
 		}
 	default:
 		for j, key := range keys {
 			e, found := t.tab.ProbeOrInsert(key)
 			out[j] = answer(e.Target, e.Conf, found, targets[j])
-			t.train(e, found, targets[j])
+			train(e, found, targets[j], rule, max)
 		}
 	}
 }
@@ -509,7 +464,6 @@ func (t *TwoLevel) ObserveCond(pc, target uint32, taken bool) {
 	if !t.cfg.IncludeCond || !taken {
 		return
 	}
-	t.memoValid = false // the push below moves the history under any memoized key
 	reg := t.hist.Get(pc)
 	if t.cfg.IncludeAddress {
 		reg.Push(t.kept(pc))
@@ -524,37 +478,15 @@ func (t *TwoLevel) ReadsCond() bool { return t.cfg.IncludeCond }
 // Name implements Predictor.
 func (t *TwoLevel) Name() string { return t.cfg.Name() }
 
-// Utilization reports the fraction of table entries in use (meaningful for
-// bounded tables; the paper quotes it when motivating interleaving, §5.2.1).
-func (t *TwoLevel) Utilization() float64 {
-	if t.tab != nil {
-		return t.tab.Utilization()
-	}
-	return 1
-}
-
-// Patterns returns the number of distinct patterns currently stored, the
-// statistic the paper quotes per path length in §5.1 (meaningful for
-// unbounded tables).
-func (t *TwoLevel) Patterns() int {
-	if t.exact != nil {
-		return t.exact.Len()
-	}
-	if u, ok := t.tab.(*table.Unbounded64); ok {
-		return u.Len()
-	}
-	return -1
-}
-
 // SetAttribution implements Attributor: it enables per-prediction
 // attribution recording (off by default; recording costs a few stores per
 // branch, so the sweep hot paths never pay for it).
 func (t *TwoLevel) SetAttribution(on bool) { t.attrib = on }
 
-// Attribution implements Attributor: the detail recorded for the most
-// recent Predict→Update pair. For exact tables the Pattern hash is computed
-// here, lazily — keyBuf still holds the pair's key, because only the next
-// probe or update overwrites it.
+// Attribution implements Attributor: the detail the most recent Update
+// recorded. For exact tables the Pattern hash is computed here, lazily —
+// keyBuf still holds that branch's key, because only the next Update
+// overwrites it.
 func (t *TwoLevel) Attribution() AttribState {
 	if t.attPatStale {
 		t.att.Pattern = fnv64(t.keyBuf)
@@ -573,7 +505,6 @@ func (t *TwoLevel) TableStats() []table.Stats {
 
 // Reset implements Resetter.
 func (t *TwoLevel) Reset() {
-	t.memoValid = false
 	t.hist.Reset()
 	if t.exact != nil {
 		t.exact.Reset()

@@ -64,11 +64,10 @@ func (c *Context) nextRates(p, entries int) (map[string]float64, map[string]floa
 					nm++
 				}
 			}
-			if t, ok := nb.Predict(r.PC); !ok || t != r.Target {
+			prevNext, prevNextOK = nb.PredictNext(r.PC)
+			if t, ok := nb.Update(r.PC, r.Target); !ok || t != r.Target {
 				tm++
 			}
-			prevNext, prevNextOK = nb.PredictNext(r.PC)
-			nb.Update(r.PC, r.Target)
 			havePrev = true
 			n++
 		}

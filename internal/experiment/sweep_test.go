@@ -163,9 +163,9 @@ func TestSweepConfigsKeepsCallerOrder(t *testing.T) {
 // panicOnUpdate is a predictor that panics on its first Update.
 type panicOnUpdate struct{}
 
-func (*panicOnUpdate) Predict(uint32) (uint32, bool) { return 0, false }
-func (*panicOnUpdate) Update(uint32, uint32)         { panic("lane blew up") }
-func (*panicOnUpdate) Name() string                  { return "panic-on-update" }
+func (*panicOnUpdate) Predict(uint32) (uint32, bool)        { return 0, false }
+func (*panicOnUpdate) Update(uint32, uint32) (uint32, bool) { panic("lane blew up") }
+func (*panicOnUpdate) Name() string                         { return "panic-on-update" }
 
 // TestSweepSpecsShadowMatchesSolo checks the capacity-attribution path: a
 // batched spec with an unbounded shadow twin must report the same miss and

@@ -374,9 +374,6 @@ func NewFile(s, p int) *File {
 	return f
 }
 
-// ShareBits returns the sharing parameter s.
-func (f *File) ShareBits() int { return f.shareBits }
-
 // Track enables incremental pattern maintenance (Register.Track) on every
 // register of the file, present and future, and reports whether the
 // registers track spec; when they do, TrackedPattern is every register's
@@ -426,14 +423,6 @@ func (f *File) Get(pc uint32) *Register {
 		f.regs[set] = r
 	}
 	return r
-}
-
-// Registers returns the number of distinct registers materialized so far.
-func (f *File) Registers() int {
-	if f.global != nil {
-		return 1
-	}
-	return len(f.regs)
 }
 
 // Reset clears all registers.
@@ -537,17 +526,6 @@ func (s Spec) Fold(pattern, pc uint32) uint64 {
 		return bits.ConcatKey(pattern, pc, s.PatternBits())
 	}
 	return bits.XorKey(pattern, pc)
-}
-
-// KeyBits returns the number of significant bits in keys produced by Key.
-func (s Spec) KeyBits() int {
-	if s.Op == OpConcat {
-		return 30 + s.PatternBits()
-	}
-	if pb := s.PatternBits(); pb > 30 {
-		return pb
-	}
-	return 30
 }
 
 // FullKey appends the exact key for unconstrained (§3–§4) predictors to

@@ -145,8 +145,8 @@ func TestFilePerBranch(t *testing.T) {
 	}
 	// Clamping: s below 2 behaves as 2.
 	g := NewFile(0, 2)
-	if g.ShareBits() != 2 {
-		t.Errorf("ShareBits = %d, want clamped 2", g.ShareBits())
+	if g.shareBits != 2 {
+		t.Errorf("shareBits = %d, want clamped 2", g.shareBits)
 	}
 	g.Get(0x1000).Push(8)
 	g.Reset()

@@ -374,14 +374,14 @@ func TestServeSessionPanicIsolation(t *testing.T) {
 	}
 }
 
-// panicPredictor blows up after a few predictions.
+// panicPredictor blows up on its first branch.
 type panicPredictor struct{}
 
-func (panicPredictor) Name() string { return "panic-stub" }
-func (panicPredictor) Predict(pc uint32) (uint32, bool) {
+func (panicPredictor) Name() string                     { return "panic-stub" }
+func (panicPredictor) Predict(pc uint32) (uint32, bool) { return 0, false }
+func (panicPredictor) Update(pc, target uint32) (uint32, bool) {
 	panic("injected predictor failure")
 }
-func (panicPredictor) Update(pc, target uint32) {}
 
 // TestServeNoHeadOfLineBlocking: a session whose predictor stalls must not
 // hold up a sibling. Both sessions stream the same trace, so pinning sessions
@@ -436,15 +436,16 @@ func TestServeNoHeadOfLineBlocking(t *testing.T) {
 	}
 }
 
-// blockingPredictor stalls in Predict until release is closed, signalling
+// blockingPredictor stalls in Update until release is closed, signalling
 // entered the first time it blocks.
 type blockingPredictor struct {
 	entered chan struct{}
 	release chan struct{}
 }
 
-func (blockingPredictor) Name() string { return "blocking-stub" }
-func (p blockingPredictor) Predict(pc uint32) (uint32, bool) {
+func (blockingPredictor) Name() string                     { return "blocking-stub" }
+func (blockingPredictor) Predict(pc uint32) (uint32, bool) { return 0, false }
+func (p blockingPredictor) Update(pc, target uint32) (uint32, bool) {
 	select {
 	case p.entered <- struct{}{}:
 	default:
@@ -452,7 +453,6 @@ func (p blockingPredictor) Predict(pc uint32) (uint32, bool) {
 	<-p.release
 	return 0, false
 }
-func (blockingPredictor) Update(pc, target uint32) {}
 
 func TestServeDialRetryBackoff(t *testing.T) {
 	// Reserve an address with no listener: the first dial attempts fail,

@@ -228,11 +228,12 @@ type panicAfter struct {
 }
 
 func (p *panicAfter) Predict(pc uint32) (uint32, bool) { return 0, false }
-func (p *panicAfter) Update(pc, target uint32) {
+func (p *panicAfter) Update(pc, target uint32) (uint32, bool) {
 	p.n--
 	if p.n <= 0 {
 		panic("predictor blew up")
 	}
+	return 0, false
 }
 func (p *panicAfter) Name() string { return "panic-after" }
 

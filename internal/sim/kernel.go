@@ -23,10 +23,10 @@ type MissObserver interface {
 // Kernel is the one definition of running trace records through a predictor
 // under the paper's accounting: conditional branches feed the predictor's
 // core.CondObserver when it reads them, returns and other non-indirect
-// records are skipped, and every dynamic indirect branch is predicted,
-// resolved (Update), and counted once past the warmup, a missing target
-// counting as a miss. The sim lanes, the serve sessions and the tuner's swap
-// replay all drive a Kernel.
+// records are skipped, and every dynamic indirect branch is predicted and
+// resolved by one Update call (one more for the shadow), and counted once
+// past the warmup, a missing target counting as a miss. The sim lanes, the
+// serve sessions and the tuner's swap replay all drive a Kernel.
 //
 // The optional hooks — shadow twin, FlushEvery reset, per-site stats (all
 // from Options), an EventRecorder and a MissObserver — each cost one nil
@@ -141,12 +141,10 @@ func (k *Kernel) Run(recs []trace.Record) {
 				k.shadowRst.Reset()
 			}
 		}
-		pred, ok := k.p.Predict(r.PC)
-		k.p.Update(r.PC, r.Target)
+		pred, ok := k.p.Update(r.PC, r.Target)
 		var shadowCorrect bool
 		if k.shadow != nil {
-			st, sok := k.shadow.Predict(r.PC)
-			k.shadow.Update(r.PC, r.Target)
+			st, sok := k.shadow.Update(r.PC, r.Target)
 			shadowCorrect = sok && st == r.Target
 		}
 		seen++

@@ -169,8 +169,8 @@ func (s *tapeSet) fill(lo int) int {
 }
 
 // writeBack copies every key tape's history into the registers it stands
-// for, so each keyed table holds exactly the history Predict and Update
-// would have left.
+// for, so each keyed table holds exactly the history its predictor's Update
+// calls would have left.
 func (s *tapeSet) writeBack() {
 	for _, t := range s.keys {
 		for _, m := range t.members {

@@ -44,9 +44,6 @@ type Entry struct {
 	Chosen uint8
 }
 
-// Valid reports whether the entry currently holds a prediction.
-func (e *Entry) Valid() bool { return e.valid }
-
 // Key returns the full key stored with the entry (the tag).
 func (e *Entry) Key() uint64 { return e.key }
 
@@ -331,9 +328,6 @@ func NewSetAssoc(entries, ways int) *SetAssoc {
 		slots:   make([]Entry, entries),
 	}
 }
-
-// Ways returns the associativity.
-func (t *SetAssoc) Ways() int { return t.ways }
 
 // set returns the slice of ways for key's set.
 func (t *SetAssoc) set(key uint64) []Entry {

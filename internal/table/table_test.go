@@ -271,7 +271,7 @@ func TestEntryResetOnReplace(t *testing.T) {
 	if e2.Target != 0 || e2.Hyst != 0 || e2.Conf != 0 || e2.Chosen != 0 {
 		t.Errorf("Insert did not reset entry: %+v", e2)
 	}
-	if !e2.Valid() {
+	if !e2.valid {
 		t.Error("inserted entry not valid")
 	}
 	if e2.Key() != 2 {
